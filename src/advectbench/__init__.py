@@ -2,16 +2,16 @@
 linear transport equation: matricial assembly, error-equation solvers and
 parameter sweeps."""
 
-from .advect import (ErrorSummary, FieldMatrix, compute_f, error_matrix,
-                     error_summary, exact_provider, exact_solution,
-                     sample_exact, time_step_simulate)
+from .advect import (ErrorSummary, FieldMatrix, error_matrix, error_summary,
+                     exact_provider, exact_solution, sample_exact,
+                     time_step_simulate)
 from .assembly import (VARIANTS, AssembledProblem, apply_l, apply_operator,
                        assemble, build_m0, build_m1, build_m2,
-                       global_operator, normalize, residual)
+                       global_operator, residual)
 from .errors import (AdvectBenchError, AssemblyError, InvalidSchemeError,
                      NumericalFailureError, SingularSystemError, UsageError)
 from .linalg import (SchurForm, cod_factor, eigenvalues, frobenius_norm,
-                     kron_vec_operator, min_norm_lstsq, schur_decompose,
+                     kron_vec_operator, schur_decompose,
                      smallest_singular_value, unvec, vec)
 from .schemes import (BUILTIN_SCHEMES, Discretization, SchemeCoefficients,
                       SignalSpec, builtin_scheme, custom_scheme,
@@ -25,14 +25,13 @@ __all__ = [
     "AdvectBenchError", "AssemblyError", "InvalidSchemeError",
     "NumericalFailureError", "SingularSystemError", "UsageError",
     "SchurForm", "cod_factor", "eigenvalues", "frobenius_norm",
-    "kron_vec_operator", "min_norm_lstsq", "schur_decompose",
+    "kron_vec_operator", "schur_decompose",
     "smallest_singular_value", "unvec", "vec",
     "BUILTIN_SCHEMES", "Discretization", "SchemeCoefficients", "SignalSpec",
     "builtin_scheme", "custom_scheme", "stencil_residual_at",
     "VARIANTS", "AssembledProblem", "apply_l", "apply_operator", "assemble",
-    "build_m0", "build_m1", "build_m2", "global_operator", "normalize",
-    "residual",
-    "ErrorSummary", "FieldMatrix", "compute_f", "error_matrix",
+    "build_m0", "build_m1", "build_m2", "global_operator", "residual",
+    "ErrorSummary", "FieldMatrix", "error_matrix",
     "error_summary", "exact_provider", "exact_solution", "sample_exact",
     "time_step_simulate",
     "METHODS", "ErrorEquationSolver", "SolvabilityReport", "SylvesterProblem",

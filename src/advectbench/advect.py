@@ -14,7 +14,7 @@ import numpy as np
 
 from . import assembly, linalg
 from .errors import NumericalFailureError, UsageError
-from .schemes import Discretization, SignalSpec
+from .schemes import Discretization
 
 
 def exact_solution(x, t, c, wavelength):
@@ -120,14 +120,6 @@ def error_matrix(u, u_exact):
     if u.disc != u_exact.disc:
         raise UsageError("fields live on different discretizations")
     return FieldMatrix(values=u.values - u_exact.values, disc=u.disc)
-
-
-def compute_f(s, disc, signal, variant="paper"):
-    """Truncation residual of the scheme against the exact signal:
-    operator(U_exact) - M0 under the chosen variant."""
-    known = exact_provider(disc, signal)
-    prob = assembly.assemble(s, disc, known, variant)
-    return assembly.residual(prob, sample_exact(disc, signal).values)
 
 
 def error_summary(e):

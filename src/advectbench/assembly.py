@@ -16,13 +16,18 @@ columns are time).  Two closure variants are supported:
 Everything known (boundaries i = 0 and i = nx, initial level m = 0, and the
 causal startup level) is folded, negated, into the right-hand side M0.
 
+A variant's equations live in one stencil table (``stencil_table``): flat
+arrays of (equation, node, coefficient, known-flag) terms built by index
+arithmetic.  M0, the causal operator action and the vectorized global
+operator all read it.
+
 A known-value provider is any callable (i, m) -> value defined on the nodes
 the chosen variant needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,52 +104,64 @@ def sample_known(known, i, m):
     return v
 
 
-def cell_equations(s, disc, variant):
-    """Yield every interior equation of the chosen variant.
+@dataclass(frozen=True)
+class StencilTable:
+    """Every stencil term of one closure variant as flat arrays, sorted by
+    equation and in stencil order within each equation.
 
-    Each item is (row, col, unknown_terms, known_terms): row/col locate the
-    equation in the (nx-1) x nt layout; unknown_terms are (coef, r, c)
-    references into U (0-based); known_terms are (coef, i, m) grid nodes to
-    be sampled and moved to the right-hand side.
+    Equation eq sits at row eq % (nx-1), column eq // (nx-1) of the
+    (nx-1) x nt layout (column-major, the vec order).  Each term couples
+    coefficient coef with grid node (i, m); known terms are sampled from the
+    provider and moved, negated, into M0, the others reference U[i-1, m-1].
     """
+
+    eq: np.ndarray
+    i: np.ndarray
+    m: np.ndarray
+    coef: np.ndarray
+    known: np.ndarray
+
+
+def stencil_table(s, disc, variant):
+    """The StencilTable of the chosen variant, built by index arithmetic."""
     _check_variant(variant)
     nx, nt = disc.nx, disc.nt
+    rows = nx - 1
     if variant == "paper":
-        centers = (((i, n), i - 1, n - 1)
-                   for n in range(1, nt + 1) for i in range(1, nx))
-        drop_beyond_horizon = True
+        centers, first_col = np.arange(1, nt + 1), 0
     else:
-        if s.is_three_level:
-            # cold start: level 1 is pinned to the provider
-            for i in range(1, nx):
-                yield i - 1, 0, [(1.0, i - 1, 0)], [(-1.0, i, 1)]
-            first = 1
-        else:
-            first = 0
-        centers = (((i, n0), i - 1, n0)
-                   for n0 in range(first, nt) for i in range(1, nx))
-        drop_beyond_horizon = False
-    for (i, n), row, col in centers:
-        unknown, known = [], []
-        for coef, l, m in stencil_nodes(s, i, n):
-            if coef == 0.0:
-                continue
-            if drop_beyond_horizon and m > nt:
-                continue
-            if l == 0 or l == nx or m == 0:
-                known.append((coef, l, m))
-            else:
-                unknown.append((coef, l - 1, m - 1))
-        yield row, col, unknown, known
+        first_col = 1 if s.is_three_level else 0
+        centers = np.arange(first_col, nt)
+    coef, di, dn = (np.array(v) for v in zip(*stencil_nodes(s, 0, 0)))
+    nonzero = coef != 0.0
+    coef, di, dn = coef[nonzero], di[nonzero], dn[nonzero]
+    # one row per equation (centers in column-major order), one column per term
+    ci = np.tile(np.arange(1, nx), centers.size)[:, None]
+    cn = np.repeat(centers, rows)[:, None]
+    i, m = ci + di, cn + dn
+    eq = np.broadcast_to(first_col * rows + np.arange(ci.size)[:, None], i.shape)
+    keep = m <= nt  # terms beyond the time horizon (paper closure) are absent
+    parts = [(eq[keep], i[keep], m[keep],
+              np.broadcast_to(coef, i.shape)[keep],
+              ((i == 0) | (i == nx) | (m == 0))[keep])]
+    if variant == "causal" and s.is_three_level:
+        # cold start: U[i-1, 0] - known(i, 1) = 0 pins level 1 to the provider
+        i = np.repeat(np.arange(1, nx), 2)
+        parts.insert(0, (i - 1, i, np.ones_like(i),
+                         np.tile([1.0, -1.0], rows), np.tile([False, True], rows)))
+    return StencilTable(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
 def build_m0(s, disc, known, variant="paper"):
-    """Right-hand-side matrix carrying initial and boundary data, assembled
-    by first-principles term collection over the variant's equations."""
-    m0 = np.zeros((disc.nx - 1, disc.nt))
-    for row, col, _, known_terms in cell_equations(s, disc, variant):
-        for coef, i, m in known_terms:
-            m0[row, col] -= coef * sample_known(known, i, m)
+    """Right-hand-side matrix carrying initial and boundary data: minus the
+    sum of every known term, sampled in table order."""
+    t = stencil_table(s, disc, variant)
+    k = t.known
+    values = np.array([sample_known(known, i, m)
+                       for i, m in zip(t.i[k].tolist(), t.m[k].tolist())])
+    rows = disc.nx - 1
+    m0 = np.zeros((rows, disc.nt))
+    np.subtract.at(m0, (t.eq[k] % rows, t.eq[k] // rows), t.coef[k] * values)
     return m0
 
 
@@ -168,9 +185,12 @@ def apply_operator(prob, u):
         raise UsageError(f"field shape {u.shape} does not match {prob.shape}")
     if prob.variant == "paper":
         return prob.m1 @ u + u @ prob.m2 + apply_l(prob.scheme, u)
+    t = stencil_table(prob.scheme, prob.disc, prob.variant)
+    k = ~t.known
+    rows = prob.disc.nx - 1
     out = np.zeros_like(u)
-    for row, col, unknown, _ in cell_equations(prob.scheme, prob.disc, prob.variant):
-        out[row, col] = sum(coef * u[r, c] for coef, r, c in unknown)
+    np.add.at(out, (t.eq[k] % rows, t.eq[k] // rows),
+              t.coef[k] * u[t.i[k] - 1, t.m[k] - 1])
     return out
 
 
@@ -189,20 +209,9 @@ def global_operator(s, disc, variant="paper"):
     if size > linalg.MAX_VEC_SIZE:
         raise UsageError(
             f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
+    t = stencil_table(s, disc, variant)
+    k = ~t.known
     g = np.zeros((size, size))
-    for row, col, unknown, _ in cell_equations(s, disc, variant):
-        eq = col * rows + row
-        for coef, r, c in unknown:
-            g[eq, c * rows + r] += coef
+    g[t.eq[k], (t.m[k] - 1) * rows + t.i[k] - 1] = t.coef[k]
     return g
 
-
-def normalize(prob):
-    """Scale the whole system by h*sigma/c = tau (the CFL normalization);
-    solutions are unchanged."""
-    factor = prob.disc.tau
-    return replace(prob,
-                   m1=factor * prob.m1,
-                   m2=factor * prob.m2,
-                   m0=factor * prob.m0,
-                   scheme=prob.scheme.scaled(factor))

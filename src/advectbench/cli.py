@@ -104,7 +104,7 @@ def _merge(args):
     return merged
 
 
-def _resolve(args, need_signal=True):
+def _resolve(args):
     m = _merge(args)
     nx = m.get("nx", 20)
     nt = m.get("nt", 20)
@@ -199,7 +199,8 @@ def cmd_solve_error(args):
     _print_report(report)
     print(f"residual={_fmt(residual)}")
     if cfg.method == "min-norm":
-        print(f"rank={solver._cod.rank} of {solver._cod.shape[0]}")
+        fac = solver.factorization
+        print(f"rank={fac.rank} of {fac.size}")
     if cfg.out:
         _write_field_csv(cfg.out, e.values)
         print(f"wrote {cfg.out}")
@@ -358,12 +359,11 @@ def _fmt_complex(z):
 
 def cmd_diagnose(args):
     cfg = _resolve(args)
-    prob = assembly.assemble(cfg.scheme, cfg.disc,
-                             advect.exact_provider(cfg.disc, cfg.signal),
-                             variant="paper")
-    norm = assembly.normalize(prob)
+    s, d = cfg.scheme, cfg.disc
+    # the CFL normalization: the whole system scaled by h*sigma/c = tau
     report = sylvester.diagnose(sylvester.SylvesterProblem(
-        norm.m1, norm.m2, np.zeros(prob.shape)))
+        d.tau * assembly.build_m1(s, d), d.tau * assembly.build_m2(s, d),
+        np.zeros((d.nx - 1, d.nt))))
     key = lambda z: (z.real, z.imag)
     print("spectrum of normalized M1:")
     for z in sorted(report.spectrum_a, key=key):
@@ -372,13 +372,13 @@ def cmd_diagnose(args):
     for z in sorted(report.spectrum_neg_b, key=key):
         print(f"  {_fmt_complex(z)}")
     _print_report(report)
-    if cfg.scheme.has_corner_terms:
-        g = assembly.global_operator(cfg.scheme, cfg.disc, "paper")
+    if s.has_corner_terms:
+        g = assembly.global_operator(s, d, "paper")
         smin = linalg.smallest_singular_value(g)
         print("note: L != 0, so uniqueness diagnostics apply to the "
               "vectorized global operator")
         print(f"smallest singular value of the vectorized operator: {_fmt(smin)}")
-    if not cfg.scheme.is_three_level:
+    if not s.is_three_level:
         print("note: two-level stencil, so the initial data u_i^0 never "
               "enters the interior columns of M0 in the paper closure")
     print("note: the paper closure's final time column is a truncated "

@@ -1,7 +1,7 @@
 """Dense real linear-algebra kernel.
 
-Self-contained routines on numpy arrays: products, norms, Householder
-Hessenberg reduction, real Schur decomposition (Francis double-shift QR),
+Self-contained routines on numpy arrays: norms, Householder Hessenberg
+reduction, real Schur decomposition (Francis double-shift QR),
 eigenvalues, Gaussian and Thomas solves, minimum-norm least squares through a
 complete orthogonal decomposition, and the Kronecker-vectorization operator
 used as an oracle for matrix equations.
@@ -43,15 +43,6 @@ def as_vector(v, name="vector"):
     if not np.all(np.isfinite(w)):
         raise UsageError(f"{name} contains non-finite entries")
     return w
-
-
-def matmul(a, b):
-    """Matrix product with explicit conformance check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise UsageError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def frobenius_norm(a):
@@ -475,11 +466,6 @@ def cod_factor(a, rtol=1e-11):
         r[i, rank:] = 0.0
     return CODFactorization(q=q, z=z, perm=perm, t=r[:rank, :rank].copy(),
                             rank=rank, shape=(m, n))
-
-
-def min_norm_lstsq(a, b, rtol=1e-11):
-    """Minimum-norm least-squares solution of A x ~ b (Frobenius/l2 norms)."""
-    return cod_factor(a, rtol=rtol).solve_min_norm(b)
 
 
 def kron_vec_operator(a, b):

@@ -1,16 +1,20 @@
 """Solvers for the matrix equation A X + X B = C and the scheme error
 equation built on it.
 
-Three routes are provided: Bartels-Stewart over real Schur forms,
-Kronecker-vectorized Gaussian elimination (the oracle), and minimum-norm
-least squares for singular or inconsistent systems.  Unique solvability is
-diagnosed from the spectra of A and -B: the equation has one solution iff
-they are disjoint.
+Three methods are provided, each a private object that factors once and
+solves many right-hand sides: Bartels-Stewart over real Schur forms,
+Gaussian elimination on the vectorized operator (the oracle), and
+minimum-norm least squares through a complete orthogonal decomposition for
+singular or inconsistent systems.  The error-equation solver vectorizes
+every closure variant with the global operator; the one-shot solvers for
+A X + X B = C use the Kronecker operator.  Unique solvability is diagnosed
+from the spectra of A and -B: the equation has one solution iff they are
+disjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,28 +116,61 @@ def _quasi_triangular_sylvester(ta, tb, d):
     return y
 
 
+class _BartelsStewart:
+    """Real Schur forms of A and B, then per right-hand side a transformed
+    block back-substitution.  Requires unique solvability."""
+
+    def __init__(self, a, b, report):
+        if not report.unique:
+            raise SingularSystemError(
+                "A and -B share eigenvalues (min separation "
+                f"{report.min_separation:.3e}); use min-norm")
+        self._fa = linalg.schur_decompose(a)
+        self._fb = linalg.schur_decompose(b)
+
+    def solve(self, c):
+        fa, fb = self._fa, self._fb
+        y = _quasi_triangular_sylvester(fa.t, fb.t, fa.q.T @ c @ fb.q)
+        return fa.q @ y @ fb.q.T
+
+
+class _KronLU:
+    """LU with partial pivoting of a vectorized operator K; solve(C) is the
+    X with K vec(X) = vec(C)."""
+
+    def __init__(self, op):
+        self._lu = linalg._lu_factor(op)
+
+    def solve(self, c):
+        x = linalg._lu_solve(*self._lu, linalg.vec(c))
+        return linalg.unvec(x, *c.shape)
+
+
+class _MinNormCOD:
+    """Complete orthogonal decomposition of a vectorized operator K; solve(C)
+    is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is the
+    numerical rank of K, size its number of rows."""
+
+    def __init__(self, op, rtol):
+        self._cod = linalg.cod_factor(op, rtol=rtol)
+        self.rank = self._cod.rank
+        self.size = self._cod.shape[0]
+
+    def solve(self, c):
+        x = self._cod.solve_min_norm(linalg.vec(c))
+        return linalg.unvec(x, *c.shape)
+
+
 def solve_bartels_stewart(p, sep_tol=1e-10):
     """Bartels-Stewart: Schur forms of A and B, transformed right-hand side,
     block back-substitution, transform back.  Requires unique solvability."""
-    report = diagnose(p, sep_tol)
-    if not report.unique:
-        raise SingularSystemError(
-            "A and -B share eigenvalues (min separation "
-            f"{report.min_separation:.3e}); the Sylvester equation has no "
-            "unique solution -- use solve_min_norm")
-    fa = linalg.schur_decompose(p.a)
-    fb = linalg.schur_decompose(p.b)
-    d = fa.q.T @ p.c @ fb.q
-    y = _quasi_triangular_sylvester(fa.t, fb.t, d)
-    return fa.q @ y @ fb.q.T
+    return _BartelsStewart(p.a, p.b, diagnose(p, sep_tol)).solve(p.c)
 
 
 def solve_kron_oracle(p):
     """Independent oracle: Gaussian elimination on the vectorized operator
     (I (x) A + B^T (x) I) vec(X) = vec(C)."""
-    k = linalg.kron_vec_operator(p.a, p.b)
-    x = linalg.gauss_solve(k, linalg.vec(p.c))
-    return linalg.unvec(x, p.c.shape[0], p.c.shape[1])
+    return _KronLU(linalg.kron_vec_operator(p.a, p.b)).solve(p.c)
 
 
 def solve_min_norm(p, rtol=1e-11):
@@ -143,21 +180,22 @@ def solve_min_norm(p, rtol=1e-11):
     the problem is uniquely solvable.
     """
     k = linalg.kron_vec_operator(p.a, p.b)
-    fac = linalg.cod_factor(k, rtol=rtol)
-    rhs = linalg.vec(p.c)
-    x = fac.solve_min_norm(rhs)
-    residual = float(np.linalg.norm(k @ x - rhs))
-    return linalg.unvec(x, p.c.shape[0], p.c.shape[1]), residual, fac.rank
+    fac = _MinNormCOD(k, rtol)
+    x = fac.solve(p.c)
+    residual = float(np.linalg.norm(k @ linalg.vec(x) - linalg.vec(p.c)))
+    return x, residual, fac.rank
 
 
 class ErrorEquationSolver:
     """Reusable solver for the scheme error equation on a fixed scheme, grid
     and closure variant.
 
-    The operator factorization is computed once, so sweeping many signals is
-    cheap.  Bartels-Stewart is only legal for the paper variant with L = 0
-    (no corner coefficients); otherwise the solve is routed through the
-    vectorized global operator.
+    The factorization is computed once, so sweeping many signals is cheap.
+    Bartels-Stewart factors the Schur forms of M1 and M2 and is only legal
+    for the paper variant with L = 0 (no corner coefficients); kron and
+    min-norm factor the variant's vectorized global operator by LU or by
+    complete orthogonal decomposition (``factorization.rank`` is then the
+    numerical rank).
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm",
@@ -183,36 +221,18 @@ class ErrorEquationSolver:
                 notes.append("L != 0 (corner coefficients present): solve is "
                              "routed through the vectorized global operator")
         probe = SylvesterProblem(self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt)))
-        base = diagnose(probe, sep_tol)
-        self.report = SolvabilityReport(
-            spectrum_a=base.spectrum_a,
-            spectrum_neg_b=base.spectrum_neg_b,
-            min_separation=base.min_separation,
-            unique=base.unique,
-            sep_tol=sep_tol,
-            notes="; ".join(notes),
-        )
+        self.report = replace(diagnose(probe, sep_tol), notes="; ".join(notes))
 
         if method == "bartels-stewart":
             if not self.sylvester_form:
                 raise UsageError(
                     "bartels-stewart applies only to the paper variant with "
                     "L = 0 (the pure Sylvester form); use kron or min-norm")
-            if not self.report.unique:
-                raise SingularSystemError(
-                    "A and -B share eigenvalues (min separation "
-                    f"{self.report.min_separation:.3e}); use min-norm")
-            self._fa = linalg.schur_decompose(self.m1)
-            self._fb = linalg.schur_decompose(self.m2)
+            self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
         else:
-            if self.sylvester_form:
-                self._op = linalg.kron_vec_operator(self.m1, self.m2)
-            else:
-                self._op = assembly.global_operator(scheme, disc, variant)
-            if method == "kron":
-                self._lu = linalg._lu_factor(self._op)
-            else:
-                self._cod = linalg.cod_factor(self._op, rtol=rtol)
+            op = assembly.global_operator(scheme, disc, variant)
+            self.factorization = (_KronLU(op) if method == "kron"
+                                  else _MinNormCOD(op, rtol))
 
     def solve(self, signal):
         """Solve for the error field of one signal.
@@ -226,20 +246,10 @@ class ErrorEquationSolver:
         prob = assembly.AssembledProblem(m1=self.m1, m2=self.m2, m0=m0,
                                          scheme=self.scheme, disc=self.disc,
                                          variant=self.variant)
-        f = assembly.residual(prob, u_exact.values)
+        # the truncation residual F = operator(U_exact) - M0, so
         # operator(U - U_exact) = M0 - operator(U_exact) = -F
-        rhs = -f
-        rows, cols = self.disc.nx - 1, self.disc.nt
-        if self.method == "bartels-stewart":
-            d = self._fa.q.T @ rhs @ self._fb.q
-            y = _quasi_triangular_sylvester(self._fa.t, self._fb.t, d)
-            e = self._fa.q @ y @ self._fb.q.T
-        elif self.method == "kron":
-            x = linalg._lu_solve(*self._lu, linalg.vec(rhs))
-            e = linalg.unvec(x, rows, cols)
-        else:
-            x = self._cod.solve_min_norm(linalg.vec(rhs))
-            e = linalg.unvec(x, rows, cols)
+        rhs = -assembly.residual(prob, u_exact.values)
+        e = self.factorization.solve(rhs)
         op_e = assembly.apply_operator(prob, e)
         residual_norm = linalg.frobenius_norm(op_e - rhs)
         return advect.FieldMatrix(values=e, disc=self.disc), self.report, residual_norm

@@ -150,11 +150,14 @@ def test_build_m0_provider_failure_names_node():
 
 
 def test_global_operator_paper_equals_kron_when_l_zero():
-    d = Discretization(nx=6, nt=5, h=1.0, tau=0.5, c=1.0)
-    s = builtin_scheme("lax", d)
-    g = assembly.global_operator(s, d, "paper")
-    k = linalg.kron_vec_operator(assembly.build_m1(s, d), assembly.build_m2(s, d))
-    assert np.array_equal(g, k)
+    for nx, nt in ((6, 5), (7, 5), (5, 9)):
+        d = Discretization(nx=nx, nt=nt, h=1.0, tau=0.5, c=1.0)
+        for name in ("lax", "leapfrog", "lax-wendroff"):
+            s = builtin_scheme(name, d)
+            g = assembly.global_operator(s, d, "paper")
+            k = linalg.kron_vec_operator(assembly.build_m1(s, d),
+                                         assembly.build_m2(s, d))
+            assert np.array_equal(g, k), (name, nx, nt)
 
 
 def test_global_operator_causal_lax_reproduces_simulator():
@@ -175,19 +178,21 @@ def test_global_operator_causal_lax_reproduces_simulator():
 
 
 def test_global_operator_action_equality_all_schemes_both_variants():
-    d = Discretization.from_cfl(nx=6, nt=5, h=1.0, sigma=0.8, c=1.0)
     rng = np.random.default_rng(1)
-    for name in BUILTIN_SCHEMES:
-        s = builtin_scheme(name, d)
-        for variant in assembly.VARIANTS:
-            g = assembly.global_operator(s, d, variant)
-            prob = assembly.assemble(s, d, provider(d), variant)
-            for _ in range(20):
-                u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
-                lhs = linalg.unvec(g @ linalg.vec(u), d.nx - 1, d.nt)
-                rhs = assembly.apply_operator(prob, u)
-                scale = max(1.0, np.linalg.norm(rhs))
-                assert np.linalg.norm(lhs - rhs) <= 1e-13 * scale, (name, variant)
+    for nx, nt in ((6, 5), (7, 5), (5, 9)):
+        d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
+        for name in BUILTIN_SCHEMES:
+            s = builtin_scheme(name, d)
+            for variant in assembly.VARIANTS:
+                g = assembly.global_operator(s, d, variant)
+                prob = assembly.assemble(s, d, provider(d), variant)
+                for _ in range(20):
+                    u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
+                    lhs = linalg.unvec(g @ linalg.vec(u), d.nx - 1, d.nt)
+                    rhs = assembly.apply_operator(prob, u)
+                    scale = max(1.0, np.linalg.norm(rhs))
+                    assert (np.linalg.norm(lhs - rhs) <= 1e-13 * scale), (
+                        name, variant, nx, nt)
 
 
 def test_residual_of_zero_field_is_minus_m0():
@@ -196,24 +201,69 @@ def test_residual_of_zero_field_is_minus_m0():
     assert np.array_equal(assembly.residual(prob, np.zeros((3, 3))), -prob.m0)
 
 
+def reference_residual(s, d, u, known, variant):
+    """operator(U) - M0 from first principles: the raw stencil relation on
+    the full field at every equation of the variant."""
+    def field(l, m):
+        if m > d.nt:  # beyond the time horizon: absent in the paper closure
+            return 0.0
+        if l in (0, d.nx) or m == 0:
+            return known(l, m)
+        return u[l - 1, m - 1]
+
+    res = np.full(u.shape, np.nan)
+    for i in range(1, d.nx):
+        if variant == "paper":
+            for n in range(1, d.nt + 1):
+                res[i - 1, n - 1] = stencil_residual_at(s, field, i, n)
+            continue
+        first = 1 if s.is_three_level else 0
+        if first:  # cold start pins level 1 to the provider
+            res[i - 1, 0] = u[i - 1, 0] - known(i, 1)
+        for n0 in range(first, d.nt):
+            res[i - 1, n0] = stencil_residual_at(s, field, i, n0)
+    return res
+
+
 def test_stencil_matrix_consistency_all_schemes_both_variants():
     """The matricial residual equals cell-wise stencil evaluation with known
     nodes folded into M0, on every interior cell the variant covers."""
-    d = Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
     rng = np.random.default_rng(2)
-    u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
-    known = provider(d, lam=9.0)
+    for nx, nt in ((20, 20), (7, 5), (5, 9)):
+        d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
+        u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
+        known = provider(d, lam=9.0)
+        for name in BUILTIN_SCHEMES:
+            s = builtin_scheme(name, d)
+            scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u)))
+            for variant in assembly.VARIANTS:
+                prob = assembly.assemble(s, d, known, variant)
+                res = assembly.residual(prob, u)
+                want = reference_residual(s, d, u, known, variant)
+                assert np.max(np.abs(res - want)) <= 1e-12 * scale, (
+                    name, variant, nx, nt)
 
-    for name in BUILTIN_SCHEMES:
-        s = builtin_scheme(name, d)
-        scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u)))
-        for variant in assembly.VARIANTS:
-            prob = assembly.assemble(s, d, known, variant)
-            res = assembly.residual(prob, u)
-            for row, col, unknown, known_terms in assembly.cell_equations(s, d, variant):
-                cell = (sum(c * u[r, k] for c, r, k in unknown)
-                        + sum(c * known(i, m) for c, i, m in known_terms))
-                assert abs(res[row, col] - cell) <= 1e-12 * scale, (name, variant)
+
+def test_stencil_table_order_and_cold_start():
+    d = Discretization.from_cfl(nx=5, nt=4, h=1.0, sigma=0.8, c=1.0)
+    s = builtin_scheme("leapfrog", d)  # alpha, gamma, delta, epsilon
+    t = assembly.stencil_table(s, d, "causal")
+    assert np.all(np.diff(t.eq) >= 0)
+    # cold start: equation i-1 is U[i-1, 0] - known(i, 1)
+    assert t.eq[:2].tolist() == [0, 0]
+    assert t.coef[:2].tolist() == [1.0, -1.0]
+    assert t.known[:2].tolist() == [False, True]
+    # first centered equation (i=1, n=1) produces column 1, stencil order
+    first = t.eq == d.nx - 1
+    assert t.coef[first].tolist() == [s.alpha, s.gamma, s.delta, s.epsilon]
+    assert t.i[first].tolist() == [1, 1, 2, 0]
+    assert t.m[first].tolist() == [2, 0, 1, 1]
+    assert t.known[first].tolist() == [False, True, False, True]
+    # paper closure: the last column drops the beyond-horizon alpha term
+    p = assembly.stencil_table(s, d, "paper")
+    assert p.eq.max() == (d.nx - 1) * d.nt - 1
+    assert np.all(p.m <= d.nt)
+    assert np.sum(p.eq == p.eq.max()) == 3
 
 
 def test_stencil_matrix_consistency_against_stencil_residual_at():
@@ -237,17 +287,6 @@ def test_stencil_matrix_consistency_against_stencil_residual_at():
             for i in range(1, d.nx):
                 cell = stencil_residual_at(s, field, i, n0)
                 assert abs(res[i - 1, n0] - cell) <= 1e-12, (name, i, n0)
-
-
-def test_normalize_lax_unit_subdiagonal_and_idempotent_scaling():
-    d = Discretization.from_cfl(nx=6, nt=5, h=1.0, sigma=0.8, c=1.0)
-    s = builtin_scheme("lax", d)
-    prob = assembly.assemble(s, d, provider(d), "paper")
-    norm = assembly.normalize(prob)
-    assert np.allclose(np.diag(norm.m2, -1), 1.0, rtol=0, atol=1e-15)
-    twice = assembly.normalize(norm)
-    assert np.allclose(twice.m1, d.tau ** 2 * prob.m1, rtol=1e-15, atol=0)
-    assert np.allclose(twice.m0, d.tau ** 2 * prob.m0, rtol=1e-15, atol=1e-15)
 
 
 def test_unknown_variant_rejected():

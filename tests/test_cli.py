@@ -201,6 +201,18 @@ def test_diagnose_leapfrog_spectra_purely_imaginary(capsys):
             assert abs(z.real) <= 1e-9
 
 
+def test_diagnose_spectra_are_tau_normalized(capsys):
+    # leapfrog at sigma = 0.8, h = 1: tau*alpha = 1/2 and tau*gamma = -1/2,
+    # so the normalized -M2 has eigenvalues +-i*cos(k*pi/(nt+1))
+    code, out, _ = run(capsys, "diagnose", "--scheme", "leapfrog")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("spectrum of normalized -M2:") + 1
+    got = sorted(complex(line.strip()).imag for line in lines[start:start + 20])
+    want = sorted(math.cos(k * math.pi / 21) for k in range(1, 21))
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+
+
 def test_diagnose_lax_reports_non_unique(capsys):
     code, out, _ = run(capsys, "diagnose", "--scheme", "lax")
     assert code == 0
