@@ -19,7 +19,7 @@ causal startup level) is folded, negated, into the right-hand side M0.
 A variant's equations live in one stencil table (``stencil_table``): flat
 arrays of (equation, node, coefficient, known-flag) terms built by index
 arithmetic.  M0, the causal operator action and the vectorized global
-operator all read it.
+operator, dense or in band storage, all read it.
 
 A known-value provider is any callable (i, m) -> value defined on the nodes
 the chosen variant needs.
@@ -27,6 +27,7 @@ the chosen variant needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,12 @@ class StencilTable:
     known: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
 def stencil_table(s, disc, variant):
-    """The StencilTable of the chosen variant, built by index arithmetic."""
+    """The StencilTable of the chosen variant, built by index arithmetic.
+
+    Memoized on (scheme, grid, variant): a sweep reads the same table for
+    every signal.  The arrays are shared, so they are read-only."""
     _check_variant(variant)
     nx, nt = disc.nx, disc.nt
     rows = nx - 1
@@ -149,7 +154,10 @@ def stencil_table(s, disc, variant):
         i = np.repeat(np.arange(1, nx), 2)
         parts.insert(0, (i - 1, i, np.ones_like(i),
                          np.tile([1.0, -1.0], rows), np.tile([False, True], rows)))
-    return StencilTable(*(np.concatenate(cols) for cols in zip(*parts)))
+    table = StencilTable(*(np.concatenate(cols) for cols in zip(*parts)))
+    for column in vars(table).values():
+        column.flags.writeable = False
+    return table
 
 
 def build_m0(s, disc, known, variant="paper"):
@@ -199,10 +207,9 @@ def residual(prob, u):
     return apply_operator(prob, u) - prob.m0
 
 
-def global_operator(s, disc, variant="paper"):
-    """Vectorized operator G with G vec(U) = vec(operator(U)), vec stacking
-    columns.  For the paper variant with L = 0 this equals
-    kron_vec_operator(M1, M2)."""
+def _operator_entries(s, disc, variant):
+    """(size, row, col, coef) of the variant's vectorized operator: every
+    unknown term of the stencil table at G[row, col], vec stacking columns."""
     _check_variant(variant)
     rows, cols = disc.nx - 1, disc.nt
     size = rows * cols
@@ -211,7 +218,21 @@ def global_operator(s, disc, variant="paper"):
             f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
     t = stencil_table(s, disc, variant)
     k = ~t.known
+    return size, t.eq[k], (t.m[k] - 1) * rows + t.i[k] - 1, t.coef[k]
+
+
+def global_operator(s, disc, variant="paper"):
+    """Vectorized operator G with G vec(U) = vec(operator(U)), vec stacking
+    columns.  For the paper variant with L = 0 this equals
+    kron_vec_operator(M1, M2)."""
+    size, row, col, coef = _operator_entries(s, disc, variant)
     g = np.zeros((size, size))
-    g[t.eq[k], (t.m[k] - 1) * rows + t.i[k] - 1] = t.coef[k]
+    g[row, col] = coef
     return g
 
+
+def band_operator(s, disc, variant="paper"):
+    """The global operator in band storage, (ab, kl) as linalg.to_band
+    returns it, scattered straight from the stencil table: O(N*nx) memory
+    instead of O(N^2)."""
+    return linalg.band_from_entries(*_operator_entries(s, disc, variant))

@@ -1,10 +1,11 @@
-"""Dense real linear-algebra kernel.
+"""Real linear-algebra kernel.
 
 Self-contained routines on numpy arrays: norms, Householder Hessenberg
 reduction, real Schur decomposition (Francis double-shift QR),
-eigenvalues, Gaussian and Thomas solves, minimum-norm least squares through a
-complete orthogonal decomposition, and the Kronecker-vectorization operator
-used as an oracle for matrix equations.
+eigenvalues, Gaussian elimination with partial pivoting on band storage
+(dense input is stored with the bandwidth of its nonzeros), Thomas solves,
+minimum-norm least squares through a complete orthogonal decomposition, and
+the Kronecker-vectorization operator used as an oracle for matrix equations.
 
 All functions are pure; matrices passed in are never modified.
 """
@@ -289,37 +290,97 @@ def eigenvalues(a, max_sweeps=None, tol=1e-14):
     return schur_decompose(a, max_sweeps=max_sweeps, tol=tol).eigenvalues
 
 
-def _lu_factor(a, pivot_rtol=1e-13):
-    """LU with partial pivoting; raises SingularSystemError on tiny pivots."""
-    lu = a.copy()
-    n = lu.shape[0]
+def band_from_entries(n, row, col, val):
+    """Band storage of the n x n matrix with entries A[row, col] = val.
+
+    The lower and upper bandwidths kl and ku are measured from the entries.
+    The n x (2kl+ku+1) array ab is LAPACK's gbtrf layout, stored so that
+    column j of A is the contiguous row ab[j]: ab[j, kl+ku+i-j] = A[i, j].
+    Its first kl entries per row are spare superdiagonals for the fill-in
+    of the LU.  Returns (ab, kl).
+    """
+    offset = np.asarray(row) - np.asarray(col)
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    ab = np.zeros((n, 2 * kl + ku + 1))
+    ab[col, kl + ku + offset] = val
+    return ab, kl
+
+
+def to_band(a):
+    """Band storage (ab, kl) of a square matrix, bandwidths measured from its
+    nonzeros; a general dense matrix simply has full bandwidth."""
+    row, col = np.nonzero(a)
+    return band_from_entries(a.shape[0], row, col, a[row, col])
+
+
+def _dense_view(ab, kl):
+    """n x n view of band storage indexed like the matrix: entry (i, j) of
+    the view is ab[j, kl+ku+i-j].  Only in-band entries, -kl <= j-i <= kl+ku
+    with the fill-in, are the matrix's; the others alias neighbouring
+    columns and are never touched."""
+    n, width = ab.shape
+    step = ab.itemsize
+    return np.ndarray((n, n), dtype=ab.dtype, buffer=ab,
+                      offset=(width - 1 - kl) * step,
+                      strides=(step, (width - 1) * step))
+
+
+def _lu_factor(ab, kl, pivot_rtol=1e-13):
+    """Band LU with partial pivoting of the matrix stored in (ab, kl).
+
+    Step k exchanges rows k and piv[k] over the active columns only, so L
+    keeps its kl multipliers per column where they were computed and U
+    widens to kl+ku superdiagonals; _lu_solve replays the exchanges in
+    order.  Every floating-point operation on a band entry is the one dense
+    elimination with partial pivoting performs.  Raises SingularSystemError
+    when a pivot is at most pivot_rtol * |A|_F.  Returns (lu, kl, piv).
+    """
+    lu = ab.copy()
+    n, width = lu.shape
+    d = _dense_view(lu, kl)
     piv = np.arange(n)
-    scale = frobenius_norm(a)
-    thresh = pivot_rtol * max(scale, 1e-300)
+    thresh = pivot_rtol * max(frobenius_norm(ab), 1e-300)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= thresh:
+        r1, c1 = min(n, k + kl + 1), min(n, k + width - kl)
+        p = k + int(np.argmax(np.abs(d[k:r1, k])))
+        if abs(d[p, k]) <= thresh:
             raise SingularSystemError(
-                f"pivot {abs(lu[p, k]):.3e} below {thresh:.3e} at column {k}")
+                f"pivot {abs(d[p, k]):.3e} below {thresh:.3e} at column {k}")
         if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
+            row = d[k, k:c1].copy()
+            d[k, k:c1] = d[p, k:c1]
+            d[p, k:c1] = row
+            piv[k] = p
+        d[k + 1:r1, k] /= d[k, k]
+        # the trailing block, transposed to match the layout's memory order
+        trailing = d[k + 1:r1, k + 1:c1].T
+        trailing -= np.outer(d[k, k + 1:c1], d[k + 1:r1, k])
+    return lu, kl, piv
 
 
-def _lu_solve(lu, piv, b):
-    x = b[piv].astype(float, copy=True)
-    n = lu.shape[0]
-    for k in range(n):
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k]) if x.ndim == 2 else lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        if x.ndim == 2:
-            x[:k] -= np.outer(lu[:k, k], x[k])
-        else:
-            x[:k] -= lu[:k, k] * x[k]
+def _lu_solve(lu, kl, piv, b):
+    """Solve A X = B from the band factors of _lu_factor; b is a vector or
+    an n-by-k matrix and the result matches its shape."""
+    if b.ndim == 2:
+        x = np.empty(b.shape)
+        for j in range(b.shape[1]):
+            x[:, j] = _lu_solve(lu, kl, piv, b[:, j])
+        return x
+    n, width = lu.shape
+    w = width - 1 - kl  # superdiagonals of U; lu[k, w] is U's diagonal
+    # x sits between w leading and kl trailing scratch entries, so every
+    # step updates a full column of L or U
+    xp = np.zeros(w + n + kl)
+    x = xp[w:w + n]
+    x[:] = b
+    lower, upper = lu[:, w + 1:], lu[:, :w]
+    for k, p in enumerate(piv.tolist()):
+        if p != k:
+            x[k], x[p] = x[p], x[k]
+        xp[w + k + 1:w + k + kl + 1] -= lower[k] * x[k]
+    for k, u_kk in reversed(list(enumerate(lu[:, w].tolist()))):
+        x[k] /= u_kk
+        xp[k:k + w] -= upper[k] * x[k]
     return x
 
 
@@ -334,8 +395,7 @@ def gauss_solve(a, b):
         raise UsageError(f"rhs shape {barr.shape} does not match {a.shape}")
     if not np.all(np.isfinite(barr)):
         raise UsageError("rhs contains non-finite entries")
-    lu, piv = _lu_factor(a)
-    return _lu_solve(lu, piv, barr)
+    return _lu_solve(*_lu_factor(*to_band(a)), barr)
 
 
 def tridiag_solve(sub, diag, sup, rhs):
@@ -490,16 +550,16 @@ def smallest_singular_value(a, iterations=80, seed=0):
     if n == 0:
         return 0.0
     try:
-        lu_a, piv_a = _lu_factor(a)
-        lu_at, piv_at = _lu_factor(np.ascontiguousarray(a.T))
+        fa = _lu_factor(*to_band(a))
+        fat = _lu_factor(*to_band(a.T))
     except SingularSystemError:
         return 0.0
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     for _ in range(iterations):
-        y = _lu_solve(lu_a, piv_a, x)
-        z = _lu_solve(lu_at, piv_at, y)
+        y = _lu_solve(*fa, x)
+        z = _lu_solve(*fat, y)
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return 0.0

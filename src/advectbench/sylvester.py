@@ -3,13 +3,14 @@ equation built on it.
 
 Three methods are provided, each a private object that factors once and
 solves many right-hand sides: Bartels-Stewart over real Schur forms,
-Gaussian elimination on the vectorized operator (the oracle), and
-minimum-norm least squares through a complete orthogonal decomposition for
-singular or inconsistent systems.  The error-equation solver vectorizes
-every closure variant with the global operator; the one-shot solvers for
-A X + X B = C use the Kronecker operator.  Unique solvability is diagnosed
-from the spectra of A and -B: the equation has one solution iff they are
-disjoint.
+Gaussian elimination on the vectorized operator in band storage (the
+oracle), and minimum-norm least squares through a complete orthogonal
+decomposition for singular or inconsistent systems.  The error-equation
+solver vectorizes every closure variant with the global operator (kron
+takes it in band storage, built straight from the stencil table); the
+one-shot solvers for A X + X B = C use the Kronecker operator.  Unique
+solvability is diagnosed from the spectra of A and -B: the equation has one
+solution iff they are disjoint.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ class _BartelsStewart:
 
 
 class _KronLU:
-    """LU with partial pivoting of a vectorized operator K; solve(C) is the
-    X with K vec(X) = vec(C)."""
+    """Band LU with partial pivoting of a vectorized operator K given in band
+    storage (ab, kl); solve(C) is the X with K vec(X) = vec(C)."""
 
-    def __init__(self, op):
-        self._lu = linalg._lu_factor(op)
+    def __init__(self, ab, kl):
+        self._lu = linalg._lu_factor(ab, kl)
 
     def solve(self, c):
         x = linalg._lu_solve(*self._lu, linalg.vec(c))
@@ -169,8 +170,9 @@ def solve_bartels_stewart(p, sep_tol=1e-10):
 
 def solve_kron_oracle(p):
     """Independent oracle: Gaussian elimination on the vectorized operator
-    (I (x) A + B^T (x) I) vec(X) = vec(C)."""
-    return _KronLU(linalg.kron_vec_operator(p.a, p.b)).solve(p.c)
+    (I (x) A + B^T (x) I) vec(X) = vec(C), factored in band storage."""
+    k = linalg.kron_vec_operator(p.a, p.b)
+    return _KronLU(*linalg.to_band(k)).solve(p.c)
 
 
 def solve_min_norm(p, rtol=1e-11):
@@ -192,10 +194,12 @@ class ErrorEquationSolver:
 
     The factorization is computed once, so sweeping many signals is cheap.
     Bartels-Stewart factors the Schur forms of M1 and M2 and is only legal
-    for the paper variant with L = 0 (no corner coefficients); kron and
-    min-norm factor the variant's vectorized global operator by LU or by
-    complete orthogonal decomposition (``factorization.rank`` is then the
-    numerical rank).
+    for the paper variant with L = 0 (no corner coefficients); kron factors
+    the variant's vectorized global operator by band LU (in the paper
+    closure at most nx diagonals below and nx-1 above; the causal operator
+    is lower triangular with at most 2*nx-1 below), and min-norm factors
+    the dense operator by complete orthogonal decomposition
+    (``factorization.rank`` is then the numerical rank).
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm",
@@ -229,10 +233,12 @@ class ErrorEquationSolver:
                     "bartels-stewart applies only to the paper variant with "
                     "L = 0 (the pure Sylvester form); use kron or min-norm")
             self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
+        elif method == "kron":
+            self.factorization = _KronLU(
+                *assembly.band_operator(scheme, disc, variant))
         else:
-            op = assembly.global_operator(scheme, disc, variant)
-            self.factorization = (_KronLU(op) if method == "kron"
-                                  else _MinNormCOD(op, rtol))
+            self.factorization = _MinNormCOD(
+                assembly.global_operator(scheme, disc, variant), rtol)
 
     def solve(self, signal):
         """Solve for the error field of one signal.

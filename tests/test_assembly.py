@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advectbench import assembly, linalg
-from advectbench.errors import AssemblyError, UsageError
+from advectbench.errors import AssemblyError, SingularSystemError, UsageError
 from advectbench.schemes import (BUILTIN_SCHEMES, Discretization,
                                  builtin_scheme, custom_scheme,
                                  stencil_residual_at)
@@ -193,6 +193,72 @@ def test_global_operator_action_equality_all_schemes_both_variants():
                     scale = max(1.0, np.linalg.norm(rhs))
                     assert (np.linalg.norm(lhs - rhs) <= 1e-13 * scale), (
                         name, variant, nx, nt)
+
+
+@pytest.mark.parametrize("nx,nt", [(7, 5), (5, 9), (20, 20), (30, 30)])
+def test_band_operator_all_schemes_both_variants(nx, nt):
+    """The band built from the stencil table is the global operator's, and
+    its LU solves agree with dense solvers; scipy's banded solver reads the
+    same LAPACK layout."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
+    rng = np.random.default_rng(nx * nt)
+    for name in BUILTIN_SCHEMES:
+        s = builtin_scheme(name, d)
+        for variant in assembly.VARIANTS:
+            g = assembly.global_operator(s, d, variant)
+            ab, kl = assembly.band_operator(s, d, variant)
+            ku = ab.shape[1] - 2 * kl - 1
+            row, col = np.nonzero(g)
+            assert (kl, ku) == (max(0, np.max(row - col)),
+                                max(0, np.max(col - row))), (name, variant)
+            want_ab, want_kl = linalg.to_band(g)
+            assert want_kl == kl and np.array_equal(ab, want_ab)
+            b = rng.uniform(-1, 1, g.shape[0])
+            if name == "lax" and variant == "paper" and nx == nt == 20:
+                with pytest.raises(SingularSystemError, match="at column 18"):
+                    linalg._lu_factor(ab, kl)
+                continue
+            try:
+                x = linalg._lu_solve(*linalg._lu_factor(ab, kl), b)
+            except SingularSystemError:
+                assert np.linalg.cond(g) > 1e12, (name, variant)
+                continue
+            if np.linalg.cond(g) <= 1e3:
+                for want in (np.linalg.solve(g, b),
+                             scipy_linalg.solve_banded((kl, ku), ab.T[kl:], b)):
+                    assert (np.linalg.norm(x - want)
+                            <= 1e-12 * np.linalg.norm(want)), (name, variant)
+            else:
+                # ill-conditioned: only the backward error is meaningful
+                backward = (np.linalg.norm(g @ x - b)
+                            / (np.linalg.norm(g) * np.linalg.norm(x)))
+                assert backward <= 1e-14, (name, variant)
+
+
+def test_band_operator_size_guard_comes_before_any_allocation(monkeypatch):
+    d = Discretization(nx=200, nt=200, h=1.0, tau=0.5, c=1.0)
+    s = builtin_scheme("lax", d)
+
+    def forbidden(*args):
+        raise AssertionError("allocated before the size guard")
+    monkeypatch.setattr(assembly, "stencil_table", forbidden)
+    monkeypatch.setattr(linalg, "band_from_entries", forbidden)
+    with pytest.raises(UsageError, match="size 39800 exceeds limit 20000"):
+        assembly.band_operator(s, d, "causal")
+
+
+def test_stencil_table_is_memoized_and_read_only():
+    d = Discretization.from_cfl(nx=7, nt=5, h=1.0, sigma=0.8, c=1.0)
+    s = builtin_scheme("leapfrog", d)
+    t = assembly.stencil_table(s, d, "causal")
+    assert assembly.stencil_table(builtin_scheme("leapfrog", d),
+                                  Discretization.from_cfl(nx=7, nt=5, h=1.0,
+                                                          sigma=0.8, c=1.0),
+                                  "causal") is t
+    for column in (t.eq, t.i, t.m, t.coef, t.known):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
 
 
 def test_residual_of_zero_field_is_minus_m0():

@@ -168,6 +168,66 @@ def test_gauss_solve_singular():
         linalg.gauss_solve(np.ones((3, 3)), np.ones(3))
 
 
+def _dense_lu_solve(a, b, pivot_rtol=1e-13):
+    """Reference: dense Gaussian elimination with partial pivoting, rows
+    exchanged whole and the permutation applied to b up front."""
+    lu = a.copy()
+    n = lu.shape[0]
+    perm = np.arange(n)
+    thresh = pivot_rtol * max(linalg.frobenius_norm(a), 1e-300)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) <= thresh:
+            raise SingularSystemError(
+                f"pivot {abs(lu[p, k]):.3e} below {thresh:.3e} at column {k}")
+        lu[[k, p], :] = lu[[p, k], :]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    x = b[perm].astype(float)
+    for k in range(n):
+        x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
+    for k in range(n - 1, -1, -1):
+        x[k] /= lu[k, k]
+        x[:k] -= np.multiply.outer(lu[:k, k], x[k])
+    return x
+
+
+def test_gauss_solve_bit_identical_to_dense_elimination():
+    g = rng(20)
+    cases = [g.uniform(-1, 1, (6, 6))]
+    # the 1x1, 2x2 and 4x4 block systems of the Bartels-Stewart
+    # back-substitution: vectorized operators of Schur diagonal blocks
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        ta = np.triu(g.uniform(-1, 1, (m, m)), -1)
+        tb = np.triu(g.uniform(-1, 1, (n, n)), -1)
+        cases.append(linalg.kron_vec_operator(ta, tb))
+    for a in cases:
+        n = a.shape[0]
+        for b in (g.uniform(-1, 1, n), g.uniform(-1, 1, (n, 3))):
+            got = linalg.gauss_solve(a, b)
+            assert got.shape == b.shape
+            assert got.tobytes() == _dense_lu_solve(a, b).tobytes()
+
+
+def test_band_lu_keeps_bandwidth_and_pivot_message():
+    g = rng(21)
+    n, kl, ku = 12, 2, 3
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    a = np.where((offsets <= kl) & (-offsets <= ku), g.uniform(-1, 1, (n, n)), 0.0)
+    ab, got_kl = linalg.to_band(a)
+    assert got_kl == kl and ab.shape == (n, 2 * kl + ku + 1)
+    b = g.uniform(-1, 1, n)
+    assert (linalg._lu_solve(*linalg._lu_factor(ab, kl), b).tobytes()
+            == _dense_lu_solve(a, b).tobytes())
+    a[:, 4] = 0.0
+    with pytest.raises(SingularSystemError) as want:
+        _dense_lu_solve(a, b)
+    with pytest.raises(SingularSystemError, match="at column 4") as got:
+        linalg.gauss_solve(a, b)
+    assert str(got.value) == str(want.value)
+
+
 # ------------------------------------------------------------ tridiag_solve
 
 

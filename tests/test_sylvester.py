@@ -268,3 +268,18 @@ def test_shape_validation():
     with pytest.raises(UsageError):
         sylvester.ErrorEquationSolver(builtin_scheme("lax", disc()), disc(),
                                       method="bogus")
+
+
+@pytest.mark.parametrize("name", ["leapfrog", "lax"])
+def test_error_equation_causal_kron_at_60_matches_simulator(name):
+    """N = 3540: the band LU makes kron on the causal closure a routine
+    solve at refinement-study sizes; criterion 5's tolerance holds there."""
+    d = disc(nx=60, nt=60, sigma=0.8)
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    s = builtin_scheme(name, d)
+    e, _ = sylvester.solve_error_equation(s, d, signal, variant="causal",
+                                          method="kron")
+    u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+    want = u.values - advect.sample_exact(d, signal).values
+    assert (np.linalg.norm(e.values - want)
+            <= 1e-11 * max(1.0, np.linalg.norm(want))), name
