@@ -12,8 +12,9 @@ Subcommands:
 * ``diagnose``    -- print the normalized operator spectra and the
   uniqueness verdict, plus structural notes on the paper closure.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 singular system
-without the min-norm method.
+Exit codes: 0 success, 1 usage error (an output path that cannot be
+written included), 2 numerical failure, 3 singular system without the
+min-norm method.
 
 Flags override an optional ``key=value`` config file (``--config``); unknown
 config keys are errors.  Floats are written with round-trip precision so
@@ -23,6 +24,7 @@ identical configurations produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -163,10 +165,8 @@ def _print_summary(label, summary):
 
 
 def _derived_path(path, suffix):
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}{suffix}.{ext}"
-    return path + suffix
+    stem, ext = os.path.splitext(path)
+    return stem + suffix + ext
 
 
 def cmd_simulate(args):
@@ -440,7 +440,7 @@ def main(argv=None):
         if not getattr(args, "func", None):
             raise UsageError(parser.format_usage())
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularSystemError as exc:

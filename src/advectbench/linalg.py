@@ -168,12 +168,23 @@ def _francis_step(h, q, lo, hi, s, t):
             z = h[k + 3, k] if k + 3 <= hi else 0.0
 
 
-def _block_eigenvalues(t):
+def schur_blocks(t):
+    """(start, size) of each 1x1/2x2 diagonal block of a real Schur form T,
+    top to bottom; a nonzero subdiagonal entry opens a 2x2 block."""
     n = t.shape[0]
-    out = []
+    blocks = []
     i = 0
     while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
+        size = 2 if i + 1 < n and t[i + 1, i] != 0.0 else 1
+        blocks.append((i, size))
+        i += size
+    return blocks
+
+
+def _block_eigenvalues(t):
+    out = []
+    for i, size in schur_blocks(t):
+        if size == 2:
             a, b = t[i, i], t[i, i + 1]
             c, d = t[i + 1, i], t[i + 1, i + 1]
             re = 0.5 * (a + d)
@@ -184,10 +195,8 @@ def _block_eigenvalues(t):
             else:
                 sq = math.sqrt(disc)
                 out.extend([complex(re + sq), complex(re - sq)])
-            i += 2
         else:
             out.append(complex(t[i, i]))
-            i += 1
     return out
 
 

@@ -2,8 +2,9 @@
 equation built on it.
 
 Three methods are provided, each a private object that factors once and
-solves many right-hand sides: Bartels-Stewart over real Schur forms,
-Gaussian elimination on the vectorized operator in band storage (the
+solves many right-hand sides: Bartels-Stewart in its Hessenberg-Schur
+form (A reduced to Hessenberg form, one real Schur form of B), Gaussian
+elimination on the vectorized operator in band storage (the
 oracle), and minimum-norm least squares through a complete orthogonal
 decomposition for singular or inconsistent systems.  The error-equation
 solver vectorizes every closure variant with the global operator (kron
@@ -78,61 +79,42 @@ def diagnose(p, sep_tol=1e-10):
     )
 
 
-def _diagonal_blocks(t):
-    """(start, size) spans of the 1x1/2x2 diagonal blocks of a real Schur T."""
-    n = t.shape[0]
-    blocks = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def _quasi_triangular_sylvester(ta, tb, d):
-    """Solve TA Y + Y TB = D with both factors upper quasi-triangular, by
-    block back-substitution (column blocks of TB left to right, row blocks
-    of TA bottom to top)."""
-    y = np.zeros_like(d)
-    row_blocks = _diagonal_blocks(ta)
-    for j0, jw in _diagonal_blocks(tb):
-        js = slice(j0, j0 + jw)
-        rhs_cols = d[:, js] - y[:, :j0] @ tb[:j0, js]
-        s = tb[js, js]
-        for i0, iw in reversed(row_blocks):
-            i_slice = slice(i0, i0 + iw)
-            r = rhs_cols[i_slice, :] - ta[i_slice, i0 + iw:] @ y[i0 + iw:, js]
-            k = linalg.kron_vec_operator(ta[i_slice, i_slice], s)
-            try:
-                sol = linalg.gauss_solve(k, r.reshape(-1, order="F"))
-            except SingularSystemError as exc:
-                raise NumericalFailureError(
-                    f"back-substitution pivot failure at block ({i0}, {j0}): {exc}"
-                ) from exc
-            y[i_slice, js] = sol.reshape((iw, jw), order="F")
-    return y
-
-
 class _BartelsStewart:
-    """Real Schur forms of A and B, then per right-hand side a transformed
-    block back-substitution.  Requires unique solvability."""
+    """Hessenberg-Schur factorization of A X + X B = C: A = QA H QA^T with H
+    upper Hessenberg (a tridiagonal A is kept as it is, QA = I) and one real
+    Schur form B = QB T QB^T.  For each 1x1/2x2 diagonal block S of T the
+    system H Y + Y S = R is factored once by band LU, in the row-interleaved
+    order S^T Y^T + Y^T H^T = R^T, which has at most 3 subdiagonals.  A solve
+    transforms C, takes one band solve per column block of T, left to right,
+    and transforms back.  Requires unique solvability."""
 
     def __init__(self, a, b, report):
         if not report.unique:
             raise SingularSystemError(
                 "A and -B share eigenvalues (min separation "
                 f"{report.min_separation:.3e}); use min-norm")
-        self._fa = linalg.schur_decompose(a)
-        self._fb = linalg.schur_decompose(b)
+        self._qa, h = linalg.hessenberg(a)
+        fb = linalg.schur_decompose(b)
+        self._qb, self._t = fb.q, fb.t
+        self._blocks = []
+        for j0, jw in linalg.schur_blocks(fb.t):
+            js = slice(j0, j0 + jw)
+            k = linalg.kron_vec_operator(fb.t[js, js].T, h.T)
+            try:
+                self._blocks.append((js, _KronLU(*linalg.to_band(k))))
+            except SingularSystemError as exc:
+                raise NumericalFailureError(
+                    f"pivot failure in the block system of column {j0}: {exc}"
+                ) from exc
 
     def solve(self, c):
-        fa, fb = self._fa, self._fb
-        y = _quasi_triangular_sylvester(fa.t, fb.t, fa.q.T @ c @ fb.q)
-        return fa.q @ y @ fb.q.T
+        t = self._t
+        d = self._qa.T @ c @ self._qb
+        y = np.zeros_like(d)
+        for js, block in self._blocks:
+            r = d[:, js] - y[:, :js.start] @ t[:js.start, js]
+            y[:, js] = block.solve(r.T).T
+        return self._qa @ y @ self._qb.T
 
 
 class _KronLU:
@@ -163,8 +145,8 @@ class _MinNormCOD:
 
 
 def solve_bartels_stewart(p, sep_tol=1e-10):
-    """Bartels-Stewart: Schur forms of A and B, transformed right-hand side,
-    block back-substitution, transform back.  Requires unique solvability."""
+    """Bartels-Stewart in Hessenberg-Schur form (see _BartelsStewart).
+    Requires unique solvability."""
     return _BartelsStewart(p.a, p.b, diagnose(p, sep_tol)).solve(p.c)
 
 
@@ -193,13 +175,16 @@ class ErrorEquationSolver:
     and closure variant.
 
     The factorization is computed once, so sweeping many signals is cheap.
-    Bartels-Stewart factors the Schur forms of M1 and M2 and is only legal
-    for the paper variant with L = 0 (no corner coefficients); kron factors
-    the variant's vectorized global operator by band LU (in the paper
-    closure at most nx diagonals below and nx-1 above; the causal operator
-    is lower triangular with at most 2*nx-1 below), and min-norm factors
-    the dense operator by complete orthogonal decomposition
-    (``factorization.rank`` is then the numerical rank).
+    Bartels-Stewart is only legal for the paper variant with L = 0 (no
+    corner coefficients); M1 is tridiagonal, hence already Hessenberg, so it
+    computes one real Schur form, of M2, and factors one band system of
+    nx-1 or 2(nx-1) unknowns per 1x1/2x2 diagonal block of it, with at most
+    3 diagonals below and above.  kron factors the variant's vectorized
+    global operator by band LU (in the paper closure at most nx diagonals
+    below and nx-1 above; the causal operator is lower triangular with at
+    most 2*nx-1 below), and min-norm factors the dense operator by complete
+    orthogonal decomposition (``factorization.rank`` is then the numerical
+    rank).
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm",

@@ -179,6 +179,29 @@ def test_sweep_svg_and_iso_outputs(tmp_path, capsys):
     assert lines[0].startswith("n_lambda,n1,") and len(lines) == 6
 
 
+def test_error_csv_path_keeps_directory_dots(tmp_path, capsys):
+    run_dir = tmp_path / "run.d"
+    run_dir.mkdir()
+    code, _, _ = run(capsys, "simulate", "--scheme", "lax", "--nx", "6",
+                     "--nt", "6", "--out", str(run_dir / "field"))
+    assert code == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["field", "field_error"]
+    assert cli._derived_path("field.csv", "_error") == "field_error.csv"
+    assert cli._derived_path("field", "_error") == "field_error"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scheme", "lax"),
+    ("solve-error", "--scheme", "leapfrog", "--method", "kron"),
+    ("sweep", "--scheme", "lax", "--nl-step", "8"),
+])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--nx", "6", "--nt", "6",
+                       "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_sweep_stdout_when_no_out(capsys):
     code, out, _ = run(capsys, "sweep", "--scheme", "lax", "--nl-min", "8",
                        "--nl-max", "9", "--nl-step", "1")

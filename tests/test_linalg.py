@@ -102,6 +102,14 @@ def test_schur_random_20x20_vs_numpy_eigvals():
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-8
 
 
+def test_schur_blocks_walk():
+    t = np.triu(np.ones((5, 5)))
+    t[1, 0] = t[4, 3] = 0.5  # 2x2 blocks at 0 and 3, 1x1 at 2
+    assert linalg.schur_blocks(t) == [(0, 2), (2, 1), (3, 2)]
+    assert linalg.schur_blocks(np.eye(2)) == [(0, 1), (1, 1)]
+    assert linalg.schur_blocks(np.zeros((0, 0))) == []
+
+
 def test_schur_nonconvergence_reports_iterations():
     with pytest.raises(Exception) as info:
         linalg.schur_decompose(rng(7).uniform(-1, 1, (12, 12)), max_sweeps=1)

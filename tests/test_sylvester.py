@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from advectbench import advect, assembly, linalg, sylvester
-from advectbench.errors import SingularSystemError, UsageError
+from advectbench.errors import (NumericalFailureError, SingularSystemError,
+                                UsageError)
 from advectbench.schemes import (Discretization, SignalSpec, builtin_scheme)
 
 ALL_SCHEMES = ("leapfrog", "lax", "lax-wendroff", "crank-nicolson")
@@ -91,6 +92,28 @@ def test_bartels_stewart_refuses_singular():
     p = sylvester.SylvesterProblem(np.eye(2), -np.eye(2), np.ones((2, 2)))
     with pytest.raises(SingularSystemError, match="min-norm|min_norm"):
         sylvester.solve_bartels_stewart(p)
+
+
+def test_bartels_stewart_block_pivot_failure_is_numerical_failure():
+    """A report that wrongly claims uniqueness lets the block factorization
+    meet the zero pivot of 1 + (-1); that is a numerical failure (exit 2)."""
+    a, b = np.array([[1.0]]), np.array([[-1.0]])
+    report = sylvester.SolvabilityReport(
+        spectrum_a=[1.0], spectrum_neg_b=[1.0], min_separation=1.0,
+        unique=True, sep_tol=1e-10)
+    with pytest.raises(NumericalFailureError, match="pivot"):
+        sylvester._BartelsStewart(a, b, report)
+
+
+def test_bartels_stewart_block_systems_have_three_subdiagonals():
+    """In the row-interleaved order S^T Y^T + Y^T H^T the block system of a
+    Hessenberg H has at most 3 subdiagonals; in the plain order it has m."""
+    r = rng(3)
+    m = 7
+    h = np.triu(r.standard_normal((m, m)), -1)
+    s = r.standard_normal((2, 2))
+    assert linalg.to_band(linalg.kron_vec_operator(s.T, h.T))[1] <= 3
+    assert linalg.to_band(linalg.kron_vec_operator(h, s))[1] == m
 
 
 # ------------------------------------------------------------- kron oracle
@@ -283,3 +306,21 @@ def test_error_equation_causal_kron_at_60_matches_simulator(name):
     want = u.values - advect.sample_exact(d, signal).values
     assert (np.linalg.norm(e.values - want)
             <= 1e-11 * max(1.0, np.linalg.norm(want))), name
+
+
+def test_error_equation_bartels_stewart_at_60_matches_kron():
+    """Leapfrog paper closure at N = 3540: M2's Schur form is all 2x2
+    blocks, so every block system is 2(nx-1) unknowns wide."""
+    d = disc(nx=60, nt=60, sigma=0.8)
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    s = builtin_scheme("leapfrog", d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant="paper",
+                                           method="bartels-stewart")
+    assert all(size == 2 for _, size in linalg.schur_blocks(
+        linalg.schur_decompose(solver.m2).t))
+    e, report, _ = solver.solve(signal)
+    assert report.unique
+    want, _ = sylvester.solve_error_equation(s, d, signal, variant="paper",
+                                             method="kron")
+    assert (np.linalg.norm(e.values - want.values)
+            <= 1e-11 * np.linalg.norm(want.values))
