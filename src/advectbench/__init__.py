@@ -3,12 +3,12 @@ linear transport equation: matricial assembly, error-equation solvers and
 parameter sweeps."""
 
 from .advect import (ErrorSummary, FieldMatrix, error_matrix, error_summary,
-                     exact_provider, exact_solution, sample_exact,
+                     exact_solution, sample_exact, sample_nodes,
                      time_step_simulate)
 from .assembly import (VARIANTS, AssembledProblem, apply_l, apply_operator,
                        assemble, build_m0, build_m1, build_m2,
                        global_operator, residual)
-from .errors import (AdvectBenchError, AssemblyError, InvalidSchemeError,
+from .errors import (AdvectBenchError, InvalidSchemeError,
                      NumericalFailureError, SingularSystemError, UsageError)
 from .linalg import (SchurForm, cod_factor, eigenvalues, frobenius_norm,
                      kron_vec_operator, schur_decompose,
@@ -22,7 +22,7 @@ from .sylvester import (METHODS, ErrorEquationSolver, SolvabilityReport,
                         solve_min_norm)
 
 __all__ = [
-    "AdvectBenchError", "AssemblyError", "InvalidSchemeError",
+    "AdvectBenchError", "InvalidSchemeError",
     "NumericalFailureError", "SingularSystemError", "UsageError",
     "SchurForm", "cod_factor", "eigenvalues", "frobenius_norm",
     "kron_vec_operator", "schur_decompose",
@@ -32,7 +32,7 @@ __all__ = [
     "VARIANTS", "AssembledProblem", "apply_l", "apply_operator", "assemble",
     "build_m0", "build_m1", "build_m2", "global_operator", "residual",
     "ErrorSummary", "FieldMatrix", "error_matrix",
-    "error_summary", "exact_provider", "exact_solution", "sample_exact",
+    "error_summary", "exact_solution", "sample_exact", "sample_nodes",
     "time_step_simulate",
     "METHODS", "ErrorEquationSolver", "SolvabilityReport", "SylvesterProblem",
     "diagnose", "solve_bartels_stewart", "solve_error_equation",

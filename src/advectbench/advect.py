@@ -24,13 +24,6 @@ def exact_solution(x, t, c, wavelength):
     return math.cos(2.0 * math.pi / wavelength * (x - c * t))
 
 
-def exact_provider(disc, signal):
-    """Known-value provider sampling the exact solution at grid nodes."""
-    def sample(i, m):
-        return exact_solution(i * disc.h, m * disc.tau, disc.c, signal.wavelength)
-    return sample
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
     """(nx-1) x nt field over the interior grid i = 1..nx-1, n = 1..nt."""
@@ -57,22 +50,28 @@ class ErrorSummary:
     max_abs: float
 
 
+def sample_nodes(disc, signal):
+    """Exact solution on every grid node, i = 0..nx by m = 0..nt: the known
+    data of the simulator and of M0."""
+    x = np.arange(disc.nx + 1)[:, None] * disc.h
+    t = np.arange(disc.nt + 1)[None, :] * disc.tau
+    return np.cos(2.0 * np.pi / signal.wavelength * (x - disc.c * t))
+
+
 def sample_exact(disc, signal):
-    """Exact solution sampled over the interior grid as a FieldMatrix."""
-    x = np.arange(1, disc.nx)[:, None] * disc.h
-    t = np.arange(1, disc.nt + 1)[None, :] * disc.tau
-    values = np.cos(2.0 * np.pi / signal.wavelength * (x - disc.c * t))
-    return FieldMatrix(values=values, disc=disc)
+    """Exact solution over the interior grid as a FieldMatrix."""
+    return FieldMatrix(values=sample_nodes(disc, signal)[1:-1, 1:], disc=disc)
 
 
 def time_step_simulate(s, disc, known):
     """March the stencil causally and return the interior field.
 
-    Level n+1 solves the stencil centered at n for all interior i at once:
-    an explicit divide by alpha when zeta = theta = 0, otherwise one
-    tridiagonal solve per step with bands (theta, alpha, zeta).  Level 0,
-    the boundaries, and level 1 for three-level stencils come from the
-    known-value provider.
+    ``known`` is a node array as ``sample_nodes`` returns it.  Level n+1
+    solves the stencil centered at n for all interior i at once: an explicit
+    divide by alpha when zeta = theta = 0, otherwise one tridiagonal solve
+    per step with bands (theta, alpha, zeta).  The march overwrites the
+    interior of a copy of ``known``, so only level 0, the boundaries and,
+    for three-level stencils, level 1 are read from it.
     """
     nx, nt = disc.nx, disc.nt
     coef_scale = max(abs(v) for v in s.as_tuple())
@@ -80,39 +79,22 @@ def time_step_simulate(s, disc, known):
         raise NumericalFailureError(
             "explicit update is degenerate: |alpha| is negligible")
 
-    # levels[m] holds u_i^m for i = 0..nx (boundaries included)
-    levels = {0: np.array([assembly.sample_known(known, i, 0) for i in range(nx + 1)])}
-    start = 0
-    if s.is_three_level:
-        levels[1] = np.array([assembly.sample_known(known, i, 1) for i in range(nx + 1)])
-        start = 1
-
-    out = np.zeros((nx - 1, nt))
-    if s.is_three_level:
-        out[:, 0] = levels[1][1:nx]
-    for n in range(start, nt):
-        cur = levels[n]
-        rhs = -(s.beta * cur[1:nx] + s.delta * cur[2:] + s.epsilon * cur[:nx - 1])
+    u = assembly.check_known(known, disc).copy()
+    for n in range(1 if s.is_three_level else 0, nt):
+        rhs = -(s.beta * u[1:nx, n] + s.delta * u[2:, n] + s.epsilon * u[:nx - 1, n])
         if s.is_three_level:
-            prev = levels[n - 1]
-            rhs -= (s.gamma * prev[1:nx] + s.eta * prev[:nx - 1]
-                    + s.vartheta * prev[2:])
-        nxt = np.empty(nx + 1)
-        nxt[0] = assembly.sample_known(known, 0, n + 1)
-        nxt[nx] = assembly.sample_known(known, nx, n + 1)
+            rhs -= (s.gamma * u[1:nx, n - 1] + s.eta * u[:nx - 1, n - 1]
+                    + s.vartheta * u[2:, n - 1])
         if s.is_implicit:
-            rhs[0] -= s.theta * nxt[0]
-            rhs[-1] -= s.zeta * nxt[nx]
+            rhs[0] -= s.theta * u[0, n + 1]
+            rhs[-1] -= s.zeta * u[nx, n + 1]
             m = nx - 1
-            nxt[1:nx] = linalg.tridiag_solve(np.full(m - 1, s.theta),
-                                             np.full(m, s.alpha),
-                                             np.full(m - 1, s.zeta), rhs)
+            u[1:nx, n + 1] = linalg.tridiag_solve(np.full(m - 1, s.theta),
+                                                  np.full(m, s.alpha),
+                                                  np.full(m - 1, s.zeta), rhs)
         else:
-            nxt[1:nx] = rhs / s.alpha
-        levels[n + 1] = nxt
-        del levels[n - 1 if s.is_three_level else n]
-        out[:, n] = nxt[1:nx]
-    return FieldMatrix(values=out, disc=disc)
+            u[1:nx, n + 1] = rhs / s.alpha
+    return FieldMatrix(values=u[1:nx, 1:], disc=disc)
 
 
 def error_matrix(u, u_exact):

@@ -10,8 +10,8 @@ columns are time).  Two closure variants are supported:
   zero-padded diagonal shifts.
 * ``causal``  -- equations indexed by the time level they produce, which is
   exactly the time-marching recurrence.  Two-level stencils are centered at
-  n = 0..nt-1; three-level stencils take level 1 from the known-value
-  provider (cold start) and are centered at n = 1..nt-1.
+  n = 0..nt-1; three-level stencils take level 1 from the known data
+  (cold start) and are centered at n = 1..nt-1.
 
 Everything known (boundaries i = 0 and i = nx, initial level m = 0, and the
 causal startup level) is folded, negated, into the right-hand side M0.
@@ -21,8 +21,9 @@ arrays of (equation, node, coefficient, known-flag) terms built by index
 arithmetic.  M0, the causal operator action and the vectorized global
 operator, dense or in band storage, all read it.
 
-A known-value provider is any callable (i, m) -> value defined on the nodes
-the chosen variant needs.
+Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
+shape ``advect.sample_nodes`` returns); only the nodes the variant folds
+into M0 are read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AssemblyError, UsageError
+from .errors import UsageError
 from .schemes import Discretization, SchemeCoefficients, stencil_nodes
 
 VARIANTS = ("paper", "causal")
@@ -95,14 +96,14 @@ def apply_l(s, u):
     return out
 
 
-def sample_known(known, i, m):
-    try:
-        v = float(known(i, m))
-    except Exception as exc:
-        raise AssemblyError(f"known-value provider failed at node (i={i}, m={m}): {exc}") from exc
-    if not np.isfinite(v):
-        raise AssemblyError(f"known-value provider returned {v!r} at node (i={i}, m={m})")
-    return v
+def check_known(known, disc):
+    """The node array ``known`` as float64, checked to be (nx+1) x (nt+1)
+    and finite."""
+    known = linalg.as_matrix(known, "known")
+    if known.shape != (disc.nx + 1, disc.nt + 1):
+        raise UsageError(f"known node array shape {known.shape} does not match "
+                         f"grid nodes {(disc.nx + 1, disc.nt + 1)}")
+    return known
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ class StencilTable:
 
     Equation eq sits at row eq % (nx-1), column eq // (nx-1) of the
     (nx-1) x nt layout (column-major, the vec order).  Each term couples
-    coefficient coef with grid node (i, m); known terms are sampled from the
-    provider and moved, negated, into M0, the others reference U[i-1, m-1].
+    coefficient coef with grid node (i, m); known terms read known[i, m] and
+    move, negated, into M0, the others reference U[i-1, m-1].
     """
 
     eq: np.ndarray
@@ -150,7 +151,7 @@ def stencil_table(s, disc, variant):
               np.broadcast_to(coef, i.shape)[keep],
               ((i == 0) | (i == nx) | (m == 0))[keep])]
     if variant == "causal" and s.is_three_level:
-        # cold start: U[i-1, 0] - known(i, 1) = 0 pins level 1 to the provider
+        # cold start: U[i-1, 0] - known[i, 1] = 0 pins level 1 to the known data
         i = np.repeat(np.arange(1, nx), 2)
         parts.insert(0, (i - 1, i, np.ones_like(i),
                          np.tile([1.0, -1.0], rows), np.tile([False, True], rows)))
@@ -162,14 +163,14 @@ def stencil_table(s, disc, variant):
 
 def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
-    sum of every known term, sampled in table order."""
+    sum of every known term, gathered from the node array in table order."""
+    known = check_known(known, disc)
     t = stencil_table(s, disc, variant)
     k = t.known
-    values = np.array([sample_known(known, i, m)
-                       for i, m in zip(t.i[k].tolist(), t.m[k].tolist())])
     rows = disc.nx - 1
     m0 = np.zeros((rows, disc.nt))
-    np.subtract.at(m0, (t.eq[k] % rows, t.eq[k] // rows), t.coef[k] * values)
+    np.subtract.at(m0, (t.eq[k] % rows, t.eq[k] // rows),
+                   t.coef[k] * known[t.i[k], t.m[k]])
     return m0
 
 

@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 usage error (an output path that cannot be
 written included), 2 numerical failure, 3 singular system without the
 min-norm method.
 
-Flags override an optional ``key=value`` config file (``--config``); unknown
+Flags override an optional ``key=value`` config file (``--config``), and a
+flag of an exclusive pair (``--sigma``/``--tau``, ``--scheme``/``--coeffs``,
+``--n-lambda``/``--lambda``) drops the file's value for the other; unknown
 config keys are errors.  Floats are written with round-trip precision so
 identical configurations produce byte-identical CSV.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -42,6 +44,9 @@ _CONFIG_KEYS = {
     "nl_min": float, "nl_max": float, "nl_step": float,
     "out": str, "svg": str, "iso": str,
 }
+
+# a flag of one of these pairs drops the config file's value for the other
+_EXCLUSIVE = (("sigma", "tau"), ("scheme", "coeffs"), ("n_lambda", "wavelength"))
 
 
 @dataclass
@@ -100,9 +105,13 @@ def _read_config(path):
 def _merge(args):
     """Layer command-line flags over the optional config file."""
     merged = _read_config(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS
+             if getattr(args, key, None) is not None}
+    for pair in _EXCLUSIVE:
+        for key, other in (pair, pair[::-1]):
+            if key in flags:
+                merged.pop(other, None)
+    merged.update(flags)
     return merged
 
 
@@ -171,9 +180,9 @@ def _derived_path(path, suffix):
 
 def cmd_simulate(args):
     cfg = _resolve(args)
-    known = advect.exact_provider(cfg.disc, cfg.signal)
+    known = advect.sample_nodes(cfg.disc, cfg.signal)
     u = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
-    e = advect.error_matrix(u, advect.sample_exact(cfg.disc, cfg.signal))
+    e = advect.error_matrix(u, advect.FieldMatrix(known[1:-1, 1:], cfg.disc))
     _print_summary("error", advect.error_summary(e))
     if cfg.out:
         _write_field_csv(cfg.out, u.values)
@@ -207,15 +216,10 @@ def cmd_solve_error(args):
     return 0
 
 
-SWEEP_COLUMNS = ("n_lambda",
-                 "err_sim_frob", "err_sim_grid_l2", "err_sim_grid_l2_squared",
-                 "err_mtx_frob", "err_mtx_grid_l2", "err_mtx_grid_l2_squared",
-                 "unique", "min_separation")
-
-
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of the cells-per-wavelength study."""
+    """One row of the cells-per-wavelength study; the fields are the CSV
+    columns, in order."""
 
     n_lambda: float
     err_sim_frob: float
@@ -228,14 +232,15 @@ class SweepRecord:
     min_separation: float
 
     def csv_row(self):
-        vals = [_fmt(self.n_lambda),
-                _fmt(self.err_sim_frob), _fmt(self.err_sim_grid_l2),
-                _fmt(self.err_sim_grid_l2_squared),
-                _fmt(self.err_mtx_frob), _fmt(self.err_mtx_grid_l2),
-                _fmt(self.err_mtx_grid_l2_squared),
-                "true" if self.unique else "false",
-                _fmt(self.min_separation)]
-        return ",".join(vals)
+        return ",".join(("true" if v else "false") if isinstance(v, (bool, np.bool_))
+                        else _fmt(v) for v in astuple(self))
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+
+
+def _sweep_norms(summary):
+    return summary.frob, summary.grid_l2, summary.grid_l2_squared
 
 
 def sweep_values(nl_min, nl_max, nl_step):
@@ -253,25 +258,21 @@ def run_sweep(cfg):
     Returns (records, iso) where iso maps each n_lambda to the per-time-column
     Euclidean norms of the simulation error (the isovalue grid).
     """
+    n_lambdas = sweep_values(cfg.nl_min, cfg.nl_max, cfg.nl_step)
     solver = sylvester.ErrorEquationSolver(cfg.scheme, cfg.disc,
                                            variant=cfg.variant, method=cfg.method)
     records, iso = [], []
-    for nl in sweep_values(cfg.nl_min, cfg.nl_max, cfg.nl_step):
+    for nl in n_lambdas:
         signal = SignalSpec.from_cells_per_wavelength(nl, cfg.disc)
-        known = advect.exact_provider(cfg.disc, signal)
+        known = advect.sample_nodes(cfg.disc, signal)
         u = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
-        e_field_sim = advect.error_matrix(u, advect.sample_exact(cfg.disc, signal))
+        e_field_sim = advect.error_matrix(u, advect.FieldMatrix(known[1:-1, 1:], cfg.disc))
         e_sim = advect.error_summary(e_field_sim)
         iso.append((nl, np.sqrt(np.sum(e_field_sim.values ** 2, axis=0))))
         e_field, report, _ = solver.solve(signal)
         e_mtx = advect.error_summary(e_field)
-        records.append(SweepRecord(
-            n_lambda=nl,
-            err_sim_frob=e_sim.frob, err_sim_grid_l2=e_sim.grid_l2,
-            err_sim_grid_l2_squared=e_sim.grid_l2_squared,
-            err_mtx_frob=e_mtx.frob, err_mtx_grid_l2=e_mtx.grid_l2,
-            err_mtx_grid_l2_squared=e_mtx.grid_l2_squared,
-            unique=report.unique, min_separation=report.min_separation))
+        records.append(SweepRecord(nl, *_sweep_norms(e_sim), *_sweep_norms(e_mtx),
+                                   report.unique, report.min_separation))
     return records, iso
 
 

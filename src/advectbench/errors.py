@@ -28,7 +28,3 @@ class NumericalFailureError(AdvectBenchError, ArithmeticError):
     def __init__(self, message, iterations=None):
         super().__init__(message)
         self.iterations = iterations
-
-
-class AssemblyError(AdvectBenchError):
-    """A known-value provider failed for a node needed during assembly."""

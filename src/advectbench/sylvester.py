@@ -231,15 +231,14 @@ class ErrorEquationSolver:
         Returns (e, report, residual_norm) with e = U - U_exact as a
         FieldMatrix and residual_norm the achieved operator residual.
         """
-        known = advect.exact_provider(self.disc, signal)
+        known = advect.sample_nodes(self.disc, signal)
         m0 = assembly.build_m0(self.scheme, self.disc, known, self.variant)
-        u_exact = advect.sample_exact(self.disc, signal)
         prob = assembly.AssembledProblem(m1=self.m1, m2=self.m2, m0=m0,
                                          scheme=self.scheme, disc=self.disc,
                                          variant=self.variant)
-        # the truncation residual F = operator(U_exact) - M0, so
-        # operator(U - U_exact) = M0 - operator(U_exact) = -F
-        rhs = -assembly.residual(prob, u_exact.values)
+        # U_exact is the interior of the node array; the truncation residual
+        # F = operator(U_exact) - M0, so operator(U - U_exact) = -F
+        rhs = -assembly.residual(prob, known[1:-1, 1:])
         e = self.factorization.solve(rhs)
         op_e = assembly.apply_operator(prob, e)
         residual_norm = linalg.frobenius_norm(op_e - rhs)

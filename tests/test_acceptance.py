@@ -114,15 +114,15 @@ def test_criterion_4_stencil_matrix_consistency():
     g = np.random.default_rng(13)
     u = g.uniform(-1, 1, (d.nx - 1, d.nt))
     signal = SignalSpec.from_cells_per_wavelength(9.0, d)
-    known = advect.exact_provider(d, signal)
+    known = advect.sample_nodes(d, signal)
 
     def field(l, m):
-        # interior nodes from U, known nodes from the provider; nodes beyond
+        # interior nodes from U, known nodes from the node array; nodes beyond
         # the time horizon are absent from the paper closure
         if m > d.nt:
             return 0.0
         if l in (0, d.nx) or m == 0:
-            return known(l, m)
+            return known[l, m]
         return u[l - 1, m - 1]
 
     def cells(s, variant):
@@ -133,9 +133,9 @@ def test_criterion_4_stencil_matrix_consistency():
                     yield (i - 1, n - 1), stencil_residual_at(s, field, i, n)
             return
         first = 1 if s.is_three_level else 0
-        if first:  # cold start pins level 1 to the provider
+        if first:  # cold start pins level 1 to the known data
             for i in range(1, d.nx):
-                yield (i - 1, 0), u[i - 1, 0] - known(i, 1)
+                yield (i - 1, 0), u[i - 1, 0] - known[i, 1]
         for n0 in range(first, d.nt):
             for i in range(1, d.nx):
                 yield (i - 1, n0), stencil_residual_at(s, field, i, n0)
@@ -170,7 +170,7 @@ def test_criterion_5_causal_equivalence():
             e, _ = sylvester.solve_error_equation(s, d, signal,
                                                   variant="causal",
                                                   method="kron")
-            u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+            u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
             want = u.values - advect.sample_exact(d, signal).values
             rel = (np.linalg.norm(e.values - want)
                    / max(1.0, np.linalg.norm(want)))
@@ -188,7 +188,7 @@ def test_criterion_6_shift_exactness_at_sigma_1():
     errors = {}
     for name in ("lax", "lax-wendroff"):
         s = builtin_scheme(name, d)
-        u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+        u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
         summary = advect.error_summary(
             advect.error_matrix(u, advect.sample_exact(d, signal)))
         errors[name] = summary.grid_l2
@@ -204,7 +204,7 @@ def test_criterion_7_first_order_convergence():
         d = Discretization.from_cfl(nx=nx, nt=nt, h=h, sigma=0.5, c=1.0)
         signal = SignalSpec.from_wavelength(10.0, d)
         s = builtin_scheme("lax", d)
-        u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+        u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
         return advect.error_summary(
             advect.error_matrix(u, advect.sample_exact(d, signal))).grid_l2
 

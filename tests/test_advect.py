@@ -26,7 +26,7 @@ def disc(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0):
 def setup(name, d, n_lambda=10.0):
     s = builtin_scheme(name, d)
     signal = SignalSpec.from_cells_per_wavelength(n_lambda, d)
-    return s, signal, advect.exact_provider(d, signal)
+    return s, signal, advect.sample_nodes(d, signal)
 
 
 # ----------------------------------------------------------- exact_solution
@@ -73,6 +73,19 @@ def test_sample_exact_range_and_pointwise_oracle():
         for n in range(1, d.nt + 1):
             want = advect.exact_solution(i * d.h, n * d.tau, d.c, signal.wavelength)
             assert f.values[i - 1, n - 1] == pytest.approx(want, abs=1e-14)
+
+
+def test_sample_nodes_pointwise_oracle_and_interior():
+    for nx, nt, n_lambda in ((7, 5, 3.3), (20, 20, 10.0), (6, 11, 4.1)):
+        d = disc(nx=nx, nt=nt)
+        signal = SignalSpec.from_cells_per_wavelength(n_lambda, d)
+        nodes = advect.sample_nodes(d, signal)
+        assert nodes.shape == (d.nx + 1, d.nt + 1)
+        for i in range(d.nx + 1):
+            for m in range(d.nt + 1):
+                want = advect.exact_solution(i * d.h, m * d.tau, d.c, signal.wavelength)
+                assert nodes[i, m] == pytest.approx(want, abs=1e-14)
+        assert np.array_equal(advect.sample_exact(d, signal).values, nodes[1:-1, 1:])
 
 
 # ------------------------------------------------------- time_step_simulate
@@ -122,7 +135,22 @@ def test_simulate_degenerate_explicit_scheme():
     s = custom_scheme((1e-300, 1.0, 1.0, 0, 0, 0, 0, 0, 0))
     d = disc(nx=4, nt=3)
     with pytest.raises(NumericalFailureError):
-        advect.time_step_simulate(s, d, lambda i, m: 1.0)
+        advect.time_step_simulate(s, d, np.ones((d.nx + 1, d.nt + 1)))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_simulate_ignores_unknown_nodes(name):
+    """Only level 0, the boundaries and a three-level stencil's level 1 are
+    read: overwriting every other interior node leaves the field bit-identical."""
+    d = disc(nx=9, nt=7)
+    s, signal, known = setup(name, d)
+    want = advect.time_step_simulate(s, d, known).values
+    first = 2 if s.is_three_level else 1
+    for fill in (0.0, -3.5e7, 1e300):
+        scrambled = known.copy()
+        scrambled[1:-1, first:] = fill
+        got = advect.time_step_simulate(s, d, scrambled).values
+        assert np.array_equal(got, want), (name, fill)
 
 
 def test_stability_smoke_test_consistent_schemes():
@@ -200,7 +228,7 @@ def test_error_summary_grid_weighting():
 def truncation_residual(s, d, signal, variant):
     """F = operator(U_exact) - M0, the right-hand side of the error equation
     up to sign."""
-    prob = assembly.assemble(s, d, advect.exact_provider(d, signal), variant)
+    prob = assembly.assemble(s, d, advect.sample_nodes(d, signal), variant)
     return assembly.residual(prob, advect.sample_exact(d, signal).values)
 
 
@@ -213,14 +241,13 @@ def test_compute_f_zero_for_exact_scheme_causal():
 
 def test_compute_f_linear_in_sampled_signal():
     # all operators are linear, so F built from a*U1 + b*U2 as the exact
-    # field equals a*F1 + b*F2 when the provider is combined the same way
+    # field equals a*F1 + b*F2 when the node data is combined the same way
     d = disc(nx=6, nt=5)
     s = builtin_scheme("leapfrog", d)
     sig1 = SignalSpec.from_cells_per_wavelength(5.0, d)
     sig2 = SignalSpec.from_cells_per_wavelength(9.0, d)
     a, b = 2.0, -0.5
-    p1, p2 = advect.exact_provider(d, sig1), advect.exact_provider(d, sig2)
-    combo = lambda i, m: a * p1(i, m) + b * p2(i, m)
+    combo = a * advect.sample_nodes(d, sig1) + b * advect.sample_nodes(d, sig2)
     prob = assembly.assemble(s, d, combo, "paper")
     u = (a * advect.sample_exact(d, sig1).values
          + b * advect.sample_exact(d, sig2).values)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advectbench import assembly, linalg
-from advectbench.errors import AssemblyError, SingularSystemError, UsageError
+from advectbench.errors import SingularSystemError, UsageError
 from advectbench.schemes import (BUILTIN_SCHEMES, Discretization,
                                  builtin_scheme, custom_scheme,
                                  stencil_residual_at)
@@ -16,10 +16,11 @@ from advectbench.schemes import (BUILTIN_SCHEMES, Discretization,
 LAX_SMALL = Discretization(nx=4, nt=3, h=0.5, tau=0.25, c=1.0)
 
 
-def provider(d, lam=2.0):
-    def sample(i, m):
-        return math.cos(2.0 * math.pi / lam * (i * d.h - d.c * m * d.tau))
-    return sample
+def nodes(d, lam=2.0):
+    """cos(2 pi / lam * (x - c t)) on every grid node, i = 0..nx by m = 0..nt."""
+    i = np.arange(d.nx + 1)[:, None]
+    m = np.arange(d.nt + 1)[None, :]
+    return np.cos(2.0 * math.pi / lam * (i * d.h - d.c * m * d.tau))
 
 
 def test_build_m1_lax_pattern():
@@ -106,26 +107,26 @@ def test_apply_l_is_linear(seed, a, b):
 
 def test_build_m0_lax_first_column():
     s = builtin_scheme("lax", LAX_SMALL)
-    known = provider(LAX_SMALL)
+    known = nodes(LAX_SMALL)
     m0 = assembly.build_m0(s, LAX_SMALL, known, "paper")
-    assert m0[0, 0] == pytest.approx(3.0 * known(0, 1), rel=1e-14)
+    assert m0[0, 0] == pytest.approx(3.0 * known[0, 1], rel=1e-14)
     assert m0[1, 0] == 0.0
-    assert m0[2, 0] == pytest.approx(1.0 * known(4, 1), rel=1e-14)
+    assert m0[2, 0] == pytest.approx(1.0 * known[4, 1], rel=1e-14)
 
 
 def test_build_m0_zero_when_no_boundary_coupling():
     s = custom_scheme((1, -1, 0, 0, 0, 0, 0, 0, 0))
-    m0 = assembly.build_m0(s, LAX_SMALL, provider(LAX_SMALL), "paper")
+    m0 = assembly.build_m0(s, LAX_SMALL, nodes(LAX_SMALL), "paper")
     assert np.array_equal(m0, np.zeros((3, 3)))
 
 
 def test_build_m0_crank_nicolson_corner_term():
     d = Discretization(nx=4, nt=3, h=0.5, tau=0.25, c=1.0)
     s = builtin_scheme("crank-nicolson", d)
-    known = provider(d)
+    known = nodes(d)
     m0 = assembly.build_m0(s, d, known, "paper")
-    want = (-s.epsilon * known(0, 1) - s.eta * known(0, 0)
-            - s.theta * known(0, 2))
+    want = (-s.epsilon * known[0, 1] - s.eta * known[0, 0]
+            - s.theta * known[0, 2])
     assert m0[0, 0] == pytest.approx(want, rel=1e-13)
 
 
@@ -133,20 +134,42 @@ def test_build_m0_paper_interior_column_sparsity():
     d = Discretization(nx=8, nt=6, h=1.0, tau=0.5, c=1.0)
     for name in BUILTIN_SCHEMES:
         s = builtin_scheme(name, d)
-        m0 = assembly.build_m0(s, d, provider(d), "paper")
+        m0 = assembly.build_m0(s, d, nodes(d), "paper")
         assert np.all(m0[1:-1, 1:-1] == 0.0), name
 
 
-def test_build_m0_provider_failure_names_node():
-    def bad(i, m):
-        if (i, m) == (0, 2):
-            raise RuntimeError("boom")
-        return 1.0
-    with pytest.raises(AssemblyError, match=r"i=0, m=2"):
-        assembly.build_m0(builtin_scheme("lax", LAX_SMALL), LAX_SMALL, bad, "paper")
-    with pytest.raises(AssemblyError, match=r"i=0"):
-        assembly.build_m0(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
-                          lambda i, m: float("nan"), "paper")
+def test_bad_node_array_rejected_by_build_m0_and_simulator():
+    from advectbench import advect
+    s = builtin_scheme("lax", LAX_SMALL)
+    good = nodes(LAX_SMALL)
+    nan_boundary, inf_interior = good.copy(), good.copy()
+    nan_boundary[0, 2] = np.nan
+    inf_interior[2, 2] = np.inf
+    for bad in (good.T, good[1:-1, 1:], good.ravel(), nan_boundary, inf_interior):
+        for variant in assembly.VARIANTS:
+            with pytest.raises(UsageError):
+                assembly.build_m0(s, LAX_SMALL, bad, variant)
+        with pytest.raises(UsageError):
+            advect.time_step_simulate(s, LAX_SMALL, bad)
+    with pytest.raises(TypeError):  # no per-node callback path
+        assembly.build_m0(s, LAX_SMALL, lambda i, m: 1.0, "paper")
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCHEMES)
+def test_build_m0_ignores_unknown_nodes(name):
+    """M0 reads only the nodes the variant folds into it: overwriting every
+    other interior node leaves M0 bit-identical."""
+    d = Discretization.from_cfl(nx=9, nt=7, h=1.0, sigma=0.8, c=1.0)
+    s = builtin_scheme(name, d)
+    known = nodes(d, lam=4.3)
+    for variant in assembly.VARIANTS:
+        want = assembly.build_m0(s, d, known, variant)
+        cold_start = variant == "causal" and s.is_three_level
+        for fill in (0.0, -3.5e7, 1e300):
+            scrambled = known.copy()
+            scrambled[1:-1, 2 if cold_start else 1:] = fill
+            got = assembly.build_m0(s, d, scrambled, variant)
+            assert np.array_equal(got, want), (name, variant, fill)
 
 
 def test_global_operator_paper_equals_kron_when_l_zero():
@@ -166,7 +189,7 @@ def test_global_operator_causal_lax_reproduces_simulator():
     d = Discretization.from_cfl(nx=6, nt=5, h=1.0, sigma=0.8, c=1.0)
     s = builtin_scheme("lax", d)
     signal = SignalSpec.from_cells_per_wavelength(4.0, d)
-    known = advect.exact_provider(d, signal)
+    known = advect.sample_nodes(d, signal)
     g = assembly.global_operator(s, d, "causal")
     # block lower bidiagonal in time: no equation references a later level
     rows = d.nx - 1
@@ -185,7 +208,7 @@ def test_global_operator_action_equality_all_schemes_both_variants():
             s = builtin_scheme(name, d)
             for variant in assembly.VARIANTS:
                 g = assembly.global_operator(s, d, variant)
-                prob = assembly.assemble(s, d, provider(d), variant)
+                prob = assembly.assemble(s, d, nodes(d), variant)
                 for _ in range(20):
                     u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
                     lhs = linalg.unvec(g @ linalg.vec(u), d.nx - 1, d.nt)
@@ -263,7 +286,7 @@ def test_stencil_table_is_memoized_and_read_only():
 
 def test_residual_of_zero_field_is_minus_m0():
     s = builtin_scheme("lax", LAX_SMALL)
-    prob = assembly.assemble(s, LAX_SMALL, provider(LAX_SMALL), "paper")
+    prob = assembly.assemble(s, LAX_SMALL, nodes(LAX_SMALL), "paper")
     assert np.array_equal(assembly.residual(prob, np.zeros((3, 3))), -prob.m0)
 
 
@@ -274,7 +297,7 @@ def reference_residual(s, d, u, known, variant):
         if m > d.nt:  # beyond the time horizon: absent in the paper closure
             return 0.0
         if l in (0, d.nx) or m == 0:
-            return known(l, m)
+            return known[l, m]
         return u[l - 1, m - 1]
 
     res = np.full(u.shape, np.nan)
@@ -284,8 +307,8 @@ def reference_residual(s, d, u, known, variant):
                 res[i - 1, n - 1] = stencil_residual_at(s, field, i, n)
             continue
         first = 1 if s.is_three_level else 0
-        if first:  # cold start pins level 1 to the provider
-            res[i - 1, 0] = u[i - 1, 0] - known(i, 1)
+        if first:  # cold start pins level 1 to the known data
+            res[i - 1, 0] = u[i - 1, 0] - known[i, 1]
         for n0 in range(first, d.nt):
             res[i - 1, n0] = stencil_residual_at(s, field, i, n0)
     return res
@@ -298,7 +321,7 @@ def test_stencil_matrix_consistency_all_schemes_both_variants():
     for nx, nt in ((20, 20), (7, 5), (5, 9)):
         d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
         u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
-        known = provider(d, lam=9.0)
+        known = nodes(d, lam=9.0)
         for name in BUILTIN_SCHEMES:
             s = builtin_scheme(name, d)
             scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u)))
@@ -315,7 +338,7 @@ def test_stencil_table_order_and_cold_start():
     s = builtin_scheme("leapfrog", d)  # alpha, gamma, delta, epsilon
     t = assembly.stencil_table(s, d, "causal")
     assert np.all(np.diff(t.eq) >= 0)
-    # cold start: equation i-1 is U[i-1, 0] - known(i, 1)
+    # cold start: equation i-1 is U[i-1, 0] - known[i, 1]
     assert t.eq[:2].tolist() == [0, 0]
     assert t.coef[:2].tolist() == [1.0, -1.0]
     assert t.known[:2].tolist() == [False, True]
@@ -338,12 +361,12 @@ def test_stencil_matrix_consistency_against_stencil_residual_at():
     d = Discretization.from_cfl(nx=8, nt=6, h=1.0, sigma=0.8, c=1.0)
     rng = np.random.default_rng(3)
     u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
-    known = provider(d, lam=5.0)
+    known = nodes(d, lam=5.0)
 
     def field(l, m):
         if 1 <= l <= d.nx - 1 and 1 <= m <= d.nt:
             return u[l - 1, m - 1]
-        return known(l, m)
+        return known[l, m]
 
     for name in ("lax", "lax-wendroff"):  # two-level: centered n = 0..nt-1
         s = builtin_scheme(name, d)
@@ -358,11 +381,11 @@ def test_stencil_matrix_consistency_against_stencil_residual_at():
 def test_unknown_variant_rejected():
     with pytest.raises(UsageError):
         assembly.assemble(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
-                          provider(LAX_SMALL), "bogus")
+                          nodes(LAX_SMALL), "bogus")
 
 
 def test_apply_operator_shape_check():
     prob = assembly.assemble(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
-                             provider(LAX_SMALL), "paper")
+                             nodes(LAX_SMALL), "paper")
     with pytest.raises(UsageError):
         assembly.apply_operator(prob, np.zeros((2, 2)))

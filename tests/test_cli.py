@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from advectbench import advect, cli
+from advectbench import advect, cli, sylvester
 from advectbench.schemes import Discretization, SignalSpec, builtin_scheme
 
 
@@ -39,7 +39,7 @@ def test_simulate_matches_library_pipeline(capsys):
     d = Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.5, c=1.0)
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
     s = builtin_scheme("lax", d)
-    u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+    u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
     want = advect.error_summary(
         advect.error_matrix(u, advect.sample_exact(d, signal))).grid_l2
     got = float(out.split("grid_l2=")[1].split()[0])
@@ -58,7 +58,7 @@ def test_simulate_writes_field_and_error_csv(tmp_path, capsys):
     d = Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
     u = advect.time_step_simulate(builtin_scheme("lax", d), d,
-                                  advect.exact_provider(d, signal))
+                                  advect.sample_nodes(d, signal))
     back = np.array([[float(v) for v in line.split(",")[1:]]
                      for line in lines[1:]])
     assert np.array_equal(back, u.values)
@@ -134,6 +134,30 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert run(capsys, "sweep", "--scheme", "lax", "--nl-min", "9",
                "--nl-max", "4")[0] == 1
     assert run(capsys, "sweep", "--scheme", "lax", "--nl-step", "0")[0] == 1
+
+
+def test_sweep_bad_range_exits_before_building_the_solver(capsys, monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver built for an invalid sweep range")
+    monkeypatch.setattr(sylvester, "ErrorEquationSolver", no_solver)
+    for bad in (("--nl-step", "0"), ("--nl-step", "-1"),
+                ("--nl-min", "9", "--nl-max", "4")):
+        code, _, err = run(capsys, "sweep", "--scheme", "leapfrog", "--nx", "30",
+                           "--nt", "30", *bad)
+        assert code == 1, bad
+        assert err.startswith("error: "), bad
+
+
+def test_sweep_columns_and_row_format():
+    assert cli.SWEEP_COLUMNS == (
+        "n_lambda",
+        "err_sim_frob", "err_sim_grid_l2", "err_sim_grid_l2_squared",
+        "err_mtx_frob", "err_mtx_grid_l2", "err_mtx_grid_l2_squared",
+        "unique", "min_separation")
+    rec = cli.SweepRecord(4.2, 1.0, 0.5, 0.25, 2.0, 1e-17, 1e-34, np.bool_(True), 0.1)
+    assert rec.csv_row() == "4.2,1.0,0.5,0.25,2.0,1e-17,1e-34,true,0.1"
+    rec = cli.SweepRecord(4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, math.inf)
+    assert rec.csv_row() == "4.0,0.0,0.0,0.0,0.0,0.0,0.0,false,inf"
 
 
 def test_sweep_rows_include_both_figure_cases(tmp_path, capsys):
@@ -270,6 +294,45 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", "--config", str(cfg),
                        "--sigma", "0.5")
     assert float(out.split("grid_l2=")[1].split()[0]) > 1e-3
+
+
+COEFFS = "1,0.5,-0.3,0.2,0.1,0.05,0.04,0.03,0.02"
+EXCLUSIVE_PAIRS = [(("sigma", "0.5"), ("tau", "0.3")),
+                   (("scheme", "lax"), ("coeffs", COEFFS)),
+                   (("n_lambda", "7"), ("lambda", "9.8"))]
+
+
+def exclusive_run(capsys, cfg, file_keys, flag_keys):
+    """simulate on a 9x9 grid with file_keys in the config file and
+    flag_keys on the command line; --scheme lax unless the pair is the
+    scheme's."""
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in file_keys))
+    argv = ["simulate", "--nx", "9", "--nt", "9"]
+    if not any(k in ("scheme", "coeffs") for k, _ in file_keys + flag_keys):
+        argv += ["--scheme", "lax"]
+    for k, v in flag_keys:
+        argv += ["--" + k.replace("_", "-"), v]
+    return run(capsys, *argv, "--config", str(cfg))
+
+
+@pytest.mark.parametrize("pair", EXCLUSIVE_PAIRS)
+@pytest.mark.parametrize("flag_side", [0, 1])
+def test_config_key_yields_to_exclusive_flag(tmp_path, capsys, pair, flag_side):
+    """A flag given on the command line drops the file's value for its
+    mutually exclusive counterpart."""
+    flag, other = pair[flag_side], pair[1 - flag_side]
+    code, out, err = exclusive_run(capsys, tmp_path / "run.cfg", [other], [flag])
+    assert (code, err) == (0, "")
+    want = exclusive_run(capsys, tmp_path / "empty.cfg", [], [flag])
+    assert want[0] == 0 and out == want[1]
+
+
+@pytest.mark.parametrize("pair", EXCLUSIVE_PAIRS)
+def test_config_exclusive_pair_still_conflicts(tmp_path, capsys, pair):
+    cfg = tmp_path / "run.cfg"
+    for file_keys, flag_keys in ((list(pair), []), ([pair[0]], list(pair))):
+        code, _, err = exclusive_run(capsys, cfg, file_keys, flag_keys)
+        assert code == 1 and "exactly one of" in err, (file_keys, flag_keys)
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):

@@ -217,7 +217,7 @@ def test_error_equation_causal_matches_simulator_all_schemes():
         e, report = sylvester.solve_error_equation(s, d, signal,
                                                    variant="causal",
                                                    method="kron")
-        u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+        u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
         want = u.values - advect.sample_exact(d, signal).values
         scale = max(1.0, np.linalg.norm(want))
         assert np.linalg.norm(e.values - want) <= 1e-11 * scale, name
@@ -234,7 +234,7 @@ def test_error_equation_paper_lax_degenerate_min_norm():
     # the least-squares residual is genuinely nonzero; it must match the
     # achieved operator residual of the returned field
     prob = assembly.assemble(builtin_scheme("lax", d), d,
-                             advect.exact_provider(d, signal), "paper")
+                             advect.sample_nodes(d, signal), "paper")
     f = assembly.residual(prob, advect.sample_exact(d, signal).values)
     achieved = np.linalg.norm(assembly.apply_operator(prob, e.values) + f)
     assert achieved <= residual + 1e-12 * max(1.0, np.linalg.norm(f))
@@ -302,7 +302,7 @@ def test_error_equation_causal_kron_at_60_matches_simulator(name):
     s = builtin_scheme(name, d)
     e, _ = sylvester.solve_error_equation(s, d, signal, variant="causal",
                                           method="kron")
-    u = advect.time_step_simulate(s, d, advect.exact_provider(d, signal))
+    u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
     want = u.values - advect.sample_exact(d, signal).values
     assert (np.linalg.norm(e.values - want)
             <= 1e-11 * max(1.0, np.linalg.norm(want))), name
