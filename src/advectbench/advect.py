@@ -71,7 +71,8 @@ def time_step_simulate(s, disc, known):
     divide by alpha when zeta = theta = 0, otherwise one tridiagonal solve
     per step with bands (theta, alpha, zeta).  The march overwrites the
     interior of a copy of ``known``, so only level 0, the boundaries and,
-    for three-level stencils, level 1 are read from it.
+    for three-level stencils, level 1 are read from it.  A level that
+    overflows raises ``NumericalFailureError`` naming it.
     """
     nx, nt = disc.nx, disc.nt
     coef_scale = max(abs(v) for v in s.as_tuple())
@@ -80,20 +81,26 @@ def time_step_simulate(s, disc, known):
             "explicit update is degenerate: |alpha| is negligible")
 
     u = assembly.check_known(known, disc).copy()
-    for n in range(1 if s.is_three_level else 0, nt):
-        rhs = -(s.beta * u[1:nx, n] + s.delta * u[2:, n] + s.epsilon * u[:nx - 1, n])
-        if s.is_three_level:
-            rhs -= (s.gamma * u[1:nx, n - 1] + s.eta * u[:nx - 1, n - 1]
-                    + s.vartheta * u[2:, n - 1])
-        if s.is_implicit:
-            rhs[0] -= s.theta * u[0, n + 1]
-            rhs[-1] -= s.zeta * u[nx, n + 1]
-            m = nx - 1
-            u[1:nx, n + 1] = linalg.tridiag_solve(np.full(m - 1, s.theta),
-                                                  np.full(m, s.alpha),
-                                                  np.full(m - 1, s.zeta), rhs)
-        else:
-            u[1:nx, n + 1] = rhs / s.alpha
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1 if s.is_three_level else 0, nt):
+                rhs = -(s.beta * u[1:nx, n] + s.delta * u[2:, n]
+                        + s.epsilon * u[:nx - 1, n])
+                if s.is_three_level:
+                    rhs -= (s.gamma * u[1:nx, n - 1] + s.eta * u[:nx - 1, n - 1]
+                            + s.vartheta * u[2:, n - 1])
+                if s.is_implicit:
+                    rhs[0] -= s.theta * u[0, n + 1]
+                    rhs[-1] -= s.zeta * u[nx, n + 1]
+                    m = nx - 1
+                    u[1:nx, n + 1] = linalg.tridiag_solve(
+                        np.full(m - 1, s.theta), np.full(m, s.alpha),
+                        np.full(m - 1, s.zeta), rhs)
+                else:
+                    u[1:nx, n + 1] = rhs / s.alpha
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the march overflows at time level {n + 1}: {exc}") from exc
     return FieldMatrix(values=u[1:nx, 1:], disc=disc)
 
 

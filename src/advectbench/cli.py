@@ -10,7 +10,15 @@ Subcommands:
   point (simulation and matrix-equation error norms side by side) and an
   optional SVG line chart.
 * ``diagnose``    -- print the normalized operator spectra and the
-  uniqueness verdict, plus structural notes on the paper closure.
+  uniqueness verdict of the paper closure, plus structural notes.
+
+A command accepts ``--config`` and only the flags it reads; any other flag is
+a usage error.  All take the stencil and grid flags ``--scheme``/``--coeffs``,
+``--nx``, ``--nt``, ``--h``, ``--sigma``/``--tau`` and ``--c``, which are all
+``diagnose`` reads.  ``simulate`` adds ``--n-lambda``/``--lambda`` and
+``--out``; ``solve-error`` adds those and ``--variant``, ``--method``;
+``sweep`` adds ``--variant``, ``--method``, ``--nl-min``, ``--nl-max``,
+``--nl-step``, ``--out``, ``--svg`` and ``--iso``.
 
 Exit codes: 0 success, 1 usage error (an output path that cannot be
 written included), 2 numerical failure, 3 singular system without the
@@ -18,9 +26,11 @@ min-norm method.
 
 Flags override an optional ``key=value`` config file (``--config``), and a
 flag of an exclusive pair (``--sigma``/``--tau``, ``--scheme``/``--coeffs``,
-``--n-lambda``/``--lambda``) drops the file's value for the other; unknown
-config keys are errors.  Floats are written with round-trip precision so
-identical configurations produce byte-identical CSV.
+``--n-lambda``/``--lambda``) drops the file's value for the other.  A config
+file may set any key of the flag table, so that one study file serves several
+commands; keys the running command does not read are ignored, unknown keys
+are errors.  Floats are written with round-trip precision so identical
+configurations produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -37,33 +48,36 @@ from .errors import AdvectBenchError, SingularSystemError, UsageError
 from .schemes import (BUILTIN_SCHEMES, Discretization, SignalSpec,
                       builtin_scheme, custom_scheme)
 
-_CONFIG_KEYS = {
-    "scheme": str, "coeffs": str, "nx": int, "nt": int, "h": float,
-    "sigma": float, "tau": float, "c": float, "n_lambda": float,
-    "wavelength": float, "variant": str, "method": str,
-    "nl_min": float, "nl_max": float, "nl_step": float,
-    "out": str, "svg": str, "iso": str,
+
+_Flag = namedtuple("_Flag", "flag type default help choices", defaults=(None,))
+
+# config key -> flag: the argparse flags, the config-file value types and the
+# defaults all come from here.  The sigma and n_lambda defaults apply only
+# when their exclusive partner is unset.
+_FLAGS = {
+    "scheme": _Flag("--scheme", str, None, "built-in scheme name: " + ", ".join(BUILTIN_SCHEMES)),
+    "coeffs": _Flag("--coeffs", str, None, "nine custom stencil coefficients a,b,g,d,e,z,h,t,v"),
+    "nx": _Flag("--nx", int, 20, "space steps"),
+    "nt": _Flag("--nt", int, 20, "time steps"),
+    "h": _Flag("--h", float, 1.0, "mesh size"),
+    "sigma": _Flag("--sigma", float, 0.8, "CFL number"),
+    "tau": _Flag("--tau", float, None, "time step (alternative to --sigma)"),
+    "c": _Flag("--c", float, 1.0, "advection speed"),
+    "n_lambda": _Flag("--n-lambda", float, 10.0, "cells per wavelength"),
+    "wavelength": _Flag("--lambda", float, None, "wavelength (alternative to --n-lambda)"),
+    "variant": _Flag("--variant", str, "paper", "closure variant", assembly.VARIANTS),
+    "method": _Flag("--method", str, "min-norm", "error-equation method", sylvester.METHODS),
+    "nl_min": _Flag("--nl-min", float, 4.0, "sweep lower bound on n_lambda"),
+    "nl_max": _Flag("--nl-max", float, 20.0, "sweep upper bound on n_lambda"),
+    "nl_step": _Flag("--nl-step", float, 0.2, "sweep step on n_lambda"),
+    "out": _Flag("--out", str, None, "output CSV path"),
+    "svg": _Flag("--svg", str, None, "output SVG path"),
+    "iso": _Flag("--iso", str, None, "isovalue CSV grid path: per-time-column error norms"),
 }
+_STENCIL_GRID = ("scheme", "coeffs", "nx", "nt", "h", "sigma", "tau", "c")
 
 # a flag of one of these pairs drops the config file's value for the other
 _EXCLUSIVE = (("sigma", "tau"), ("scheme", "coeffs"), ("n_lambda", "wavelength"))
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters shared by all subcommands."""
-
-    scheme: object
-    disc: Discretization
-    signal: SignalSpec
-    variant: str
-    method: str
-    nl_min: float
-    nl_max: float
-    nl_step: float
-    out: str
-    svg: str
-    iso: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,19 +107,21 @@ def _read_config(path):
         key = key.strip().replace("-", "_")
         if key == "lambda":
             key = "wavelength"
-        if key not in _CONFIG_KEYS:
+        if key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](raw.strip())
+            values[key] = _FLAGS[key].type(raw.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _merge(args):
-    """Layer command-line flags over the optional config file."""
-    merged = _read_config(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in _CONFIG_KEYS
+    """Layer command-line flags over the optional config file, keeping only
+    the keys the command reads: those its parser set on ``args``."""
+    config = _read_config(args.config) if args.config else {}
+    merged = {key: value for key, value in config.items() if hasattr(args, key)}
+    flags = {key: getattr(args, key) for key in _FLAGS
              if getattr(args, key, None) is not None}
     for pair in _EXCLUSIVE:
         for key, other in (pair, pair[::-1]):
@@ -117,17 +133,15 @@ def _merge(args):
 
 def _resolve(args):
     m = _merge(args)
-    nx = m.get("nx", 20)
-    nt = m.get("nt", 20)
-    h = m.get("h", 1.0)
-    c = m.get("c", 1.0)
+    get = lambda key: m.get(key, _FLAGS[key].default)
+    nx, nt, h, c = get("nx"), get("nt"), get("h"), get("c")
     if "sigma" in m and "tau" in m:
         raise UsageError("give exactly one of --sigma and --tau")
     if "tau" in m:
         disc = Discretization(nx=nx, nt=nt, h=h, tau=m["tau"], c=c)
     else:
         disc = Discretization.from_cfl(nx=nx, nt=nt, h=h,
-                                       sigma=m.get("sigma", 0.8), c=c)
+                                       sigma=get("sigma"), c=c)
     if "scheme" in m and "coeffs" in m:
         raise UsageError("give exactly one of --scheme and --coeffs")
     if "coeffs" in m:
@@ -147,16 +161,10 @@ def _resolve(args):
     if "wavelength" in m:
         signal = SignalSpec.from_wavelength(m["wavelength"], disc)
     else:
-        signal = SignalSpec.from_cells_per_wavelength(m.get("n_lambda", 10.0), disc)
-    return RunConfig(
-        scheme=scheme, disc=disc, signal=signal,
-        variant=m.get("variant", "paper"),
-        method=m.get("method", "min-norm"),
-        nl_min=m.get("nl_min", 4.0),
-        nl_max=m.get("nl_max", 20.0),
-        nl_step=m.get("nl_step", 0.2),
-        out=m.get("out"), svg=m.get("svg"), iso=m.get("iso"),
-    )
+        signal = SignalSpec.from_cells_per_wavelength(get("n_lambda"), disc)
+    # the run: scheme, grid and signal, and each other setting or its default
+    return argparse.Namespace(scheme=scheme, disc=disc, signal=signal, **{
+        key: get(key) for key in _FLAGS if key not in _STENCIL_GRID})
 
 
 def _write_field_csv(path, values):
@@ -387,49 +395,30 @@ def cmd_diagnose(args):
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--scheme", help="built-in scheme name: " + ", ".join(BUILTIN_SCHEMES))
-    parser.add_argument("--coeffs", metavar="a,b,g,d,e,z,h,t,v",
-                        help="nine custom stencil coefficients")
-    parser.add_argument("--nx", type=int, help="space steps (default 20)")
-    parser.add_argument("--nt", type=int, help="time steps (default 20)")
-    parser.add_argument("--h", type=float, help="mesh size (default 1)")
-    parser.add_argument("--sigma", type=float, help="CFL number (default 0.8)")
-    parser.add_argument("--tau", type=float, help="time step (alternative to --sigma)")
-    parser.add_argument("--c", type=float, help="advection speed (default 1)")
-    parser.add_argument("--n-lambda", dest="n_lambda", type=float,
-                        help="cells per wavelength (default 10)")
-    parser.add_argument("--lambda", dest="wavelength", type=float,
-                        help="wavelength (alternative to --n-lambda)")
-    parser.add_argument("--variant", choices=assembly.VARIANTS,
-                        help="closure variant (default paper)")
-    parser.add_argument("--method", choices=sylvester.METHODS,
-                        help="error-equation method (default min-norm)")
-    parser.add_argument("--nl-min", dest="nl_min", type=float,
-                        help="sweep lower bound on n_lambda (default 4)")
-    parser.add_argument("--nl-max", dest="nl_max", type=float,
-                        help="sweep upper bound on n_lambda (default 20)")
-    parser.add_argument("--nl-step", dest="nl_step", type=float,
-                        help="sweep step on n_lambda (default 0.2)")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--svg", help="output SVG path (sweep only)")
-    parser.add_argument("--iso", help="isovalue CSV grid path (sweep only): "
-                        "per-time-column error magnitudes vs n_lambda")
-    parser.add_argument("--config", help="key=value config file; flags override")
-
-
 def build_parser():
     parser = _Parser(prog="advectbench",
                      description="finite-difference scheme workbench for the "
                                  "1-D transport equation")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, func, desc in (
-            ("simulate", cmd_simulate, "time-step a scheme and report error norms"),
-            ("solve-error", cmd_solve_error, "solve the matricial error equation"),
-            ("sweep", cmd_sweep, "sweep cells per wavelength"),
-            ("diagnose", cmd_diagnose, "operator spectra and uniqueness verdict")):
+    signal = ("n_lambda", "wavelength")
+    for name, func, desc, keys in (
+            ("simulate", cmd_simulate, "time-step a scheme and report error norms",
+             _STENCIL_GRID + signal + ("out",)),
+            ("solve-error", cmd_solve_error, "solve the matricial error equation",
+             _STENCIL_GRID + signal + ("variant", "method", "out")),
+            ("sweep", cmd_sweep, "sweep cells per wavelength",
+             _STENCIL_GRID + ("variant", "method", "nl_min", "nl_max", "nl_step",
+                              "out", "svg", "iso")),
+            ("diagnose", cmd_diagnose,
+             "operator spectra and uniqueness verdict of the paper closure",
+             _STENCIL_GRID)):
         p = sub.add_parser(name, help=desc, description=desc)
-        _add_common(p)
+        for key in keys:
+            f = _FLAGS[key]
+            default = "" if f.default is None else f" (default {f.default})"
+            p.add_argument(f.flag, dest=key, type=f.type, choices=f.choices,
+                           help=f.help + default)
+        p.add_argument("--config", help="key=value config file; flags override")
         p.set_defaults(func=func)
     return parser
 

@@ -25,9 +25,16 @@ _EPS = np.finfo(float).eps
 MAX_VEC_SIZE = 20000
 
 
+def _as_float_array(a, name):
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged input
+        raise UsageError(f"{name} must be a numeric array: {exc}") from exc
+
+
 def as_matrix(a, name="matrix", square=False):
     """Validate and return a 2-D float64 array with finite entries."""
-    m = np.asarray(a, dtype=float)
+    m = _as_float_array(a, name)
     if m.ndim != 2:
         raise UsageError(f"{name} must be 2-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -38,7 +45,7 @@ def as_matrix(a, name="matrix", square=False):
 
 
 def as_vector(v, name="vector"):
-    w = np.asarray(v, dtype=float)
+    w = _as_float_array(v, name)
     if w.ndim != 1:
         raise UsageError(f"{name} must be 1-D, got ndim={w.ndim}")
     if not np.all(np.isfinite(w)):
@@ -48,7 +55,12 @@ def as_vector(v, name="vector"):
 
 def frobenius_norm(a):
     a = as_matrix(a)
-    return math.sqrt(float(np.sum(a * a)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(a * a))
+    if math.isinf(total):  # finite entries whose squares overflow: rescale
+        scale = float(np.max(np.abs(a)))
+        return scale * math.sqrt(float(np.sum((a / scale) ** 2)))
+    return math.sqrt(total)
 
 
 def vec(x):

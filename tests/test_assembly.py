@@ -145,13 +145,18 @@ def test_bad_node_array_rejected_by_build_m0_and_simulator():
     nan_boundary, inf_interior = good.copy(), good.copy()
     nan_boundary[0, 2] = np.nan
     inf_interior[2, 2] = np.inf
-    for bad in (good.T, good[1:-1, 1:], good.ravel(), nan_boundary, inf_interior):
+    text = good.tolist()
+    text[2][2] = "x"
+    ragged = good.tolist()
+    ragged[-1] = ragged[-1][:-1]
+    for bad in (good.T, good[1:-1, 1:], good.ravel(), nan_boundary, inf_interior,
+                text, ragged):
         for variant in assembly.VARIANTS:
             with pytest.raises(UsageError):
                 assembly.build_m0(s, LAX_SMALL, bad, variant)
         with pytest.raises(UsageError):
             advect.time_step_simulate(s, LAX_SMALL, bad)
-    with pytest.raises(TypeError):  # no per-node callback path
+    with pytest.raises(UsageError):  # no per-node callback path
         assembly.build_m0(s, LAX_SMALL, lambda i, m: 1.0, "paper")
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, CSV determinism, config files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ def test_custom_coeffs_accepted(capsys):
     assert code == 0 and "grid_l2=" in out
 
 
+def test_non_numeric_coeffs_is_usage_error(capsys):
+    code, _, err = run(capsys, "simulate", "--coeffs", "1,x,0,0,0,0,0,0,0")
+    assert code == 1 and err.startswith("error: bad --coeffs value")
+
+
+@pytest.mark.parametrize("coeffs", ["1,1e10,0,0,0,0,0,0,0",      # explicit
+                                    "1,1e10,0,0,0,0.1,0,0.1,0"])  # implicit
+def test_overflowing_march_is_numerical_failure(capsys, coeffs):
+    code, out, err = run(capsys, "simulate", "--coeffs", coeffs,
+                         "--nx", "6", "--nt", "40")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: the march overflows at time level 31")
+
+
+def test_huge_finite_error_prints_finite_norms(capsys):
+    # the field reaches 1e200: finite, but its squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", "--coeffs", "1,1e5,0,0,0,0,0,0,0",
+                             "--nx", "6", "--nt", "40")
+    assert (code, err) == (0, "")
+    norms = dict(tok.split("=") for tok in out.split(":")[1].split())
+    assert float(norms["max_abs"]) > 1e199
+    assert math.isfinite(float(norms["frob"]))
+    assert math.isfinite(float(norms["grid_l2"]))
+
+
 # --------------------------------------------------------------- solve-error
 
 
@@ -104,6 +132,22 @@ def test_solve_error_paper_lax_bartels_stewart_exits_3(capsys):
                        "--method", "bartels-stewart")
     assert code == 3
     assert "eigenvalue" in err
+
+
+def test_solve_error_writes_field_csv(tmp_path, capsys):
+    out_csv = tmp_path / "e.csv"
+    code, out, _ = run(capsys, "solve-error", "--scheme", "leapfrog", "--method",
+                       "kron", "--nx", "9", "--nt", "7", "--out", str(out_csv))
+    assert code == 0 and out.endswith(f"wrote {out_csv}\n")
+    d = Discretization.from_cfl(nx=9, nt=7, h=1.0, sigma=0.8, c=1.0)
+    solver = sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
+                                           variant="paper", method="kron")
+    e, _, _ = solver.solve(SignalSpec.from_cells_per_wavelength(10.0, d))
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "i," + ",".join(f"n{n}" for n in range(1, 8))
+    back = np.array([[float(v) for v in line.split(",")[1:]]
+                     for line in lines[1:]])
+    assert np.array_equal(back, e.values)
 
 
 def test_solve_error_min_norm_prints_rank_and_residual(capsys):
@@ -280,6 +324,44 @@ def test_diagnose_structural_notes_for_two_level_scheme(capsys):
     assert "truncated" in out
 
 
+# ----------------------------------------------------------------- flag sets
+
+FLAG_VALUES = {"--scheme": "lax", "--coeffs": "1,0.5,-0.3,0,0,0,0,0,0",
+               "--nx": "6", "--nt": "6", "--h": "1", "--sigma": "0.5",
+               "--tau": "0.5", "--c": "1", "--n-lambda": "9", "--lambda": "9",
+               "--variant": "causal", "--method": "kron", "--nl-min": "4",
+               "--nl-max": "8", "--nl-step": "2", "--out": "o.csv",
+               "--svg": "o.svg", "--iso": "i.csv", "--config": "run.cfg"}
+STENCIL_GRID = {"--scheme", "--coeffs", "--nx", "--nt", "--h", "--sigma",
+                "--tau", "--c", "--config"}
+READS = {
+    "simulate": STENCIL_GRID | {"--n-lambda", "--lambda", "--out"},
+    "solve-error": STENCIL_GRID | {"--n-lambda", "--lambda", "--variant",
+                                   "--method", "--out"},
+    "sweep": STENCIL_GRID | {"--variant", "--method", "--nl-min", "--nl-max",
+                             "--nl-step", "--out", "--svg", "--iso"},
+    "diagnose": STENCIL_GRID,
+}
+
+
+def test_flag_set_sizes():
+    assert [len(READS[c]) for c in READS] == [12, 14, 17, 9]
+
+
+@pytest.mark.parametrize("command", list(READS))
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+def test_command_accepts_only_the_flags_it_reads(capsys, command, flag):
+    value = FLAG_VALUES[flag]
+    if flag in READS[command]:
+        args = cli.build_parser().parse_args([command, flag, value])
+        dest = "wavelength" if flag == "--lambda" else flag[2:].replace("-", "_")
+        assert getattr(args, dest) is not None  # flags default to None
+    else:
+        code, out, err = run(capsys, command, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -341,6 +423,30 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1
     assert "wavelenght" in err
+
+
+def test_config_keys_the_command_does_not_read_are_ignored(tmp_path, capsys):
+    """One study file serves several commands: diagnose ignores the signal,
+    method and output keys (an exclusive pair included), simulate the
+    method and sweep keys."""
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("scheme=lax\nnx=9\nnt=9\nvariant=causal\nmethod=kron\n"
+                   "n_lambda=7\nlambda=9.8\nnl_step=0\nsvg=chart.svg\n")
+    code, out, err = run(capsys, "diagnose", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "diagnose", "--scheme", "lax", "--nx", "9",
+                      "--nt", "9")[1]
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--n-lambda", "7")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "simulate", "--scheme", "lax", "--nx", "9",
+                      "--nt", "9", "--n-lambda", "7")[1]
+
+
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme=lax\nnx = 20.5\n")
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and f"{cfg}:2: bad value for nx" in err
 
 
 def test_config_bad_line_and_missing_file(tmp_path, capsys):

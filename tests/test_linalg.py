@@ -2,6 +2,7 @@
 oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,29 @@ def test_nonfinite_input_rejected():
         linalg.as_matrix(np.array([[np.inf]]), "a")
 
 
+def test_non_numeric_input_rejected():
+    for bad in ([[1.0, "x"]], [[1.0], [1.0, 2.0]], lambda i, m: 1.0):
+        with pytest.raises(UsageError, match="a must be a numeric array"):
+            linalg.as_matrix(bad, "a")
+    for bad in ([1.0, "x"], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(UsageError, match="v must be a numeric array"):
+            linalg.as_vector(bad, "v")
+
+
 # ---------------------------------------------------------- frobenius_norm
 
 
 def test_frobenius_zero_and_345():
     assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
     assert linalg.frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
+
+
+def test_frobenius_finite_when_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.frobenius_norm([[1e200, 1e200]])
+    want = math.sqrt(2.0) * 1e200
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_frobenius_extended_precision_oracle():

@@ -60,6 +60,12 @@ def test_diagnose_lax_even_nx_shares_zero_eigenvalue():
     assert min(abs(z) for z in r.spectrum_a) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("a", [[[1.0, "x"]], [[1.0], [1.0, 2.0]]])
+def test_problem_rejects_non_numeric_input(a):
+    with pytest.raises(UsageError, match="a must be a numeric array"):
+        sylvester.SylvesterProblem(a, [[1.0]], [[0.0]])
+
+
 def test_diagnose_rejects_bad_tol():
     p = sylvester.SylvesterProblem(np.eye(2), np.eye(2), np.zeros((2, 2)))
     with pytest.raises(UsageError):

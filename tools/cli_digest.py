@@ -1,0 +1,116 @@
+"""One digest of the command line's observable behaviour.
+
+    python3 tools/cli_digest.py [SRC]
+
+Runs a fixed matrix of invocations in-process through
+``advectbench.cli.main``, with the package imported from SRC (default: this
+checkout's ``src``), one BLAS thread, and each invocation in a fresh
+temporary directory.  Prints the invocation count, the exit-code histogram
+and one sha256 over every invocation's argv, exit code, stdout, stderr and
+written files (names and bytes).  Two commits behave identically on the
+matrix when they print the same three lines; run it once per checkout, with
+the same numpy/BLAS build, and compare.  Every invocation passes only flags
+that its command reads.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+# One BLAS/OpenMP thread, fixed before numpy is loaded, so that fields are
+# bit-reproducible.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SCHEMES = ("leapfrog", "lax", "lax-wendroff", "crank-nicolson")
+VARIANTS = ("paper", "causal")
+METHODS = ("bartels-stewart", "kron", "min-norm")
+GRIDS = (6, 11, 20, 30)
+MIN_NORM_MAX_GRID = 20      # the dense COD takes seconds beyond 20^2
+COEFFS = "1,0.5,-0.3,0.2,0.1,0.05,0.04,0.03,0.02"
+
+
+def _solves(stencil):
+    return [["solve-error", *stencil, "--variant", variant, "--method", method,
+             "--out", "error.csv"] for method in METHODS for variant in VARIANTS]
+
+
+def matrix():
+    runs = []
+    for scheme in SCHEMES:
+        for n in GRIDS:
+            stencil = ["--scheme", scheme, "--nx", str(n), "--nt", str(n)]
+            runs.append(["simulate", *stencil, "--out", "field.csv"])
+            runs.append(["diagnose", *stencil])
+            runs += [argv for argv in _solves(stencil)
+                     if "min-norm" not in argv or n <= MIN_NORM_MAX_GRID]
+            runs += [["sweep", *stencil, "--variant", variant, "--method", "kron",
+                      "--out", "sweep.csv", "--svg", "sweep.svg", "--iso", "iso.csv"]
+                     for variant in VARIANTS]
+        runs.append(["sweep", "--scheme", scheme])
+    custom = ["--coeffs", COEFFS, "--nx", "11", "--nt", "11"]
+    runs += [["simulate", *custom, "--out", "field.csv"], ["diagnose", *custom]]
+    runs += _solves(custom)
+    # a non-square grid with an explicit time step and wavelength
+    odd = ["--scheme", "leapfrog", "--nx", "9", "--nt", "14", "--tau", "0.4"]
+    runs.append(["simulate", *odd, "--lambda", "7.5", "--out", "field.csv"])
+    runs += [["solve-error", *odd, "--lambda", "7.5", "--variant", variant,
+              "--method", "kron", "--out", "error.csv"] for variant in VARIANTS]
+    # usage errors: bad sweep range, exclusive pair, unknown scheme
+    runs += [["sweep", "--scheme", "lax", "--nl-min", "9", "--nl-max", "4"],
+             ["simulate", "--scheme", "lax", "--sigma", "0.5", "--tau", "0.5"],
+             ["diagnose", "--scheme", "upwind"]]
+    return runs
+
+
+def run(cli, argv):
+    """(exit code, stdout, stderr, [(file name, sha256)]) of one invocation
+    in a fresh directory; an exception escaping main is recorded by name."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("always")
+                code = cli.main(list(argv))
+        except Exception as exc:  # record it and go on with the matrix
+            code = f"raised {type(exc).__name__}"
+        finally:
+            os.chdir(cwd)
+        files = [(p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                 for p in sorted(Path(tmp).iterdir())]
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def main(argv):
+    src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src")
+    if not (src / "advectbench" / "__init__.py").is_file():
+        print(f"error: no advectbench sources under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src.resolve()))
+    from advectbench import cli
+
+    total, codes = hashlib.sha256(), Counter()
+    runs = matrix()
+    for args in runs:
+        code, out, err, files = run(cli, args)
+        codes[code] += 1
+        total.update((json.dumps([args, code, out, err, files]) + "\n").encode())
+    print(f"invocations: {len(runs)}")
+    print("exit codes: " + " / ".join(f"{n}x{code}" for code, n in
+                                      sorted(codes.items(), key=lambda kv: str(kv[0]))))
+    print(f"sha256: {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
