@@ -419,14 +419,17 @@ def build_parser():
             p.add_argument(f.flag, dest=key, type=f.type, choices=f.choices,
                            help=f.help + default)
         p.add_argument("--config", help="key=value config file; flags override")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the command that was given
+            getattr(args, "parser", parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
         if not getattr(args, "func", None):
             raise UsageError(parser.format_usage())
         return args.func(args)

@@ -7,7 +7,13 @@ eigenvalues, Gaussian elimination with partial pivoting on band storage
 minimum-norm least squares through a complete orthogonal decomposition, and
 the Kronecker-vectorization operator used as an oracle for matrix equations.
 
-All functions are pure; matrices passed in are never modified.
+All functions are pure; matrices passed in are never modified.  The
+numerical thresholds are module constants, not arguments: DEFLATION_RTOL
+(Schur deflation), PIVOT_RTOL (band LU pivots), THOMAS_PIVOT_RTOL (Thomas
+pivots), RANK_RTOL (COD numerical rank) and SIGMA_MIN_ITERATIONS (inverse
+power iteration).  Schur and COD iterate on their input scaled by a power of
+two to unit magnitude, which is exact, so finite entries whose squares or
+products overflow still factor.
 """
 
 from __future__ import annotations
@@ -19,10 +25,16 @@ import numpy as np
 
 from .errors import NumericalFailureError, SingularSystemError, UsageError
 
-_EPS = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 # Desk-scale guard for vectorized operators.
 MAX_VEC_SIZE = 20000
+# Numerical thresholds, each read by the one kernel named beside it.
+DEFLATION_RTOL = 1e-14     # schur_decompose: negligible subdiagonal entry
+PIVOT_RTOL = 1e-13         # _lu_factor: singular pivot, relative to |A|_F
+THOMAS_PIVOT_RTOL = 1e-14  # tridiag_solve: zero pivot, relative to max |band|
+RANK_RTOL = 1e-11          # cod_factor: numerical rank cut, relative
+SIGMA_MIN_ITERATIONS = 80  # smallest_singular_value: inverse power steps
 
 
 def _as_float_array(a, name):
@@ -57,10 +69,19 @@ def frobenius_norm(a):
     a = as_matrix(a)
     with np.errstate(over="ignore"):
         total = float(np.sum(a * a))
-    if math.isinf(total):  # finite entries whose squares overflow: rescale
-        scale = float(np.max(np.abs(a)))
-        return scale * math.sqrt(float(np.sum((a / scale) ** 2)))
+    # squares that overflow, or underflow to a subnormal or zero sum: rescale
+    if math.isinf(total) or total < _TINY:
+        scale = float(np.max(np.abs(a), initial=0.0))
+        if scale > 0.0:
+            return scale * math.sqrt(float(np.sum((a / scale) ** 2)))
     return math.sqrt(total)
+
+
+def _unit_scaled(a):
+    """(a * 2**-e, e) with the largest magnitude of the scaled copy in
+    [0.5, 1); scaling by a power of two is exact."""
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -e), e
 
 
 def vec(x):
@@ -212,23 +233,22 @@ def _block_eigenvalues(t):
     return out
 
 
-def schur_decompose(a, max_sweeps=None, tol=1e-14):
+def schur_decompose(a, max_sweeps=None):
     """Real Schur decomposition by Hessenberg reduction followed by implicit
     Francis double-shift QR with deflation.
 
-    A subdiagonal entry deflates when |h(i+1,i)| <= tol*(|h(i,i)|+|h(i+1,i+1)|)
-    (the neighbour sum falls back to |A|_F when it vanishes).  Raises
-    NumericalFailureError carrying the step count after max_sweeps bulge
-    chases (default 40*n).
+    A subdiagonal entry deflates when
+    |h(i+1,i)| <= DEFLATION_RTOL*(|h(i,i)|+|h(i+1,i+1)|) (the neighbour sum
+    falls back to |A|_F when it vanishes).  Raises NumericalFailureError
+    carrying the step count after max_sweeps bulge chases (default 40*n).
     """
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
-    if tol <= 0.0:
-        raise UsageError("tol must be positive")
     if max_sweeps is None:
         max_sweeps = 40 * max(n, 1)
     if n == 0:
         return SchurForm(q=np.eye(0), t=a.copy(), eigenvalues=[])
+    a, e = _unit_scaled(a)
     q, h = hessenberg(a)
     hnorm = frobenius_norm(a)
     hi = n - 1
@@ -240,7 +260,7 @@ def schur_decompose(a, max_sweeps=None, tol=1e-14):
             s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
             if s == 0.0:
                 s = hnorm
-            if abs(h[lo, lo - 1]) <= tol * s:
+            if abs(h[lo, lo - 1]) <= DEFLATION_RTOL * s:
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
@@ -271,7 +291,15 @@ def schur_decompose(a, max_sweeps=None, tol=1e-14):
             s_prod = (h[hi - 1, hi - 1] * h[hi, hi]
                       - h[hi - 1, hi] * h[hi, hi - 1])
         _francis_step(h, q, lo, hi, s_sum, s_prod)
-    return SchurForm(q=q, t=h, eigenvalues=_block_eigenvalues(h))
+    try:
+        with np.errstate(over="raise"):
+            t = np.ldexp(h, e)
+        eigs = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                for z in _block_eigenvalues(h)]
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalFailureError(
+            "the Schur form exceeds the floating-point range") from exc
+    return SchurForm(q=q, t=t, eigenvalues=eigs)
 
 
 def _symmetrized_tridiagonal(a):
@@ -288,14 +316,17 @@ def _symmetrized_tridiagonal(a):
     band = np.diag(np.diag(a)) + np.diag(np.diag(a, 1), 1) + np.diag(np.diag(a, -1), -1)
     if not np.array_equal(a, band):
         return None
-    prod = np.diag(a, 1) * np.diag(a, -1)
+    sub, sup = np.diag(a, -1), np.diag(a, 1)
+    with np.errstate(over="ignore"):
+        prod = sup * sub
     if not np.all(prod > 0.0):
         return None
-    off = np.sqrt(prod)
+    off = np.where(np.isinf(prod), np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup)),
+                   np.sqrt(prod))
     return np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def eigenvalues(a, max_sweeps=None, tol=1e-14):
+def eigenvalues(a):
     """Eigenvalues (with multiplicity) from the real Schur form.
 
     Exactly triangular input short-circuits to its diagonal; a tridiagonal
@@ -308,7 +339,7 @@ def eigenvalues(a, max_sweeps=None, tol=1e-14):
     sym = _symmetrized_tridiagonal(a)
     if sym is not None:
         a = sym
-    return schur_decompose(a, max_sweeps=max_sweeps, tol=tol).eigenvalues
+    return schur_decompose(a).eigenvalues
 
 
 def band_from_entries(n, row, col, val):
@@ -346,7 +377,7 @@ def _dense_view(ab, kl):
                       strides=(step, (width - 1) * step))
 
 
-def _lu_factor(ab, kl, pivot_rtol=1e-13):
+def _lu_factor(ab, kl):
     """Band LU with partial pivoting of the matrix stored in (ab, kl).
 
     Step k exchanges rows k and piv[k] over the active columns only, so L
@@ -354,13 +385,13 @@ def _lu_factor(ab, kl, pivot_rtol=1e-13):
     widens to kl+ku superdiagonals; _lu_solve replays the exchanges in
     order.  Every floating-point operation on a band entry is the one dense
     elimination with partial pivoting performs.  Raises SingularSystemError
-    when a pivot is at most pivot_rtol * |A|_F.  Returns (lu, kl, piv).
+    when a pivot is at most PIVOT_RTOL * |A|_F.  Returns (lu, kl, piv).
     """
     lu = ab.copy()
     n, width = lu.shape
     d = _dense_view(lu, kl)
     piv = np.arange(n)
-    thresh = pivot_rtol * max(frobenius_norm(ab), 1e-300)
+    thresh = PIVOT_RTOL * max(frobenius_norm(ab), 1e-300)
     for k in range(n):
         r1, c1 = min(n, k + kl + 1), min(n, k + width - kl)
         p = k + int(np.argmax(np.abs(d[k:r1, k])))
@@ -435,7 +466,7 @@ def tridiag_solve(sub, diag, sup, rhs):
         raise UsageError("tridiagonal band lengths do not match")
     scale = max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0),
                 np.max(np.abs(sup), initial=0.0))
-    thresh = 1e-14 * max(scale, 1e-300)
+    thresh = THOMAS_PIVOT_RTOL * max(scale, 1e-300)
     d = diag.copy()
     x = rhs.copy()
     for i in range(1, n):
@@ -493,17 +524,17 @@ class CODFactorization:
         return ns
 
 
-def cod_factor(a, rtol=1e-11):
+def cod_factor(a):
     """Rank-revealing complete orthogonal decomposition.
 
     Column-pivoted Householder QR followed by right Householder reflections
     that compress the leading rank rows into an upper-triangular core.  The
-    numerical rank counts leading diagonal entries above rtol times the
+    numerical rank counts leading diagonal entries above RANK_RTOL times the
     largest revealed diagonal.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
-    r = a.copy()
+    r, e = _unit_scaled(a)
     q = np.eye(m)
     perm = np.arange(n)
     kmax = min(m, n)
@@ -523,7 +554,7 @@ def cod_factor(a, rtol=1e-11):
     diag = np.abs(np.diag(r[:kmax, :kmax])) if kmax else np.zeros(0)
     rank = 0
     if kmax and diag[0] > 0.0:
-        thresh = rtol * diag[0]
+        thresh = RANK_RTOL * diag[0]
         while rank < kmax and diag[rank] > thresh:
             rank += 1
     r[rank:, :] = 0.0
@@ -545,8 +576,13 @@ def cod_factor(a, rtol=1e-11):
         z[:, i] = zb[:, 0]
         z[:, rank:] = zb[:, 1:]
         r[i, rank:] = 0.0
-    return CODFactorization(q=q, z=z, perm=perm, t=r[:rank, :rank].copy(),
-                            rank=rank, shape=(m, n))
+    try:
+        with np.errstate(over="raise"):
+            t = np.ldexp(r[:rank, :rank], e)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            "the COD exceeds the floating-point range") from exc
+    return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n))
 
 
 def kron_vec_operator(a, b):
@@ -563,7 +599,7 @@ def kron_vec_operator(a, b):
     return np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
 
 
-def smallest_singular_value(a, iterations=80, seed=0):
+def smallest_singular_value(a):
     """Smallest singular value of a square matrix by inverse power iteration
     on A^T A; returns 0.0 when A is numerically singular for the LU."""
     a = as_matrix(a, "a", square=True)
@@ -575,10 +611,9 @@ def smallest_singular_value(a, iterations=80, seed=0):
         fat = _lu_factor(*to_band(a.T))
     except SingularSystemError:
         return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
-    for _ in range(iterations):
+    for _ in range(SIGMA_MIN_ITERATIONS):
         y = _lu_solve(*fa, x)
         z = _lu_solve(*fat, y)
         nz = np.linalg.norm(z)

@@ -11,7 +11,8 @@ solver vectorizes every closure variant with the global operator (kron
 takes it in band storage, built straight from the stencil table); the
 one-shot solvers for A X + X B = C use the Kronecker operator.  Unique
 solvability is diagnosed from the spectra of A and -B: the equation has one
-solution iff they are disjoint.
+solution iff they are disjoint, to the relative distance SEP_TOL.  Like the
+linalg thresholds, SEP_TOL is a module constant, not an argument.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import advect, assembly, linalg
 from .errors import NumericalFailureError, SingularSystemError, UsageError
 
 METHODS = ("bartels-stewart", "kron", "min-norm")
+SEP_TOL = 1e-10  # diagnose: least spectral distance of a unique solution
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,12 @@ class SolvabilityReport:
     notes: str = ""
 
 
-def diagnose(p, sep_tol=1e-10):
+def diagnose(p):
     """Unique-solvability verdict from the spectra of A and -B.
 
     unique iff the smallest pairwise distance between the two spectra
-    exceeds sep_tol * max(1, |A|_F + |B|_F).
+    exceeds SEP_TOL * max(1, |A|_F + |B|_F).
     """
-    if not sep_tol > 0.0:
-        raise UsageError(f"sep_tol must be positive, got {sep_tol}")
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
     min_sep = min(abs(la - mu) for la in spec_a for mu in spec_nb)
@@ -74,8 +74,8 @@ def diagnose(p, sep_tol=1e-10):
         spectrum_a=spec_a,
         spectrum_neg_b=spec_nb,
         min_separation=min_sep,
-        unique=min_sep > sep_tol * scale,
-        sep_tol=sep_tol,
+        unique=min_sep > SEP_TOL * scale,
+        sep_tol=SEP_TOL,
     )
 
 
@@ -134,8 +134,8 @@ class _MinNormCOD:
     is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is the
     numerical rank of K, size its number of rows."""
 
-    def __init__(self, op, rtol):
-        self._cod = linalg.cod_factor(op, rtol=rtol)
+    def __init__(self, op):
+        self._cod = linalg.cod_factor(op)
         self.rank = self._cod.rank
         self.size = self._cod.shape[0]
 
@@ -144,10 +144,10 @@ class _MinNormCOD:
         return linalg.unvec(x, *c.shape)
 
 
-def solve_bartels_stewart(p, sep_tol=1e-10):
+def solve_bartels_stewart(p):
     """Bartels-Stewart in Hessenberg-Schur form (see _BartelsStewart).
     Requires unique solvability."""
-    return _BartelsStewart(p.a, p.b, diagnose(p, sep_tol)).solve(p.c)
+    return _BartelsStewart(p.a, p.b, diagnose(p)).solve(p.c)
 
 
 def solve_kron_oracle(p):
@@ -157,14 +157,14 @@ def solve_kron_oracle(p):
     return _KronLU(*linalg.to_band(k)).solve(p.c)
 
 
-def solve_min_norm(p, rtol=1e-11):
+def solve_min_norm(p):
     """Minimum-norm least-squares solution over the vectorized operator.
 
     Returns (x, residual_norm, rank); reduces to the unique solution when
     the problem is uniquely solvable.
     """
     k = linalg.kron_vec_operator(p.a, p.b)
-    fac = _MinNormCOD(k, rtol)
+    fac = _MinNormCOD(k)
     x = fac.solve(p.c)
     residual = float(np.linalg.norm(k @ linalg.vec(x) - linalg.vec(p.c)))
     return x, residual, fac.rank
@@ -187,19 +187,21 @@ class ErrorEquationSolver:
     rank).
     """
 
-    def __init__(self, scheme, disc, variant="paper", method="min-norm",
-                 sep_tol=1e-10, rtol=1e-11):
+    def __init__(self, scheme, disc, variant="paper", method="min-norm"):
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
         assembly._check_variant(variant)
+        self.sylvester_form = (variant == "paper") and not scheme.has_corner_terms
+        if method == "bartels-stewart" and not self.sylvester_form:
+            raise UsageError(
+                "bartels-stewart applies only to the paper variant with "
+                "L = 0 (the pure Sylvester form); use kron or min-norm")
         self.scheme = scheme
         self.disc = disc
         self.variant = variant
         self.method = method
-        self.rtol = rtol
         self.m1 = assembly.build_m1(scheme, disc)
         self.m2 = assembly.build_m2(scheme, disc)
-        self.sylvester_form = (variant == "paper") and not scheme.has_corner_terms
 
         notes = []
         if not self.sylvester_form:
@@ -210,20 +212,16 @@ class ErrorEquationSolver:
                 notes.append("L != 0 (corner coefficients present): solve is "
                              "routed through the vectorized global operator")
         probe = SylvesterProblem(self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt)))
-        self.report = replace(diagnose(probe, sep_tol), notes="; ".join(notes))
+        self.report = replace(diagnose(probe), notes="; ".join(notes))
 
         if method == "bartels-stewart":
-            if not self.sylvester_form:
-                raise UsageError(
-                    "bartels-stewart applies only to the paper variant with "
-                    "L = 0 (the pure Sylvester form); use kron or min-norm")
             self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
         elif method == "kron":
             self.factorization = _KronLU(
                 *assembly.band_operator(scheme, disc, variant))
         else:
             self.factorization = _MinNormCOD(
-                assembly.global_operator(scheme, disc, variant), rtol)
+                assembly.global_operator(scheme, disc, variant))
 
     def solve(self, signal):
         """Solve for the error field of one signal.
@@ -246,13 +244,12 @@ class ErrorEquationSolver:
 
 
 def solve_error_equation(scheme, disc, signal, variant="paper",
-                         method="min-norm", sep_tol=1e-10, rtol=1e-11):
+                         method="min-norm"):
     """One-shot error-equation solve; see ErrorEquationSolver.
 
     Returns (e, report) with e = U - U_exact (so the scheme's computed field
     is U_exact + e).
     """
-    solver = ErrorEquationSolver(scheme, disc, variant=variant, method=method,
-                                 sep_tol=sep_tol, rtol=rtol)
+    solver = ErrorEquationSolver(scheme, disc, variant=variant, method=method)
     e, report, _ = solver.solve(signal)
     return e, report

@@ -112,6 +112,61 @@ def test_huge_finite_error_prints_finite_norms(capsys):
     assert math.isfinite(float(norms["grid_l2"]))
 
 
+HUGE = ("--coeffs", "1,0,0,1e200,1e200,0,0,0,0", "--nx", "6", "--nt", "6")
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (("solve-error", "--method", "kron"), 3),
+    (("solve-error", "--method", "kron", "--variant", "causal"), 3),
+    (("solve-error", "--method", "bartels-stewart"), 3),
+    (("solve-error", "--method", "min-norm"), 0),
+    (("diagnose",), 0),
+])
+def test_coefficients_whose_products_overflow(capsys, argv, want_code):
+    """Entries of 1e200 square past the float range; the spectra, the
+    factorizations and the verdict are still computed, without warnings.
+    The odd zero-diagonal M1 shares the eigenvalue 0 with the nilpotent M2,
+    so the unique-solution methods report a singular system."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, *HUGE)
+    assert code == want_code
+    if want_code == 3:
+        assert err.startswith("singular system: ")
+    else:
+        assert err == ""
+    if argv[0] == "diagnose":
+        assert "-1.385640646055e+200+0.000000000000e+00j" in out
+        assert "+1.385640646055e+200+0.000000000000e+00j" in out
+        assert "unique=false" in out
+    elif code == 0:
+        assert "rank=24 of 30" in out
+
+
+def test_diagnose_converges_on_tiny_coefficients(capsys):
+    code, out, err = run(capsys, "diagnose", "--coeffs",
+                         "1e-200,0,0,1e-200,1e-200,0,0,0,0", "--nx", "6", "--nt", "6")
+    assert (code, err) == (0, "")
+    assert "+1.385640646055e-200+0.000000000000e+00j" in out
+    assert "unique=false" in out
+
+
+def test_min_norm_on_1e300_coefficients_is_warning_free(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--coeffs",
+                             "1,1e300,0,1e300,0,0,0,0,0", "--nx", "6", "--nt", "6")
+    assert (code, err) == (0, "")
+    assert "rank=30 of 30" in out
+
+
+def test_spectrum_beyond_float_range_is_numerical_failure(capsys):
+    code, _, err = run(capsys, "diagnose", "--coeffs",
+                       "1,0,0,1.7e308,1.7e308,0,0,0,0", "--nx", "6", "--nt", "6")
+    assert code == 2
+    assert "exceeds the floating-point range" in err
+
+
 # --------------------------------------------------------------- solve-error
 
 
@@ -360,6 +415,14 @@ def test_command_accepts_only_the_flags_it_reads(capsys, command, flag):
         code, out, err = run(capsys, command, flag, value)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+
+def test_unrecognized_flag_prints_the_command_usage(capsys):
+    code, out, err = run(capsys, "diagnose", "--scheme", "lax",
+                         "--variant", "causal")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --variant causal" in err
+    assert "usage: advectbench diagnose" in err
 
 
 # -------------------------------------------------------------------- config

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advectbench import linalg
-from advectbench.errors import SingularSystemError, UsageError
+from advectbench.errors import NumericalFailureError, SingularSystemError, UsageError
 
 
 def rng(seed=0):
@@ -46,6 +46,12 @@ def test_frobenius_finite_when_squares_overflow():
         warnings.simplefilter("error")
         got = linalg.frobenius_norm([[1e200, 1e200]])
     want = math.sqrt(2.0) * 1e200
+    assert abs(got - want) <= 1e-15 * want
+
+
+def test_frobenius_nonzero_when_squares_underflow():
+    got = linalg.frobenius_norm([[1e-200, 1e-200]])
+    want = math.sqrt(2.0) * 1e-200
     assert abs(got - want) <= 1e-15 * want
 
 
@@ -134,7 +140,32 @@ def test_schur_nonconvergence_reports_iterations():
     assert getattr(info.value, "iterations", None) == 1
 
 
+def test_schur_of_power_of_two_multiple_is_the_exact_multiple():
+    """Schur iterates on its input scaled to unit magnitude, so 2**k A gives
+    the same Q and exactly 2**k T, also where A's squares overflow."""
+    a = rng(8).uniform(-1, 1, (9, 9))
+    f = linalg.schur_decompose(a)
+    for k in (-600, 3, 900):
+        g = linalg.schur_decompose(np.ldexp(a, k))
+        assert np.array_equal(g.q, f.q)
+        assert np.array_equal(g.t, np.ldexp(f.t, k))
+        assert g.eigenvalues == [z * 2.0 ** k for z in f.eigenvalues]
+
+
+def test_schur_beyond_float_range_is_numerical_failure():
+    a = np.array([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+    with pytest.raises(NumericalFailureError, match="floating-point range"):
+        linalg.schur_decompose(a)
+
+
 # ------------------------------------------------------------- eigenvalues
+
+
+def test_eigenvalues_of_tridiagonal_whose_products_overflow():
+    a = np.diag([1e200, 1e200], 1) + np.diag([1e200, 1e200], -1)
+    got = sorted(z.real for z in linalg.eigenvalues(a))
+    want = [-math.sqrt(2.0) * 1e200, 0.0, math.sqrt(2.0) * 1e200]
+    assert all(abs(g - w) <= 1e-14 * 1e200 for g, w in zip(got, want))
 
 
 def test_eigenvalues_identity():
@@ -338,6 +369,26 @@ def test_min_norm_agrees_with_gauss_on_full_rank():
     x1 = linalg.cod_factor(a).solve_min_norm(b)
     x2 = linalg.gauss_solve(a, b)
     assert np.linalg.norm(x1 - x2) <= 1e-9 * max(1.0, np.linalg.norm(x2))
+
+
+def test_cod_of_huge_matrix_is_the_scaled_factorization():
+    a = rng(9).uniform(-1, 1, (7, 3)) @ rng(10).uniform(-1, 1, (3, 5))
+    f, g = linalg.cod_factor(a), linalg.cod_factor(np.ldexp(a, 1000))
+    assert (g.rank, f.rank) == (3, 3)
+    assert np.array_equal(g.q, f.q) and np.array_equal(g.z, f.z)
+    assert np.array_equal(g.t, np.ldexp(f.t, 1000))
+
+
+def test_cod_beyond_float_range_is_numerical_failure():
+    with pytest.raises(NumericalFailureError, match="floating-point range"):
+        linalg.cod_factor(np.full((3, 3), 1.7e308))
+
+
+def test_rank_cut_is_the_module_constant(monkeypatch):
+    a = np.diag([1.0, 1e-3])
+    assert linalg.cod_factor(a).rank == 2
+    monkeypatch.setattr(linalg, "RANK_RTOL", 1e-2)
+    assert linalg.cod_factor(a).rank == 1
 
 
 # -------------------------------------------------------- kron_vec_operator

@@ -1,9 +1,11 @@
 """Sylvester-equation solver and error-equation tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from advectbench import advect, assembly, linalg, sylvester
+from advectbench import advect, assembly, cli, linalg, schemes, sylvester
 from advectbench.errors import (NumericalFailureError, SingularSystemError,
                                 UsageError)
 from advectbench.schemes import (Discretization, SignalSpec, builtin_scheme)
@@ -66,10 +68,23 @@ def test_problem_rejects_non_numeric_input(a):
         sylvester.SylvesterProblem(a, [[1.0]], [[0.0]])
 
 
-def test_diagnose_rejects_bad_tol():
-    p = sylvester.SylvesterProblem(np.eye(2), np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(UsageError):
-        sylvester.diagnose(p, sep_tol=0.0)
+def test_no_function_takes_a_tolerance_argument():
+    """Thresholds are module constants; schur_decompose's max_sweeps cap is
+    the one iteration argument.  SolvabilityReport only records the
+    threshold its verdict used."""
+    knobs = ("tol", "rtol", "sep_tol", "pivot_rtol", "iterations", "seed")
+    found = []
+    for mod in (advect, assembly, cli, linalg, schemes, sylvester):
+        for name, obj in vars(mod).items():
+            if (getattr(obj, "__module__", None) != mod.__name__
+                    or obj is sylvester.SolvabilityReport):
+                continue
+            for f in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                if inspect.isfunction(f):
+                    found += [f"{name}({arg})" for arg in
+                              inspect.signature(f).parameters if arg in knobs]
+    assert found == []
+    assert sylvester.diagnose(unique_instance(0)).sep_tol == sylvester.SEP_TOL
 
 
 # ----------------------------------------------------------- bartels-stewart
@@ -252,6 +267,19 @@ def test_error_equation_bartels_stewart_rejects_corner_terms():
     with pytest.raises(UsageError):
         sylvester.ErrorEquationSolver(builtin_scheme("crank-nicolson", d), d,
                                       variant="paper", method="bartels-stewart")
+
+
+@pytest.mark.parametrize("scheme, variant", [("crank-nicolson", "paper"),
+                                             ("leapfrog", "causal")])
+def test_bartels_stewart_usage_error_comes_before_the_spectra(
+        monkeypatch, scheme, variant):
+    def no_spectra(p):
+        raise AssertionError("diagnose must not run")
+    monkeypatch.setattr(sylvester, "diagnose", no_spectra)
+    d = disc()
+    with pytest.raises(UsageError, match="bartels-stewart applies only"):
+        sylvester.ErrorEquationSolver(builtin_scheme(scheme, d), d,
+                                      variant=variant, method="bartels-stewart")
 
 
 def test_error_equation_bartels_stewart_rejects_non_unique():
