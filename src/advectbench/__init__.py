@@ -5,9 +5,8 @@ parameter sweeps."""
 from .advect import (ErrorSummary, FieldMatrix, error_matrix, error_summary,
                      exact_solution, sample_exact, sample_nodes,
                      time_step_simulate)
-from .assembly import (VARIANTS, AssembledProblem, apply_l, apply_operator,
-                       assemble, build_m0, build_m1, build_m2,
-                       global_operator, residual)
+from .assembly import (VARIANTS, apply_operator, build_m0, build_m1,
+                       build_m2, global_operator, residual)
 from .errors import (AdvectBenchError, InvalidSchemeError,
                      NumericalFailureError, SingularSystemError, UsageError)
 from .linalg import (SchurForm, cod_factor, eigenvalues, frobenius_norm,
@@ -29,8 +28,8 @@ __all__ = [
     "smallest_singular_value", "unvec", "vec",
     "BUILTIN_SCHEMES", "Discretization", "SchemeCoefficients", "SignalSpec",
     "builtin_scheme", "custom_scheme", "stencil_residual_at",
-    "VARIANTS", "AssembledProblem", "apply_l", "apply_operator", "assemble",
-    "build_m0", "build_m1", "build_m2", "global_operator", "residual",
+    "VARIANTS", "apply_operator", "build_m0", "build_m1", "build_m2",
+    "global_operator", "residual",
     "ErrorSummary", "FieldMatrix", "error_matrix",
     "error_summary", "exact_solution", "sample_exact", "sample_nodes",
     "time_step_simulate",

@@ -18,8 +18,11 @@ causal startup level) is folded, negated, into the right-hand side M0.
 
 A variant's equations live in one stencil table (``stencil_table``): flat
 arrays of (equation, node, coefficient, known-flag) terms built by index
-arithmetic.  M0, the causal operator action and the vectorized global
-operator, dense or in band storage, all read it.
+arithmetic.  Every action reads it: M0 sums its known terms and the
+operator's action, in either closure, its unknown terms, both through one
+gather; the vectorized global operator, dense or in band storage, scatters
+its unknown terms.  M1 and M2 remain as matrices for Bartels-Stewart and the
+spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import UsageError
-from .schemes import Discretization, SchemeCoefficients, stencil_nodes
+from .schemes import stencil_nodes
 
 VARIANTS = ("paper", "causal")
 
@@ -43,22 +46,6 @@ VARIANTS = ("paper", "causal")
 def _check_variant(variant):
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-@dataclass(frozen=True)
-class AssembledProblem:
-    """The matrices of one closure variant, bound to their scheme and grid."""
-
-    m1: np.ndarray
-    m2: np.ndarray
-    m0: np.ndarray
-    scheme: SchemeCoefficients
-    disc: Discretization
-    variant: str
-
-    @property
-    def shape(self):
-        return (self.disc.nx - 1, self.disc.nt)
 
 
 def build_m1(s, disc):
@@ -75,25 +62,6 @@ def build_m2(s, disc):
     n = disc.nt
     return (np.diag(np.full(n - 1, s.gamma), 1)
             + np.diag(np.full(n - 1, s.alpha), -1))
-
-
-def apply_l(s, u):
-    """The diagonal-shift operator L(U) = L1 + L2 + L3 + L4.
-
-    Entry (i, n): zeta*u_{i+1}^{n+1} + eta*u_{i-1}^{n-1}
-    + theta*u_{i-1}^{n+1} + vartheta*u_{i+1}^{n-1}, zero-padded at the edges.
-    """
-    u = linalg.as_matrix(u, "u")
-    out = np.zeros_like(u)
-    if s.zeta != 0.0:
-        out[:-1, :-1] += s.zeta * u[1:, 1:]
-    if s.eta != 0.0:
-        out[1:, 1:] += s.eta * u[:-1, :-1]
-    if s.theta != 0.0:
-        out[1:, :-1] += s.theta * u[:-1, 1:]
-    if s.vartheta != 0.0:
-        out[:-1, 1:] += s.vartheta * u[1:, :-1]
-    return out
 
 
 def check_known(known, disc):
@@ -126,7 +94,8 @@ class StencilTable:
 
 @functools.lru_cache(maxsize=8)
 def stencil_table(s, disc, variant):
-    """The StencilTable of the chosen variant, built by index arithmetic.
+    """The StencilTable of the chosen variant, built by index arithmetic;
+    M0, the operator's action and the global operator all read it.
 
     Memoized on (scheme, grid, variant): a sweep reads the same table for
     every signal.  The arrays are shared, so they are read-only."""
@@ -161,65 +130,69 @@ def stencil_table(s, disc, variant):
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _terms(s, disc, variant, known):
+    """(eq, node, coef) of the table's known terms (known=True) or unknown
+    terms, in table order; node is the vec (column-major) index of the
+    term's node in the node array or in U.  Memoized and read-only like the
+    table."""
+    t = stencil_table(s, disc, variant)
+    k = t.known if known else ~t.known
+    if known:
+        node = t.m[k] * (disc.nx + 1) + t.i[k]
+    else:
+        node = (t.m[k] - 1) * (disc.nx - 1) + t.i[k] - 1
+    terms = (t.eq[k], node, t.coef[k])
+    for column in terms:
+        column.flags.writeable = False
+    return terms
+
+
+def _gather(s, disc, variant, known, values):
+    """Per-equation sums of coef * values[node] over the known or unknown
+    terms, added in table order, as an (nx-1) x nt matrix."""
+    eq, node, coef = _terms(s, disc, variant, known)
+    shape = (disc.nx - 1, disc.nt)
+    sums = np.bincount(eq, weights=coef * values.ravel(order="F")[node],
+                       minlength=shape[0] * shape[1])
+    return sums.reshape(shape, order="F")
+
+
 def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
-    sum of every known term, gathered from the node array in table order."""
+    sum of every known term, gathered from the node array."""
     known = check_known(known, disc)
-    t = stencil_table(s, disc, variant)
-    k = t.known
-    rows = disc.nx - 1
-    m0 = np.zeros((rows, disc.nt))
-    np.subtract.at(m0, (t.eq[k] % rows, t.eq[k] // rows),
-                   t.coef[k] * known[t.i[k], t.m[k]])
+    m0 = np.zeros((disc.nx - 1, disc.nt))
+    m0 -= _gather(s, disc, variant, True, known)
     return m0
 
 
-def assemble(s, disc, known, variant="paper"):
-    """Build the full AssembledProblem for one scheme/grid/variant."""
-    _check_variant(variant)
-    return AssembledProblem(
-        m1=build_m1(s, disc),
-        m2=build_m2(s, disc),
-        m0=build_m0(s, disc, known, variant),
-        scheme=s,
-        disc=disc,
-        variant=variant,
-    )
-
-
-def apply_operator(prob, u):
-    """Action of the variant's interior operator on a field U."""
+def apply_operator(s, disc, u, variant="paper"):
+    """Action of the variant's interior operator on a field U: the sum of
+    every unknown term, gathered from U."""
     u = linalg.as_matrix(u, "u")
-    if u.shape != prob.shape:
-        raise UsageError(f"field shape {u.shape} does not match {prob.shape}")
-    if prob.variant == "paper":
-        return prob.m1 @ u + u @ prob.m2 + apply_l(prob.scheme, u)
-    t = stencil_table(prob.scheme, prob.disc, prob.variant)
-    k = ~t.known
-    rows = prob.disc.nx - 1
+    shape = (disc.nx - 1, disc.nt)
+    if u.shape != shape:
+        raise UsageError(f"field shape {u.shape} does not match {shape}")
     out = np.zeros_like(u)
-    np.add.at(out, (t.eq[k] % rows, t.eq[k] // rows),
-              t.coef[k] * u[t.i[k] - 1, t.m[k] - 1])
+    out += _gather(s, disc, variant, False, u)
     return out
 
 
-def residual(prob, u):
+def residual(s, disc, known, u, variant="paper"):
     """operator(U) - M0; zero exactly when U solves the variant's system."""
-    return apply_operator(prob, u) - prob.m0
+    return apply_operator(s, disc, u, variant) - build_m0(s, disc, known, variant)
 
 
 def _operator_entries(s, disc, variant):
     """(size, row, col, coef) of the variant's vectorized operator: every
     unknown term of the stencil table at G[row, col], vec stacking columns."""
     _check_variant(variant)
-    rows, cols = disc.nx - 1, disc.nt
-    size = rows * cols
+    size = (disc.nx - 1) * disc.nt
     if size > linalg.MAX_VEC_SIZE:
         raise UsageError(
             f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
-    t = stencil_table(s, disc, variant)
-    k = ~t.known
-    return size, t.eq[k], (t.m[k] - 1) * rows + t.i[k] - 1, t.coef[k]
+    return (size, *_terms(s, disc, variant, False))
 
 
 def global_operator(s, disc, variant="paper"):

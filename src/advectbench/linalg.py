@@ -11,9 +11,9 @@ All functions are pure; matrices passed in are never modified.  The
 numerical thresholds are module constants, not arguments: DEFLATION_RTOL
 (Schur deflation), PIVOT_RTOL (band LU pivots), THOMAS_PIVOT_RTOL (Thomas
 pivots), RANK_RTOL (COD numerical rank) and SIGMA_MIN_ITERATIONS (inverse
-power iteration).  Schur and COD iterate on their input scaled by a power of
-two to unit magnitude, which is exact, so finite entries whose squares or
-products overflow still factor.
+power iteration).  Schur, COD and band LU work on their input scaled by a
+power of two to unit magnitude, which is exact, so finite entries whose
+squares or products overflow still factor.
 """
 
 from __future__ import annotations
@@ -384,20 +384,23 @@ def _lu_factor(ab, kl):
     keeps its kl multipliers per column where they were computed and U
     widens to kl+ku superdiagonals; _lu_solve replays the exchanges in
     order.  Every floating-point operation on a band entry is the one dense
-    elimination with partial pivoting performs.  Raises SingularSystemError
-    when a pivot is at most PIVOT_RTOL * |A|_F.  Returns (lu, kl, piv).
+    elimination with partial pivoting performs, on A scaled by a power of
+    two to unit magnitude; U is scaled back at the end.  Raises
+    SingularSystemError when a pivot is at most PIVOT_RTOL * |A|_F.  Returns
+    (lu, kl, piv).
     """
-    lu = ab.copy()
+    lu, e = _unit_scaled(ab)
     n, width = lu.shape
     d = _dense_view(lu, kl)
     piv = np.arange(n)
-    thresh = PIVOT_RTOL * max(frobenius_norm(ab), 1e-300)
+    thresh = PIVOT_RTOL * max(frobenius_norm(lu), 1e-300)
     for k in range(n):
         r1, c1 = min(n, k + kl + 1), min(n, k + width - kl)
         p = k + int(np.argmax(np.abs(d[k:r1, k])))
         if abs(d[p, k]) <= thresh:
             raise SingularSystemError(
-                f"pivot {abs(d[p, k]):.3e} below {thresh:.3e} at column {k}")
+                f"pivot {math.ldexp(abs(d[p, k]), e):.3e} below "
+                f"{math.ldexp(thresh, e):.3e} at column {k}")
         if p != k:
             row = d[k, k:c1].copy()
             d[k, k:c1] = d[p, k:c1]
@@ -407,6 +410,13 @@ def _lu_factor(ab, kl):
         # the trailing block, transposed to match the layout's memory order
         trailing = d[k + 1:r1, k + 1:c1].T
         trailing -= np.outer(d[k, k + 1:c1], d[k + 1:r1, k])
+    upper = lu[:, :width - kl]  # U's superdiagonals and diagonal
+    try:
+        with np.errstate(over="raise"):
+            np.ldexp(upper, e, out=upper)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            "the LU factors exceed the floating-point range") from exc
     return lu, kl, piv
 
 

@@ -17,6 +17,7 @@ linalg thresholds, SEP_TOL is a module constant, not an argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,19 +229,26 @@ class ErrorEquationSolver:
 
         Returns (e, report, residual_norm) with e = U - U_exact as a
         FieldMatrix and residual_norm the achieved operator residual.
+        Raises NumericalFailureError when the arithmetic overflows or the
+        residual is not finite.
         """
-        known = advect.sample_nodes(self.disc, signal)
-        m0 = assembly.build_m0(self.scheme, self.disc, known, self.variant)
-        prob = assembly.AssembledProblem(m1=self.m1, m2=self.m2, m0=m0,
-                                         scheme=self.scheme, disc=self.disc,
-                                         variant=self.variant)
+        s, disc, variant = self.scheme, self.disc, self.variant
+        known = advect.sample_nodes(disc, signal)
         # U_exact is the interior of the node array; the truncation residual
         # F = operator(U_exact) - M0, so operator(U - U_exact) = -F
-        rhs = -assembly.residual(prob, known[1:-1, 1:])
-        e = self.factorization.solve(rhs)
-        op_e = assembly.apply_operator(prob, e)
-        residual_norm = linalg.frobenius_norm(op_e - rhs)
-        return advect.FieldMatrix(values=e, disc=self.disc), self.report, residual_norm
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                rhs = -assembly.residual(s, disc, known, known[1:-1, 1:], variant)
+                e = self.factorization.solve(rhs)
+                op_e = assembly.apply_operator(s, disc, e, variant)
+                residual_norm = linalg.frobenius_norm(op_e - rhs)
+        except FloatingPointError as exc:
+            raise NumericalFailureError(
+                f"the solve leaves the floating-point range ({exc})") from exc
+        if not math.isfinite(residual_norm):
+            raise NumericalFailureError(
+                f"the operator residual of the solution is {residual_norm}")
+        return advect.FieldMatrix(values=e, disc=disc), self.report, residual_norm
 
 
 def solve_error_equation(scheme, disc, signal, variant="paper",

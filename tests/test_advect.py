@@ -112,8 +112,7 @@ def test_simulated_field_zeroes_causal_residual():
     for name in ALL_SCHEMES:
         s, signal, known = setup(name, d)
         u = advect.time_step_simulate(s, d, known)
-        prob = assembly.assemble(s, d, known, "causal")
-        res = assembly.residual(prob, u.values)
+        res = assembly.residual(s, d, known, u.values, "causal")
         scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u.values)))
         assert np.max(np.abs(res)) <= 1e-12 * scale, name
 
@@ -123,8 +122,7 @@ def test_simulated_field_zeroes_paper_residual_except_last_column():
     for name in STABLE_SCHEMES:
         s, signal, known = setup(name, d)
         u = advect.time_step_simulate(s, d, known)
-        prob = assembly.assemble(s, d, known, "paper")
-        res = assembly.residual(prob, u.values)
+        res = assembly.residual(s, d, known, u.values, "paper")
         scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u.values)))
         assert np.max(np.abs(res[:, :-1])) <= 1e-12 * scale, name
         # the truncated final-column equation genuinely deviates
@@ -228,8 +226,8 @@ def test_error_summary_grid_weighting():
 def truncation_residual(s, d, signal, variant):
     """F = operator(U_exact) - M0, the right-hand side of the error equation
     up to sign."""
-    prob = assembly.assemble(s, d, advect.sample_nodes(d, signal), variant)
-    return assembly.residual(prob, advect.sample_exact(d, signal).values)
+    return assembly.residual(s, d, advect.sample_nodes(d, signal),
+                             advect.sample_exact(d, signal).values, variant)
 
 
 def test_compute_f_zero_for_exact_scheme_causal():
@@ -248,10 +246,9 @@ def test_compute_f_linear_in_sampled_signal():
     sig2 = SignalSpec.from_cells_per_wavelength(9.0, d)
     a, b = 2.0, -0.5
     combo = a * advect.sample_nodes(d, sig1) + b * advect.sample_nodes(d, sig2)
-    prob = assembly.assemble(s, d, combo, "paper")
     u = (a * advect.sample_exact(d, sig1).values
          + b * advect.sample_exact(d, sig2).values)
-    got = assembly.residual(prob, u)
+    got = assembly.residual(s, d, combo, u, "paper")
     want = (a * truncation_residual(s, d, sig1, "paper")
             + b * truncation_residual(s, d, sig2, "paper"))
     assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
-"""Matricial assembly tests: M1, M2, L, M0, global operator, residuals."""
+"""Matricial assembly tests: M1, M2, M0, the operator action, global operator,
+residuals."""
 
 import math
 
@@ -77,21 +78,26 @@ U3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 
 
 def test_apply_l_zeta_up_left_shift():
+    """L's corner terms act through apply_operator's stencil table; the
+    alpha and gamma terms add U3 @ M2."""
     s = custom_scheme((0, 0, 0, 0, 0, 1, 0, 0, 0))
     want = np.array([[5.0, 6.0, 0.0], [8.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
-    assert np.array_equal(assembly.apply_l(s, U3), want)
+    want += U3 @ assembly.build_m2(s, LAX_SMALL)
+    assert np.array_equal(assembly.apply_operator(s, LAX_SMALL, U3), want)
 
 
 def test_apply_l_vartheta_pattern():
     s = custom_scheme((1, 0, 0, 0, 0, 0, 0, 0, 1))
     want = np.array([[0.0, 4.0, 5.0], [0.0, 7.0, 8.0], [0.0, 0.0, 0.0]])
-    assert np.array_equal(assembly.apply_l(s, U3), want)
+    want += U3 @ assembly.build_m2(s, LAX_SMALL)
+    assert np.array_equal(assembly.apply_operator(s, LAX_SMALL, U3), want)
 
 
 def test_apply_l_eta_down_right_shift():
     s = custom_scheme((1, 0, 0, 0, 0, 0, 1, 0, 0))
     want = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 4.0, 5.0]])
-    assert np.array_equal(assembly.apply_l(s, U3), want)
+    want += U3 @ assembly.build_m2(s, LAX_SMALL)
+    assert np.array_equal(assembly.apply_operator(s, LAX_SMALL, U3), want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -99,10 +105,80 @@ def test_apply_l_eta_down_right_shift():
 def test_apply_l_is_linear(seed, a, b):
     g = np.random.default_rng(seed)
     s = custom_scheme(g.uniform(-1, 1, 9))
-    u, v = g.uniform(-1, 1, (3, 4)), g.uniform(-1, 1, (3, 4))
-    lhs = assembly.apply_l(s, a * u + b * v)
-    rhs = a * assembly.apply_l(s, u) + b * assembly.apply_l(s, v)
+    u, v = g.uniform(-1, 1, (3, 3)), g.uniform(-1, 1, (3, 3))
+    lhs = assembly.apply_operator(s, LAX_SMALL, a * u + b * v)
+    rhs = (a * assembly.apply_operator(s, LAX_SMALL, u)
+           + b * assembly.apply_operator(s, LAX_SMALL, v))
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+# the four catalogue schemes and one scheme with all nine coefficients
+GATHER_SCHEMES = (*BUILTIN_SCHEMES,
+                  (1.0, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02))
+
+
+def gather_cases():
+    """(scheme, grid, known, fields) at 7x5, 5x9 and 20x20: exact node
+    arrays and random fields, C-ordered, F-ordered and strided."""
+    rng = np.random.default_rng(4)
+    for nx, nt in ((7, 5), (5, 9), (20, 20)):
+        d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
+        for scheme in GATHER_SCHEMES:
+            s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
+                 else custom_scheme(scheme))
+            exact = nodes(d, lam=7.0)
+            rand = rng.uniform(-1, 1, (d.nx + 1, d.nt + 1))
+            for known in (exact, rand):
+                u = known[1:-1, 1:]
+                yield s, d, known, (u, np.ascontiguousarray(u), np.asfortranarray(u))
+
+
+def test_gather_matches_ufunc_at_reference_byte_for_byte():
+    """build_m0 (both closures) and the causal apply_operator add the table
+    terms in the order np.subtract.at / np.add.at would, into an array of
+    the same memory order."""
+    for s, d, known, fields in gather_cases():
+        rows = d.nx - 1
+        for variant in assembly.VARIANTS:
+            t = assembly.stencil_table(s, d, variant)
+            k = t.known
+            want = np.zeros((rows, d.nt))
+            np.subtract.at(want, (t.eq[k] % rows, t.eq[k] // rows),
+                           t.coef[k] * known[t.i[k], t.m[k]])
+            got = assembly.build_m0(s, d, known, variant)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (s, d, variant)
+        t = assembly.stencil_table(s, d, "causal")
+        k = ~t.known
+        for u in fields:
+            want = np.zeros_like(u)
+            np.add.at(want, (t.eq[k] % rows, t.eq[k] // rows),
+                      t.coef[k] * u[t.i[k] - 1, t.m[k] - 1])
+            got = assembly.apply_operator(s, d, u, "causal")
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert got.tobytes() == want.tobytes(), (s, d)
+
+
+def reference_l(s, u):
+    """The paper closure's diagonal-shift operator L(U), entry (i, n):
+    zeta*u_{i+1}^{n+1} + eta*u_{i-1}^{n-1} + theta*u_{i-1}^{n+1}
+    + vartheta*u_{i+1}^{n-1}, zero-padded at the edges."""
+    out = np.zeros_like(u)
+    out[:-1, :-1] += s.zeta * u[1:, 1:]
+    out[1:, 1:] += s.eta * u[:-1, :-1]
+    out[1:, :-1] += s.theta * u[:-1, 1:]
+    out[:-1, 1:] += s.vartheta * u[1:, :-1]
+    return out
+
+
+def test_paper_action_matches_matrix_form():
+    """The paper action gathered from the table is M1 U + U M2 + L(U) up to
+    the order of the additions."""
+    for s, d, _, (u, *_) in gather_cases():
+        want = (assembly.build_m1(s, d) @ u + u @ assembly.build_m2(s, d)
+                + reference_l(s, u))
+        got = assembly.apply_operator(s, d, u, "paper")
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (s, d)
 
 
 def test_build_m0_lax_first_column():
@@ -213,11 +289,10 @@ def test_global_operator_action_equality_all_schemes_both_variants():
             s = builtin_scheme(name, d)
             for variant in assembly.VARIANTS:
                 g = assembly.global_operator(s, d, variant)
-                prob = assembly.assemble(s, d, nodes(d), variant)
                 for _ in range(20):
                     u = rng.uniform(-1, 1, (d.nx - 1, d.nt))
                     lhs = linalg.unvec(g @ linalg.vec(u), d.nx - 1, d.nt)
-                    rhs = assembly.apply_operator(prob, u)
+                    rhs = assembly.apply_operator(s, d, u, variant)
                     scale = max(1.0, np.linalg.norm(rhs))
                     assert (np.linalg.norm(lhs - rhs) <= 1e-13 * scale), (
                         name, variant, nx, nt)
@@ -291,8 +366,10 @@ def test_stencil_table_is_memoized_and_read_only():
 
 def test_residual_of_zero_field_is_minus_m0():
     s = builtin_scheme("lax", LAX_SMALL)
-    prob = assembly.assemble(s, LAX_SMALL, nodes(LAX_SMALL), "paper")
-    assert np.array_equal(assembly.residual(prob, np.zeros((3, 3))), -prob.m0)
+    known = nodes(LAX_SMALL)
+    m0 = assembly.build_m0(s, LAX_SMALL, known, "paper")
+    assert np.array_equal(
+        assembly.residual(s, LAX_SMALL, known, np.zeros((3, 3)), "paper"), -m0)
 
 
 def reference_residual(s, d, u, known, variant):
@@ -331,8 +408,7 @@ def test_stencil_matrix_consistency_all_schemes_both_variants():
             s = builtin_scheme(name, d)
             scale = max(abs(v) for v in s.as_tuple()) * max(1.0, np.max(np.abs(u)))
             for variant in assembly.VARIANTS:
-                prob = assembly.assemble(s, d, known, variant)
-                res = assembly.residual(prob, u)
+                res = assembly.residual(s, d, known, u, variant)
                 want = reference_residual(s, d, u, known, variant)
                 assert np.max(np.abs(res - want)) <= 1e-12 * scale, (
                     name, variant, nx, nt)
@@ -375,8 +451,7 @@ def test_stencil_matrix_consistency_against_stencil_residual_at():
 
     for name in ("lax", "lax-wendroff"):  # two-level: centered n = 0..nt-1
         s = builtin_scheme(name, d)
-        prob = assembly.assemble(s, d, known, "causal")
-        res = assembly.residual(prob, u)
+        res = assembly.residual(s, d, known, u, "causal")
         for n0 in range(d.nt):
             for i in range(1, d.nx):
                 cell = stencil_residual_at(s, field, i, n0)
@@ -385,12 +460,11 @@ def test_stencil_matrix_consistency_against_stencil_residual_at():
 
 def test_unknown_variant_rejected():
     with pytest.raises(UsageError):
-        assembly.assemble(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
-                          nodes(LAX_SMALL), "bogus")
+        assembly.residual(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
+                          nodes(LAX_SMALL), np.zeros((3, 3)), "bogus")
 
 
 def test_apply_operator_shape_check():
-    prob = assembly.assemble(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
-                             nodes(LAX_SMALL), "paper")
     with pytest.raises(UsageError):
-        assembly.apply_operator(prob, np.zeros((2, 2)))
+        assembly.apply_operator(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
+                                np.zeros((2, 2)), "paper")

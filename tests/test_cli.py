@@ -160,6 +160,43 @@ def test_min_norm_on_1e300_coefficients_is_warning_free(capsys):
     assert "rank=30 of 30" in out
 
 
+HUGE_PAIR = ("--coeffs", "1,0,0,1e308,-1e308,0,0,0,0", "--nx", "6", "--nt", "6")
+
+
+def test_unbounded_residual_is_numerical_failure(capsys):
+    """min-norm returns a field, but its operator residual overflows: no
+    success is reported."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", *HUGE_PAIR)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: ")
+    assert "residual" in err
+
+
+def test_overflowing_solve_is_numerical_failure(capsys):
+    """The band LU factors, but the truncation residual overflows: the
+    floating-point failure is reported, not leaked as a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--method", "kron", "--coeffs",
+                             "1,1.7e308,0,1.7e308,0,0,0,0,0", "--nx", "6", "--nt", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: the solve leaves the floating-point range")
+
+
+def test_band_lu_pivot_threshold_stays_finite(capsys):
+    """|A|_F overflows, but the elimination runs on A scaled to unit
+    magnitude, so the singular verdict rests on a finite threshold."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--method", "kron", *HUGE_PAIR)
+    assert (code, out) == (3, "")
+    assert err.startswith("singular system: pivot 0.000e+00 below ")
+    assert "at column 4" in err
+    assert "inf" not in err
+
+
 def test_spectrum_beyond_float_range_is_numerical_failure(capsys):
     code, _, err = run(capsys, "diagnose", "--coeffs",
                        "1,0,0,1.7e308,1.7e308,0,0,0,0", "--nx", "6", "--nt", "6")

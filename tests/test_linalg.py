@@ -285,6 +285,35 @@ def test_band_lu_keeps_bandwidth_and_pivot_message():
     assert str(got.value) == str(want.value)
 
 
+def test_band_lu_of_power_of_two_multiple_is_the_exact_multiple():
+    """Band LU eliminates on its input scaled to unit magnitude, so 2**k A
+    has the same pivots and multipliers and exactly 2**k U, also where
+    |A|_F overflows (k = 1022); 2**k A x = 2**k b has the same solution."""
+    g = rng(22)
+    n, kl, ku = 12, 2, 3
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    a = np.where((offsets <= kl) & (-offsets <= ku), g.uniform(-1, 1, (n, n)), 0.0)
+    ab, _ = linalg.to_band(a)
+    b = g.uniform(-1, 1, n)
+    lu, _, piv = linalg._lu_factor(ab, kl)
+    x = linalg._lu_solve(lu, kl, piv, b)
+    w = ab.shape[1] - kl  # U's columns in band storage
+    for k in (-600, 3, 900, 1022):
+        lu_k, kl_k, piv_k = linalg._lu_factor(np.ldexp(ab, k), kl)
+        assert kl_k == kl and np.array_equal(piv_k, piv)
+        assert np.array_equal(lu_k[:, w:], lu[:, w:])
+        assert np.array_equal(lu_k[:, :w], np.ldexp(lu[:, :w], k))
+        if k < 1000:  # 2**1022 b overflows in the forward substitution
+            assert np.array_equal(
+                linalg._lu_solve(lu_k, kl, piv_k, np.ldexp(b, k)), x)
+
+
+def test_band_lu_beyond_float_range_is_numerical_failure():
+    ab, kl = linalg.to_band(np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]))
+    with pytest.raises(NumericalFailureError, match="floating-point range"):
+        linalg._lu_factor(ab, kl)
+
+
 # ------------------------------------------------------------ tridiag_solve
 
 

@@ -254,10 +254,10 @@ def test_error_equation_paper_lax_degenerate_min_norm():
     # the paper-variant system is inconsistent (truncated final column), so
     # the least-squares residual is genuinely nonzero; it must match the
     # achieved operator residual of the returned field
-    prob = assembly.assemble(builtin_scheme("lax", d), d,
-                             advect.sample_nodes(d, signal), "paper")
-    f = assembly.residual(prob, advect.sample_exact(d, signal).values)
-    achieved = np.linalg.norm(assembly.apply_operator(prob, e.values) + f)
+    s = builtin_scheme("lax", d)
+    f = assembly.residual(s, d, advect.sample_nodes(d, signal),
+                          advect.sample_exact(d, signal).values, "paper")
+    achieved = np.linalg.norm(assembly.apply_operator(s, d, e.values, "paper") + f)
     assert achieved <= residual + 1e-12 * max(1.0, np.linalg.norm(f))
     assert residual > 0.0
 

@@ -9,8 +9,11 @@ temporary directory.  Prints the invocation count, the exit-code histogram
 and one sha256 over every invocation's argv, exit code, stdout, stderr and
 written files (names and bytes).  Two commits behave identically on the
 matrix when they print the same three lines; run it once per checkout, with
-the same numpy/BLAS build, and compare.  Every invocation passes only flags
-that its command reads.
+the same numpy/BLAS build, and compare.  After the total come one sha256 per
+(command, variant, method) group, a dash standing for a flag the command
+was not given, so a change that moves some outputs shows which groups it
+leaves byte-identical.  Every invocation passes only flags that its command
+reads.
 """
 
 import contextlib
@@ -91,6 +94,12 @@ def run(cli, argv):
     return code, out.getvalue(), err.getvalue(), files
 
 
+def group(argv):
+    """(command, variant, method) of one invocation, "-" for an absent flag."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return (argv[0], flags.get("--variant", "-"), flags.get("--method", "-"))
+
+
 def main(argv):
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src")
     if not (src / "advectbench" / "__init__.py").is_file():
@@ -99,16 +108,20 @@ def main(argv):
     sys.path.insert(0, str(src.resolve()))
     from advectbench import cli
 
-    total, codes = hashlib.sha256(), Counter()
+    total, codes, groups = hashlib.sha256(), Counter(), {}
     runs = matrix()
     for args in runs:
         code, out, err, files = run(cli, args)
         codes[code] += 1
-        total.update((json.dumps([args, code, out, err, files]) + "\n").encode())
+        record = (json.dumps([args, code, out, err, files]) + "\n").encode()
+        total.update(record)
+        groups.setdefault(group(args), hashlib.sha256()).update(record)
     print(f"invocations: {len(runs)}")
     print("exit codes: " + " / ".join(f"{n}x{code}" for code, n in
                                       sorted(codes.items(), key=lambda kv: str(kv[0]))))
     print(f"sha256: {total.hexdigest()}")
+    for key, digest in sorted(groups.items()):
+        print(f"  {' '.join(key)}: {digest.hexdigest()}")
     return 0
 
 
