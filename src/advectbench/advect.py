@@ -98,7 +98,7 @@ def time_step_simulate(s, disc, known):
                         np.full(m - 1, s.zeta), rhs)
                 else:
                     u[1:nx, n + 1] = rhs / s.alpha
-    except FloatingPointError as exc:
+    except (FloatingPointError, NumericalFailureError) as exc:
         raise NumericalFailureError(
             f"the march overflows at time level {n + 1}: {exc}") from exc
     return FieldMatrix(values=u[1:nx, 1:], disc=disc)

@@ -2,18 +2,21 @@
 
 Self-contained routines on numpy arrays: norms, Householder Hessenberg
 reduction, real Schur decomposition (Francis double-shift QR),
-eigenvalues, Gaussian elimination with partial pivoting on band storage
-(dense input is stored with the bandwidth of its nonzeros), Thomas solves,
+eigenvalues (closed form for tridiagonal Toeplitz matrices), Gaussian
+elimination with partial pivoting on band storage (dense input is stored
+with the bandwidth of its nonzeros) and on tridiagonal systems,
 minimum-norm least squares through a complete orthogonal decomposition, and
 the Kronecker-vectorization operator used as an oracle for matrix equations.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds are module constants, not arguments: DEFLATION_RTOL
-(Schur deflation), PIVOT_RTOL (band LU pivots), THOMAS_PIVOT_RTOL (Thomas
-pivots), RANK_RTOL (COD numerical rank) and SIGMA_MIN_ITERATIONS (inverse
-power iteration).  Schur, COD and band LU work on their input scaled by a
-power of two to unit magnitude, which is exact, so finite entries whose
-squares or products overflow still factor.
+(Schur deflation), PIVOT_RTOL (band LU pivots), THOMAS_PIVOT_RTOL
+(tridiagonal pivots), RANK_RTOL (COD numerical rank) and
+SIGMA_MIN_ITERATIONS (inverse power iteration).  Schur, COD, band LU and
+the smallest singular value work on their input scaled by a power of two
+to unit magnitude, which is exact, so finite entries whose squares or
+products overflow still factor.  The public solves raise
+NumericalFailureError rather than return a solution that overflows.
 """
 
 from __future__ import annotations
@@ -302,44 +305,33 @@ def schur_decompose(a, max_sweeps=None):
     return SchurForm(q=q, t=t, eigenvalues=eigs)
 
 
-def _symmetrized_tridiagonal(a):
-    """Symmetric tridiagonal matrix similar to a, or None.
-
-    A tridiagonal matrix with elementwise positive sub*super products is
-    diagonally similar to the symmetric one with off-diagonals
-    sqrt(sub*super); the similarity can be arbitrarily ill-conditioned, so
-    computing the spectrum on the symmetric form is far more accurate.
-    """
+def _tridiagonal_toeplitz_spectrum(a):
+    """Eigenvalues b + 2 sqrt(c d) cos(k pi/(n+1)), k = 1..n, of a
+    non-triangular tridiagonal Toeplitz matrix (b on the diagonal, c above,
+    d below), or None when a is not one."""
     n = a.shape[0]
-    if n < 3:
+    b, c, d = a[0, 0], a[0, 1], a[1, 0]
+    if not np.array_equal(a, b * np.eye(n) + c * np.eye(n, k=1) + d * np.eye(n, k=-1)):
         return None
-    band = np.diag(np.diag(a)) + np.diag(np.diag(a, 1), 1) + np.diag(np.diag(a, -1), -1)
-    if not np.array_equal(a, band):
-        return None
-    sub, sup = np.diag(a, -1), np.diag(a, 1)
-    with np.errstate(over="ignore"):
-        prod = sup * sub
-    if not np.all(prod > 0.0):
-        return None
-    off = np.where(np.isinf(prod), np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup)),
-                   np.sqrt(prod))
-    return np.diag(np.diag(a)) + np.diag(off, 1) + np.diag(off, -1)
+    # cos(k pi/(n+1)) as a sine, exactly odd about the middle k
+    cos = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * n + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = 2.0 * cos * (np.sqrt(abs(c)) * np.sqrt(abs(d)))  # c d may overflow
+        z = b + w if (c > 0.0) == (d > 0.0) else b + 1j * w
+    if not np.all(np.isfinite(z)):
+        raise NumericalFailureError("the spectrum exceeds the floating-point range")
+    return [complex(x) for x in z]
 
 
 def eigenvalues(a):
-    """Eigenvalues (with multiplicity) from the real Schur form.
-
-    Exactly triangular input short-circuits to its diagonal; a tridiagonal
-    matrix similar to a symmetric one is symmetrized first (same spectrum,
-    much better conditioning).
-    """
+    """Eigenvalues with multiplicity: the diagonal of triangular input, the
+    closed form of a tridiagonal Toeplitz matrix (exact where the Schur
+    form of a non-normal one is not), otherwise the real Schur form's."""
     a = as_matrix(a, "a", square=True)
     if np.all(np.tril(a, -1) == 0.0) or np.all(np.triu(a, 1) == 0.0):
         return [complex(x) for x in np.diag(a)]
-    sym = _symmetrized_tridiagonal(a)
-    if sym is not None:
-        a = sym
-    return schur_decompose(a).eigenvalues
+    spectrum = _tridiagonal_toeplitz_spectrum(a)
+    return schur_decompose(a).eigenvalues if spectrum is None else spectrum
 
 
 def band_from_entries(n, row, col, val):
@@ -457,13 +449,23 @@ def gauss_solve(a, b):
         raise UsageError(f"rhs shape {barr.shape} does not match {a.shape}")
     if not np.all(np.isfinite(barr)):
         raise UsageError("rhs contains non-finite entries")
-    return _lu_solve(*_lu_factor(*to_band(a)), barr)
+    factors = _lu_factor(*to_band(a))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _lu_solve(*factors, barr)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the solution exceeds the floating-point range ({exc})") from exc
 
 
 def tridiag_solve(sub, diag, sup, rhs):
-    """Thomas algorithm for a tridiagonal system.
+    """Gaussian elimination with partial pivoting on a tridiagonal system,
+    as LAPACK's gtsv does it: rows i and i+1 are exchanged when |sub[i]|
+    exceeds the pivot, which gives U a second superdiagonal.
 
-    sub and sup have length n-1 (below / above the main diagonal).
+    sub and sup have length n-1 (below / above the main diagonal).  Raises
+    SingularSystemError for a pivot at most THOMAS_PIVOT_RTOL * max |band|
+    and NumericalFailureError when the elimination leaves the float range.
     """
     sub = as_vector(sub, "sub")
     diag = as_vector(diag, "diag")
@@ -477,19 +479,31 @@ def tridiag_solve(sub, diag, sup, rhs):
     scale = max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0),
                 np.max(np.abs(sup), initial=0.0))
     thresh = THOMAS_PIVOT_RTOL * max(scale, 1e-300)
-    d = diag.copy()
-    x = rhs.copy()
-    for i in range(1, n):
-        if abs(d[i - 1]) <= thresh:
-            raise SingularSystemError(f"zero pivot at row {i - 1}")
-        w = sub[i - 1] / d[i - 1]
-        d[i] -= w * sup[i - 1]
-        x[i] -= w * x[i - 1]
+    # Python floats: U's diagonal, first and second superdiagonals, and x
+    d, du, du2, x = diag.tolist(), sup.tolist() + [0.0], [0.0] * n, rhs.tolist()
+    for i, lo in enumerate(sub.tolist()):
+        if max(abs(lo), abs(d[i])) <= thresh:
+            raise SingularSystemError(f"zero pivot at row {i}")
+        if abs(lo) > abs(d[i]):  # exchange rows i and i+1
+            w = d[i] / lo
+            d[i], d[i + 1], du[i], du2[i], du[i + 1] = (
+                lo, du[i] - w * d[i + 1], d[i + 1], du[i + 1], -w * du[i + 1])
+            x[i], x[i + 1] = x[i + 1], x[i] - w * x[i + 1]
+        else:
+            w = lo / d[i]
+            d[i + 1] -= w * du[i]
+            x[i + 1] -= w * x[i]
     if abs(d[n - 1]) <= thresh:
         raise SingularSystemError(f"zero pivot at row {n - 1}")
     x[n - 1] /= d[n - 1]
     for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - sup[i] * x[i + 1]) / d[i]
+        r = x[i] - du[i] * x[i + 1]
+        if du2[i]:
+            r -= du2[i] * x[i + 2]
+        x[i] = r / d[i]
+    x = np.array(x)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(d))):
+        raise NumericalFailureError("the solution exceeds the floating-point range")
     return x
 
 
@@ -611,11 +625,13 @@ def kron_vec_operator(a, b):
 
 def smallest_singular_value(a):
     """Smallest singular value of a square matrix by inverse power iteration
-    on A^T A; returns 0.0 when A is numerically singular for the LU."""
+    on A^T A, run on A scaled by a power of two to unit magnitude; returns
+    0.0 when A is numerically singular for the LU."""
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
     if n == 0:
         return 0.0
+    a, e = _unit_scaled(a)
     try:
         fa = _lu_factor(*to_band(a))
         fat = _lu_factor(*to_band(a.T))
@@ -631,4 +647,8 @@ def smallest_singular_value(a):
             return 0.0
         x = z / nz
     # x has converged to the left singular vector of the smallest pair
-    return float(np.linalg.norm(a.T @ x))
+    try:
+        return math.ldexp(float(np.linalg.norm(a.T @ x)), e)
+    except OverflowError as exc:
+        raise NumericalFailureError(
+            "the smallest singular value exceeds the floating-point range") from exc

@@ -65,17 +65,22 @@ def diagnose(p):
     """Unique-solvability verdict from the spectra of A and -B.
 
     unique iff the smallest pairwise distance between the two spectra
-    exceeds SEP_TOL * max(1, |A|_F + |B|_F).
+    exceeds SEP_TOL * max(1, |A|_F + |B|_F).  The comparison is made in
+    units 2**e, e >= 0, in which no entry of A or B exceeds 1, so the norms
+    stay finite; scaling by a power of two is exact.
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
     min_sep = min(abs(la - mu) for la in spec_a for mu in spec_nb)
-    scale = max(1.0, linalg.frobenius_norm(p.a) + linalg.frobenius_norm(p.b))
+    big = max(np.max(np.abs(p.a), initial=0.0), np.max(np.abs(p.b), initial=0.0))
+    e = max(0, math.frexp(big)[1])
+    norms = (linalg.frobenius_norm(np.ldexp(p.a, -e))
+             + linalg.frobenius_norm(np.ldexp(p.b, -e)))
     return SolvabilityReport(
         spectrum_a=spec_a,
         spectrum_neg_b=spec_nb,
         min_separation=min_sep,
-        unique=min_sep > SEP_TOL * scale,
+        unique=math.ldexp(min_sep, -e) > SEP_TOL * max(math.ldexp(1.0, -e), norms),
         sep_tol=SEP_TOL,
     )
 

@@ -99,6 +99,29 @@ def test_overflowing_march_is_numerical_failure(capsys, coeffs):
     assert err.startswith("numerical failure: the march overflows at time level 31")
 
 
+def test_implicit_march_overflow_names_its_level(capsys):
+    """alpha = zeta = 1e-300: level 1 reaches 1e300 and level 2 overflows."""
+    code, out, err = run(capsys, "simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0",
+                         "--nx", "6", "--nt", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: the march overflows at time level 2")
+
+
+def test_implicit_march_exchanges_rows(capsys):
+    """Each level matrix is tridiag(1, 0, 1) of order 20: nonsingular, but
+    its first pivot is zero unless rows are exchanged.  The march agrees
+    with the causal matrix solve."""
+    stencil = ("--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", "21", "--nt", "10")
+    code, sim_out, err = run(capsys, "simulate", *stencil)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "solve-error", *stencil, "--variant", "causal",
+                         "--method", "kron")
+    assert (code, err) == (0, "")
+    sim = float(sim_out.split("frob=")[1].split()[0])
+    mtx = float(out.split("frob=")[1].split()[0])
+    assert abs(sim - mtx) <= 1e-14 * sim
+
+
 def test_huge_finite_error_prints_finite_norms(capsys):
     # the field reaches 1e200: finite, but its squares overflow
     with warnings.catch_warnings():
@@ -195,6 +218,34 @@ def test_band_lu_pivot_threshold_stays_finite(capsys):
     assert err.startswith("singular system: pivot 0.000e+00 below ")
     assert "at column 4" in err
     assert "inf" not in err
+
+
+def test_bartels_stewart_verdict_bound_stays_finite(capsys):
+    """|M1|_F overflows; the spectra, 1.7e308 apart, are still separated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--coeffs", "1,1.7e308,0,0,0,0,0,0,0",
+                             "--nx", "6", "--nt", "6", "--method", "bartels-stewart")
+    assert (code, err) == (0, "")
+    assert "unique=true min_separation=1.7e+308" in out
+
+
+def test_diagnose_smallest_singular_value_of_tiny_operator(capsys):
+    """Crank-Nicolson in units 1e-150 times the usual: the inverse iteration
+    runs on the unit-scaled operator, so sigma_min is 1e-150 times that of
+    the unscaled stencil."""
+    tiny = "2.25e-150,-0.25e-150,0,-1e-150,-1e-150,0,-1e-150,-1e-150,0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "diagnose", "--coeffs", tiny, "--nx", "6",
+                             "--nt", "6")
+        _, unit_out, _ = run(capsys, "diagnose", "--coeffs",
+                             "2.25,-0.25,0,-1,-1,0,-1,-1,0", "--nx", "6", "--nt", "6")
+    assert (code, err) == (0, "")
+    key = "smallest singular value of the vectorized operator: "
+    got = float(out.split(key)[1].split()[0])
+    want = float(unit_out.split(key)[1].split()[0])
+    assert abs(got - 1e-150 * want) <= 1e-12 * got
 
 
 def test_spectrum_beyond_float_range_is_numerical_failure(capsys):

@@ -187,6 +187,76 @@ def test_eigenvalues_tridiagonal_toeplitz_closed_form():
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
 
 
+def _toeplitz(n, b, c, d):
+    return b * np.eye(n) + c * np.eye(n, k=1) + d * np.eye(n, k=-1)
+
+
+def _by_position(zs):
+    return sorted(zs, key=lambda z: (z.real, z.imag))
+
+
+def test_eigenvalues_toeplitz_real_case_matches_symmetric_oracle():
+    """c d > 0: the matrix is similar to the symmetric Toeplitz one with
+    off-diagonal sqrt(c d), whose spectrum numpy computes stably."""
+    g = rng(23)
+    for n in (2, 3, 8, 29, 100):
+        for scale in (1e-150, 1.0, 1e150):
+            b, c = g.uniform(-1, 1, 2) * scale
+            d = math.copysign(g.uniform(0.01, 1) * scale, c)
+            got = linalg.eigenvalues(_toeplitz(n, b, c, d))
+            assert all(z.imag == 0.0 for z in got)
+            want = np.linalg.eigvalsh(_toeplitz(n, b, math.sqrt(c * d),
+                                                math.sqrt(c * d)))
+            err = np.max(np.abs(np.sort([z.real for z in got]) - want))
+            assert err <= 1e-14 * (abs(b) + 2.0 * math.sqrt(c * d))
+
+
+def test_eigenvalues_toeplitz_normal_case_matches_numpy():
+    """d = -c: the matrix is normal, so numpy's eigenvalues are accurate."""
+    g = rng(24)
+    for n in (2, 5, 10, 31):
+        b, c = g.uniform(-1, 1, 2)
+        a = _toeplitz(n, b, c, -c)
+        got = sorted(linalg.eigenvalues(a), key=lambda z: z.imag)
+        want = sorted(np.linalg.eigvals(a), key=lambda z: z.imag)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-14 * (abs(b) + 2 * abs(c))
+        # exact conjugate pairs on the line Re z = b, through b for odd n
+        assert all(z.real == b for z in got)
+        assert [z.conjugate() for z in reversed(got)] == got
+        if n % 2:
+            assert complex(b) in got
+
+
+def test_eigenvalues_toeplitz_do_not_run_schur(monkeypatch):
+    def no_schur(a, max_sweeps=None):
+        raise AssertionError("schur_decompose called")
+
+    monkeypatch.setattr(linalg, "schur_decompose", no_schur)
+    assert len(linalg.eigenvalues(_toeplitz(50, 0.3, -2.0, 0.01))) == 50
+
+
+def test_eigenvalues_non_toeplitz_tridiagonal_goes_to_schur(monkeypatch):
+    calls = []
+    schur = linalg.schur_decompose
+
+    def counted(a, max_sweeps=None):
+        calls.append(a.shape)
+        return schur(a, max_sweeps)
+
+    monkeypatch.setattr(linalg, "schur_decompose", counted)
+    a = _toeplitz(6, 1.0, 0.5, 0.25)
+    a[3, 3] = 2.0
+    got = _by_position(linalg.eigenvalues(a))
+    want = _by_position(np.linalg.eigvals(a))
+    assert calls == [(6, 6)]
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+
+
+def test_eigenvalues_toeplitz_beyond_float_range_is_numerical_failure():
+    with pytest.raises(NumericalFailureError, match="spectrum exceeds"):
+        linalg.eigenvalues(_toeplitz(4, 1.5e308, 1e308, 1e308))
+
+
 def test_eigenvalue_trace_and_determinant_identities():
     for seed in range(10):
         n = int(rng(seed).integers(2, 13))
@@ -346,6 +416,57 @@ def test_tridiag_zero_pivot():
                              np.array([0.0]), np.array([1.0, 1.0]))
 
 
+def test_tridiag_exchanges_rows_for_a_zero_diagonal():
+    """tridiag(1, 0, 1) is nonsingular for even order, but its first
+    diagonal entry is a zero pivot without row exchanges."""
+    n = 20
+    b = rng(25).uniform(-1, 1, n)
+    x = linalg.tridiag_solve(np.ones(n - 1), np.zeros(n), np.ones(n - 1), b)
+    a = np.eye(n, k=1) + np.eye(n, k=-1)
+    assert np.linalg.norm(a @ x - b) <= 1e-14 * np.linalg.norm(x)
+    with pytest.raises(SingularSystemError, match="zero pivot at row 2"):
+        linalg.tridiag_solve(np.ones(2), np.zeros(3), np.ones(2), np.ones(3))
+
+
+def test_tridiag_pivoting_matches_dense_solve():
+    g = rng(26)
+    for n in (2, 3, 7, 30):
+        sub, dia, sup = g.uniform(-1, 1, n - 1), g.uniform(-1, 1, n), g.uniform(-1, 1, n - 1)
+        a = np.diag(dia) + np.diag(sub, -1) + np.diag(sup, 1)
+        b = g.uniform(-1, 1, n)
+        x = linalg.tridiag_solve(sub, dia, sup, b)
+        assert np.linalg.norm(x - np.linalg.solve(a, b)) <= (
+            1e-12 * np.linalg.cond(a) * np.linalg.norm(x))
+
+
+def test_tridiag_without_exchanges_is_the_thomas_algorithm():
+    """A diagonally dominant system never exchanges rows, so every operation
+    is the plain Thomas algorithm's."""
+    g = rng(27)
+    n = 25
+    sub, sup, b = g.uniform(-1, 1, n - 1), g.uniform(-1, 1, n - 1), g.uniform(-1, 1, n)
+    dia = g.uniform(-1, 1, n) + np.sign(g.uniform(-1, 1, n)) * 2.5
+    d, x = dia.copy(), b.copy()
+    for i in range(1, n):
+        w = sub[i - 1] / d[i - 1]
+        d[i] -= w * sup[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - sup[i] * x[i + 1]) / d[i]
+    assert linalg.tridiag_solve(sub, dia, sup, b).tobytes() == x.tobytes()
+
+
+def test_overflowing_solves_are_numerical_failures():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="floating-point range"):
+            linalg.gauss_solve(1e-10 * np.eye(3), np.full(3, 1e300))
+        with pytest.raises(NumericalFailureError, match="floating-point range"):
+            linalg.tridiag_solve(np.zeros(2), np.full(3, 1e-10), np.zeros(2),
+                                 np.full(3, 1e300))
+
+
 # --------------------------------------------------- min-norm least squares
 
 
@@ -467,3 +588,14 @@ def test_smallest_singular_value_vs_numpy():
 def test_smallest_singular_value_singular_matrix():
     a = np.ones((4, 4))
     assert linalg.smallest_singular_value(a) == 0.0
+
+
+def test_smallest_singular_value_of_power_of_two_multiple():
+    """The iteration runs on A scaled to unit magnitude, so 2**k A gives
+    exactly 2**k sigma, also where the unscaled iterates would overflow."""
+    a = rng(28).uniform(-1, 1, (9, 9))
+    sigma = linalg.smallest_singular_value(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-500, 500):
+            assert linalg.smallest_singular_value(np.ldexp(a, k)) == math.ldexp(sigma, k)

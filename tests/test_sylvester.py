@@ -1,6 +1,7 @@
 """Sylvester-equation solver and error-equation tests."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,59 @@ def test_diagnose_lax_even_nx_shares_zero_eigenvalue():
     # M2 is nilpotent (all eigenvalues 0) and M1's Toeplitz spectrum hits 0
     assert all(abs(z) <= 1e-10 * scale for z in r.spectrum_neg_b)
     assert min(abs(z) for z in r.spectrum_a) <= 1e-10 * scale
+
+
+def scheme_problem(s, d):
+    return sylvester.SylvesterProblem(assembly.build_m1(s, d),
+                                      assembly.build_m2(s, d),
+                                      np.zeros((d.nx - 1, d.nt)))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_diagnose_of_scheme_operators_runs_no_schur(monkeypatch, name):
+    """M1 and M2 are tridiagonal Toeplitz (or triangular), so their spectra
+    come in closed form."""
+    def no_schur(a, max_sweeps=None):
+        raise AssertionError("schur_decompose called")
+
+    monkeypatch.setattr(linalg, "schur_decompose", no_schur)
+    for n in (6, 11, 30):
+        d = disc(nx=n, nt=n)
+        r = sylvester.diagnose(scheme_problem(builtin_scheme(name, d), d))
+        assert (len(r.spectrum_a), len(r.spectrum_neg_b)) == (n - 1, n)
+
+
+def test_diagnose_lax_wendroff_separation_is_exactly_beta():
+    """Lax-Wendroff's M2 is nilpotent and M1's spectrum is beta plus a row of
+    imaginary values through 0 (odd order), so the separation is |beta|; the
+    Schur form of the non-normal M1 gave 0.4500534379331324 at 30^2."""
+    d = disc(nx=30, nt=30)
+    s = builtin_scheme("lax-wendroff", d)
+    assert sylvester.diagnose(scheme_problem(s, d)).min_separation == abs(s.beta)
+
+
+def test_diagnose_non_normal_m2_separation_is_exact():
+    """M2 = tridiag(1, 0, -0.3) of order 100 is far from normal: its Schur
+    spectrum put the separation at 8.0e-4, the closed form at 0.21796."""
+    d = disc(nx=100, nt=100, sigma=1.2)
+    s = schemes.custom_scheme([1, 0.5, -0.3, 0.2, 0.1, 0, 0, 0, 0])
+    r = sylvester.diagnose(scheme_problem(s, d))
+    spec_a = np.linalg.eigvalsh(0.5 * np.eye(99) + math.sqrt(0.02) * (
+        np.eye(99, k=1) + np.eye(99, k=-1)))
+    spec_nb = 2j * math.sqrt(0.3) * np.cos(np.arange(1, 101) * np.pi / 101)
+    want = np.min(np.abs(np.subtract.outer(spec_a, spec_nb)))
+    assert abs(r.min_separation - want) <= 1e-13
+    assert abs(want - 0.21796365085013) <= 1e-13
+    assert r.unique
+
+
+def test_diagnose_bound_does_not_overflow():
+    """|A|_F + |B|_F overflows, but the bound is taken in units in which it
+    does not: a separation of 1.7e308 is unique."""
+    p = sylvester.SylvesterProblem(np.diag(np.full(5, 1.7e308)),
+                                   np.diag(np.ones(5), -1), np.zeros((5, 6)))
+    r = sylvester.diagnose(p)
+    assert r.min_separation == 1.7e308 and r.unique
 
 
 @pytest.mark.parametrize("a", [[[1.0, "x"]], [[1.0], [1.0, 2.0]]])

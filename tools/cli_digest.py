@@ -70,6 +70,20 @@ def matrix():
     runs += [["sweep", "--scheme", "lax", "--nl-min", "9", "--nl-max", "4"],
              ["simulate", "--scheme", "lax", "--sigma", "0.5", "--tau", "0.5"],
              ["diagnose", "--scheme", "upwind"]]
+    # an implicit stencil whose level matrix tridiag(1, 0, 1) needs row
+    # exchanges; coefficients near the float limits; Crank-Nicolson in units
+    # 1e-150 times the usual; an implicit march that overflows at level 2
+    pivoting = ["--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", "21", "--nt", "10"]
+    runs += [["simulate", *pivoting, "--out", "field.csv"],
+             ["solve-error", *pivoting, "--variant", "causal", "--method", "kron",
+              "--out", "error.csv"],
+             ["solve-error", "--coeffs", "1,1.7e308,0,0,0,0,0,0,0", "--nx", "6",
+              "--nt", "6", "--method", "bartels-stewart", "--out", "error.csv"],
+             ["diagnose", "--coeffs",
+              "2.25e-150,-0.25e-150,0,-1e-150,-1e-150,0,-1e-150,-1e-150,0",
+              "--nx", "6", "--nt", "6"],
+             ["simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0", "--nx", "6",
+              "--nt", "6", "--out", "field.csv"]]
     return runs
 
 
