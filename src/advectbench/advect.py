@@ -52,10 +52,16 @@ class ErrorSummary:
 
 def sample_nodes(disc, signal):
     """Exact solution on every grid node, i = 0..nx by m = 0..nt: the known
-    data of the simulator and of M0."""
+    data of the simulator and of M0.  Raises UsageError when the phase
+    overflows."""
     x = np.arange(disc.nx + 1)[:, None] * disc.h
     t = np.arange(disc.nt + 1)[None, :] * disc.tau
-    return np.cos(2.0 * np.pi / signal.wavelength * (x - disc.c * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * np.pi / signal.wavelength * (x - disc.c * t)
+    if not np.all(np.isfinite(phase)):
+        raise UsageError(f"the phase 2*pi/wavelength*(x - c*t) of wavelength "
+                         f"{signal.wavelength:g} exceeds the floating-point range")
+    return np.cos(phase)
 
 
 def sample_exact(disc, signal):

@@ -184,9 +184,11 @@ def residual(s, disc, known, u, variant="paper"):
     return apply_operator(s, disc, u, variant) - build_m0(s, disc, known, variant)
 
 
-def _operator_entries(s, disc, variant):
+def operator_entries(s, disc, variant):
     """(size, row, col, coef) of the variant's vectorized operator: every
-    unknown term of the stencil table at G[row, col], vec stacking columns."""
+    unknown term of the stencil table at G[row, col], vec stacking columns.
+    The global operator, dense or in band storage, scatters them; the
+    diagnosis's smallest singular value factors them without a dense G."""
     _check_variant(variant)
     size = (disc.nx - 1) * disc.nt
     if size > linalg.MAX_VEC_SIZE:
@@ -199,7 +201,7 @@ def global_operator(s, disc, variant="paper"):
     """Vectorized operator G with G vec(U) = vec(operator(U)), vec stacking
     columns.  For the paper variant with L = 0 this equals
     kron_vec_operator(M1, M2)."""
-    size, row, col, coef = _operator_entries(s, disc, variant)
+    size, row, col, coef = operator_entries(s, disc, variant)
     g = np.zeros((size, size))
     g[row, col] = coef
     return g
@@ -209,4 +211,4 @@ def band_operator(s, disc, variant="paper"):
     """The global operator in band storage, (ab, kl) as linalg.to_band
     returns it, scattered straight from the stencil table: O(N*nx) memory
     instead of O(N^2)."""
-    return linalg.band_from_entries(*_operator_entries(s, disc, variant))
+    return linalg.band_from_entries(*operator_entries(s, disc, variant))

@@ -382,8 +382,8 @@ def cmd_diagnose(args):
         print(f"  {_fmt_complex(z)}")
     _print_report(report)
     if s.has_corner_terms:
-        g = assembly.global_operator(s, d, "paper")
-        smin = linalg.smallest_singular_value(g)
+        smin = linalg.smallest_singular_value_from_entries(
+            *assembly.operator_entries(s, d, "paper"))
         print("note: L != 0, so uniqueness diagnostics apply to the "
               "vectorized global operator")
         print(f"smallest singular value of the vectorized operator: {_fmt(smin)}")

@@ -1,17 +1,19 @@
 """Real linear-algebra kernel.
 
 Self-contained routines on numpy arrays: norms, Householder Hessenberg
-reduction, real Schur decomposition (Francis double-shift QR),
-eigenvalues (closed form for tridiagonal Toeplitz matrices), Gaussian
-elimination with partial pivoting on band storage (dense input is stored
-with the bandwidth of its nonzeros) and on tridiagonal systems,
-minimum-norm least squares through a complete orthogonal decomposition, and
-the Kronecker-vectorization operator used as an oracle for matrix equations.
+reduction, real Schur decomposition (Francis double-shift QR; a 2x2
+diagonal block is kept whatever its spectrum), eigenvalues (closed form for
+tridiagonal Toeplitz matrices), Gaussian elimination with partial pivoting
+on band storage (dense input is stored with the bandwidth of its nonzeros)
+and on tridiagonal systems, minimum-norm least squares through a complete
+orthogonal decomposition, and the Kronecker-vectorization operator used as
+an oracle for matrix equations.
 
 All functions are pure; matrices passed in are never modified.  The
-numerical thresholds are module constants, not arguments: DEFLATION_RTOL
-(Schur deflation), PIVOT_RTOL (band LU pivots), THOMAS_PIVOT_RTOL
-(tridiagonal pivots), RANK_RTOL (COD numerical rank) and
+numerical thresholds and iteration caps are module constants, so every
+kernel takes only its operands: DEFLATION_RTOL (Schur deflation),
+SCHUR_SWEEPS_PER_ORDER (Schur iteration cap), PIVOT_RTOL (band LU pivots),
+THOMAS_PIVOT_RTOL (tridiagonal pivots), RANK_RTOL (COD numerical rank) and
 SIGMA_MIN_ITERATIONS (inverse power iteration).  Schur, COD, band LU and
 the smallest singular value work on their input scaled by a power of two
 to unit magnitude, which is exact, so finite entries whose squares or
@@ -33,11 +35,12 @@ _TINY = float(np.finfo(float).tiny)  # smallest normal float
 # Desk-scale guard for vectorized operators.
 MAX_VEC_SIZE = 20000
 # Numerical thresholds, each read by the one kernel named beside it.
-DEFLATION_RTOL = 1e-14     # schur_decompose: negligible subdiagonal entry
-PIVOT_RTOL = 1e-13         # _lu_factor: singular pivot, relative to |A|_F
-THOMAS_PIVOT_RTOL = 1e-14  # tridiag_solve: zero pivot, relative to max |band|
-RANK_RTOL = 1e-11          # cod_factor: numerical rank cut, relative
-SIGMA_MIN_ITERATIONS = 80  # smallest_singular_value: inverse power steps
+DEFLATION_RTOL = 1e-14       # schur_decompose: negligible subdiagonal entry
+SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
+PIVOT_RTOL = 1e-13           # _lu_factor: singular pivot, relative to |A|_F
+THOMAS_PIVOT_RTOL = 1e-14    # tridiag_solve: zero pivot, relative to max |band|
+RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
+SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value: inverse power steps
 
 
 def _as_float_array(a, name):
@@ -143,42 +146,6 @@ class SchurForm:
     eigenvalues: list = field(default_factory=list)
 
 
-def _rotate_rows_cols(h, q, i, cs, sn):
-    """Apply the Givens similarity G^T H G (and Q <- Q G) on indices i, i+1."""
-    ri, rj = h[i, :].copy(), h[i + 1, :].copy()
-    h[i, :] = cs * ri + sn * rj
-    h[i + 1, :] = -sn * ri + cs * rj
-    ci, cj = h[:, i].copy(), h[:, i + 1].copy()
-    h[:, i] = cs * ci + sn * cj
-    h[:, i + 1] = -sn * ci + cs * cj
-    ci, cj = q[:, i].copy(), q[:, i + 1].copy()
-    q[:, i] = cs * ci + sn * cj
-    q[:, i + 1] = -sn * ci + cs * cj
-
-
-def _settle_2x2(h, q, i):
-    """Deflate the 2x2 block at (i, i): split it into two 1x1 blocks when its
-    eigenvalues are real, otherwise leave the complex-pair block in place."""
-    a, b = h[i, i], h[i, i + 1]
-    c, d = h[i + 1, i], h[i + 1, i + 1]
-    if c == 0.0:
-        return
-    p = 0.5 * (a - d)
-    disc = p * p + b * c
-    if disc < 0.0:
-        return
-    # real pair: rotate so that the eigenvector of the dominant eigenvalue
-    # spans the first coordinate
-    sq = math.sqrt(disc)
-    z = p + math.copysign(sq, p) if p != 0.0 else sq
-    # eigenvalue mu = d + z; eigenvector (z, c)
-    r = math.hypot(z, c)
-    if r == 0.0:
-        return
-    _rotate_rows_cols(h, q, i, z / r, c / r)
-    h[i + 1, i] = 0.0
-
-
 def _francis_step(h, q, lo, hi, s, t):
     """One implicit double-shift bulge chase on the active block lo..hi."""
     x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - s * h[lo, lo] + t
@@ -236,19 +203,20 @@ def _block_eigenvalues(t):
     return out
 
 
-def schur_decompose(a, max_sweeps=None):
+def schur_decompose(a):
     """Real Schur decomposition by Hessenberg reduction followed by implicit
     Francis double-shift QR with deflation.
 
     A subdiagonal entry deflates when
     |h(i+1,i)| <= DEFLATION_RTOL*(|h(i,i)|+|h(i+1,i+1)|) (the neighbour sum
-    falls back to |A|_F when it vanishes).  Raises NumericalFailureError
-    carrying the step count after max_sweeps bulge chases (default 40*n).
+    falls back to |A|_F when it vanishes).  The form is not standardized: a
+    deflated 2x2 block stays as it is, whether its eigenvalues are a complex
+    pair or real.  Raises NumericalFailureError carrying the step count
+    after SCHUR_SWEEPS_PER_ORDER*n bulge chases.
     """
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
-    if max_sweeps is None:
-        max_sweeps = 40 * max(n, 1)
+    max_sweeps = SCHUR_SWEEPS_PER_ORDER * n
     if n == 0:
         return SchurForm(q=np.eye(0), t=a.copy(), eigenvalues=[])
     a, e = _unit_scaled(a)
@@ -267,12 +235,7 @@ def schur_decompose(a, max_sweeps=None):
                 h[lo, lo - 1] = 0.0
                 break
             lo -= 1
-        if lo == hi:
-            hi -= 1
-            stagnation = 0
-            continue
-        if lo == hi - 1:
-            _settle_2x2(h, q, lo)
+        if lo >= hi - 1:  # a 1x1 or 2x2 block has deflated
             hi = lo - 1
             stagnation = 0
             continue
@@ -414,7 +377,9 @@ def _lu_factor(ab, kl):
 
 def _lu_solve(lu, kl, piv, b):
     """Solve A X = B from the band factors of _lu_factor; b is a vector or
-    an n-by-k matrix and the result matches its shape."""
+    an n-by-k matrix and the result matches its shape.  Raises
+    NumericalFailureError when the solution leaves the floating-point
+    range."""
     if b.ndim == 2:
         x = np.empty(b.shape)
         for j in range(b.shape[1]):
@@ -428,13 +393,18 @@ def _lu_solve(lu, kl, piv, b):
     x = xp[w:w + n]
     x[:] = b
     lower, upper = lu[:, w + 1:], lu[:, :w]
-    for k, p in enumerate(piv.tolist()):
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-        xp[w + k + 1:w + k + kl + 1] -= lower[k] * x[k]
-    for k, u_kk in reversed(list(enumerate(lu[:, w].tolist()))):
-        x[k] /= u_kk
-        xp[k:k + w] -= upper[k] * x[k]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k, p in enumerate(piv.tolist()):
+                if p != k:
+                    x[k], x[p] = x[p], x[k]
+                xp[w + k + 1:w + k + kl + 1] -= lower[k] * x[k]
+            for k, u_kk in reversed(list(enumerate(lu[:, w].tolist()))):
+                x[k] /= u_kk
+                xp[k:k + w] -= upper[k] * x[k]
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the solution exceeds the floating-point range ({exc})") from exc
     return x
 
 
@@ -449,13 +419,7 @@ def gauss_solve(a, b):
         raise UsageError(f"rhs shape {barr.shape} does not match {a.shape}")
     if not np.all(np.isfinite(barr)):
         raise UsageError("rhs contains non-finite entries")
-    factors = _lu_factor(*to_band(a))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _lu_solve(*factors, barr)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            f"the solution exceeds the floating-point range ({exc})") from exc
+    return _lu_solve(*_lu_factor(*to_band(a)), barr)
 
 
 def tridiag_solve(sub, diag, sup, rhs):
@@ -624,17 +588,25 @@ def kron_vec_operator(a, b):
 
 
 def smallest_singular_value(a):
-    """Smallest singular value of a square matrix by inverse power iteration
-    on A^T A, run on A scaled by a power of two to unit magnitude; returns
-    0.0 when A is numerically singular for the LU."""
+    """Smallest singular value of a square matrix, from its nonzero entries
+    (see smallest_singular_value_from_entries)."""
     a = as_matrix(a, "a", square=True)
-    n = a.shape[0]
+    row, col = np.nonzero(a)
+    return smallest_singular_value_from_entries(a.shape[0], row, col, a[row, col])
+
+
+def smallest_singular_value_from_entries(n, row, col, val):
+    """Smallest singular value of the n x n matrix with entries
+    A[row, col] = val, by inverse power iteration on A^T A.  A and A^T are
+    factored in band storage straight from the entries, scaled by a power of
+    two to unit magnitude, so no dense copy is made; returns 0.0 when A is
+    numerically singular for the LU."""
     if n == 0:
         return 0.0
-    a, e = _unit_scaled(a)
+    val, e = _unit_scaled(val)
     try:
-        fa = _lu_factor(*to_band(a))
-        fat = _lu_factor(*to_band(a.T))
+        fa = _lu_factor(*band_from_entries(n, row, col, val))
+        fat = _lu_factor(*band_from_entries(n, col, row, val))
     except SingularSystemError:
         return 0.0
     x = np.random.default_rng(0).standard_normal(n)
@@ -647,8 +619,9 @@ def smallest_singular_value(a):
             return 0.0
         x = z / nz
     # x has converged to the left singular vector of the smallest pair
+    atx = np.bincount(col, weights=val * x[row], minlength=n)
     try:
-        return math.ldexp(float(np.linalg.norm(a.T @ x)), e)
+        return math.ldexp(float(np.linalg.norm(atx)), e)
     except OverflowError as exc:
         raise NumericalFailureError(
             "the smallest singular value exceeds the floating-point range") from exc

@@ -65,22 +65,23 @@ def diagnose(p):
     """Unique-solvability verdict from the spectra of A and -B.
 
     unique iff the smallest pairwise distance between the two spectra
-    exceeds SEP_TOL * max(1, |A|_F + |B|_F).  The comparison is made in
-    units 2**e, e >= 0, in which no entry of A or B exceeds 1, so the norms
-    stay finite; scaling by a power of two is exact.
+    exceeds SEP_TOL * (|A|_F + |B|_F), a bound relative to the input, so the
+    verdict does not depend on its units.  The comparison is made in units
+    2**e in which the largest entry of A or B lies in [0.5, 1), so the norms
+    neither overflow nor underflow; scaling by a power of two is exact.
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
     min_sep = min(abs(la - mu) for la in spec_a for mu in spec_nb)
     big = max(np.max(np.abs(p.a), initial=0.0), np.max(np.abs(p.b), initial=0.0))
-    e = max(0, math.frexp(big)[1])
+    e = math.frexp(big)[1]
     norms = (linalg.frobenius_norm(np.ldexp(p.a, -e))
              + linalg.frobenius_norm(np.ldexp(p.b, -e)))
     return SolvabilityReport(
         spectrum_a=spec_a,
         spectrum_neg_b=spec_nb,
         min_separation=min_sep,
-        unique=math.ldexp(min_sep, -e) > SEP_TOL * max(math.ldexp(1.0, -e), norms),
+        unique=math.ldexp(min_sep, -e) > SEP_TOL * norms,
         sep_tol=SEP_TOL,
     )
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from advectbench import advect, cli, sylvester
+from advectbench import advect, assembly, cli, sylvester
 from advectbench.schemes import Discretization, SignalSpec, builtin_scheme
 
 
@@ -97,6 +97,21 @@ def test_overflowing_march_is_numerical_failure(capsys, coeffs):
                          "--nx", "6", "--nt", "40")
     assert (code, out) == (2, "")
     assert err.startswith("numerical failure: the march overflows at time level 31")
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve-error"])
+@pytest.mark.parametrize("signal", [("--n-lambda", "1e-320"),
+                                    ("--h", "1e300", "--lambda", "1e-10")])
+def test_overflowing_phase_names_the_wavelength(capsys, command, signal):
+    """2*pi/wavelength*(x - c*t) overflows: a usage error naming the
+    wavelength, not warnings and a complaint about the node array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--scheme", "lax", "--nx", "6",
+                             "--nt", "6", *signal)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the phase ")
+    assert "of wavelength " in err
 
 
 def test_implicit_march_overflow_names_its_level(capsys):
@@ -459,6 +474,19 @@ def test_diagnose_crank_nicolson_reports_operator_smallest_singular(capsys):
     assert code == 0
     assert "smallest singular value" in out
     assert "L != 0" in out
+
+
+def test_diagnose_builds_no_dense_operator(capsys, monkeypatch):
+    """sigma_min factors A and A^T straight from the stencil table's
+    entries, so diagnose stays O(N*nx) in memory."""
+    def dense(*args):
+        raise AssertionError("global_operator called")
+
+    monkeypatch.setattr(assembly, "global_operator", dense)
+    code, out, err = run(capsys, "diagnose", "--scheme", "crank-nicolson",
+                         "--nx", "20", "--nt", "20")
+    assert (code, err) == (0, "")
+    assert "smallest singular value of the vectorized operator: " in out
 
 
 def test_diagnose_structural_notes_for_two_level_scheme(capsys):

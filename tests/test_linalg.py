@@ -134,10 +134,23 @@ def test_schur_blocks_walk():
     assert linalg.schur_blocks(np.zeros((0, 0))) == []
 
 
-def test_schur_nonconvergence_reports_iterations():
+def test_schur_of_real_pair_keeps_one_2x2_block():
+    """The form is not standardized: a 2x2 block with real eigenvalues is
+    left as it deflated, and its spectrum read from the block."""
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    f = linalg.schur_decompose(a)
+    assert linalg.schur_blocks(f.t) == [(0, 2)]
+    got = sorted(z.real for z in f.eigenvalues)
+    want = sorted(np.linalg.eigvals(a).real)
+    assert all(z.imag == 0.0 for z in f.eigenvalues)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
+
+
+def test_schur_nonconvergence_reports_iterations(monkeypatch):
+    monkeypatch.setattr(linalg, "SCHUR_SWEEPS_PER_ORDER", 1)
     with pytest.raises(Exception) as info:
-        linalg.schur_decompose(rng(7).uniform(-1, 1, (12, 12)), max_sweeps=1)
-    assert getattr(info.value, "iterations", None) == 1
+        linalg.schur_decompose(rng(7).uniform(-1, 1, (12, 12)))
+    assert getattr(info.value, "iterations", None) == 12  # the cap, 1 * 12
 
 
 def test_schur_of_power_of_two_multiple_is_the_exact_multiple():
@@ -227,9 +240,9 @@ def test_eigenvalues_non_toeplitz_tridiagonal_goes_to_schur(monkeypatch):
     calls = []
     schur = linalg.schur_decompose
 
-    def counted(a, max_sweeps=None):
+    def counted(a):
         calls.append(a.shape)
-        return schur(a, max_sweeps)
+        return schur(a)
 
     monkeypatch.setattr(linalg, "schur_decompose", counted)
     a = _toeplitz(6, 1.0, 0.5, 0.25)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def scheme_problem(s, d):
 def test_diagnose_of_scheme_operators_runs_no_schur(monkeypatch, name):
     """M1 and M2 are tridiagonal Toeplitz (or triangular), so their spectra
     come in closed form."""
-    def no_schur(a, max_sweeps=None):
+    def no_schur(a):
         raise AssertionError("schur_decompose called")
 
     monkeypatch.setattr(linalg, "schur_decompose", no_schur)
@@ -116,6 +117,29 @@ def test_diagnose_bound_does_not_overflow():
     assert r.min_separation == 1.7e308 and r.unique
 
 
+TINY_CRANK_NICOLSON = [2.25e-150, -0.25e-150, 0, -1e-150, -1e-150, 0,
+                       -1e-150, -1e-150, 0]
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES + ("tiny",))
+def test_diagnose_verdict_does_not_depend_on_units(name):
+    """The bound is relative to |A|_F + |B|_F, so 2**k (A, B) gets the
+    verdict of (A, B); with a floor of 1 in the input's units, Crank-Nicolson
+    in units 1e-150 ("tiny") was not unique while the usual one was."""
+    d = disc(nx=6, nt=6)
+    s = (schemes.custom_scheme(TINY_CRANK_NICOLSON) if name == "tiny"
+         else builtin_scheme(name, d))
+    p = scheme_problem(s, d)
+    verdicts = [sylvester.diagnose(sylvester.SylvesterProblem(
+        np.ldexp(p.a, k), np.ldexp(p.b, k), p.c)).unique for k in (-500, 0, 500)]
+    assert len(set(verdicts)) == 1, verdicts
+    if name in ("tiny", "crank-nicolson"):
+        assert verdicts[0]
+    zero = sylvester.SylvesterProblem(np.zeros((3, 3)), np.zeros((2, 2)),
+                                      np.zeros((3, 2)))
+    assert not sylvester.diagnose(zero).unique
+
+
 @pytest.mark.parametrize("a", [[[1.0, "x"]], [[1.0], [1.0, 2.0]]])
 def test_problem_rejects_non_numeric_input(a):
     with pytest.raises(UsageError, match="a must be a numeric array"):
@@ -123,10 +147,10 @@ def test_problem_rejects_non_numeric_input(a):
 
 
 def test_no_function_takes_a_tolerance_argument():
-    """Thresholds are module constants; schur_decompose's max_sweeps cap is
-    the one iteration argument.  SolvabilityReport only records the
-    threshold its verdict used."""
-    knobs = ("tol", "rtol", "sep_tol", "pivot_rtol", "iterations", "seed")
+    """Thresholds and iteration caps are module constants.
+    SolvabilityReport only records the threshold its verdict used."""
+    knobs = ("tol", "rtol", "sep_tol", "pivot_rtol", "iterations", "seed",
+             "max_sweeps")
     found = []
     for mod in (advect, assembly, cli, linalg, schemes, sylvester):
         for name, obj in vars(mod).items():
@@ -208,6 +232,18 @@ def test_kron_oracle_construct_then_recover():
     p = sylvester.SylvesterProblem(a, b, a @ x + x @ b)
     got = sylvester.solve_kron_oracle(p)
     assert np.linalg.norm(got - x) <= 1e-11 * max(1.0, np.linalg.norm(x))
+
+
+def test_overflowing_one_shot_solves_are_numerical_failures():
+    """The band solve divides 1e300 by 1e-10: the overflow is reported as a
+    numerical failure, not leaked as warnings and a non-finite solution."""
+    p = sylvester.SylvesterProblem(1e-10 * np.eye(3), np.zeros((2, 2)),
+                                   np.full((3, 2), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (sylvester.solve_kron_oracle, sylvester.solve_bartels_stewart):
+            with pytest.raises(NumericalFailureError, match="floating-point range"):
+                solve(p)
 
 
 # ----------------------------------------------------------------- min-norm
@@ -412,3 +448,22 @@ def test_error_equation_bartels_stewart_at_60_matches_kron():
                                              method="kron")
     assert (np.linalg.norm(e.values - want.values)
             <= 1e-11 * np.linalg.norm(want.values))
+
+
+def test_error_equation_bartels_stewart_real_m2_spectrum_matches_kron():
+    """alpha * gamma > 0: M2's eigenvalues are real, and its Schur form keeps
+    2x2 blocks with real pairs, each factored as one block system."""
+    d = disc(nx=20, nt=20)
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    s = schemes.custom_scheme([1, 0.5, 0.3, 0.2, 0.1, 0, 0, 0, 0])
+    solver = sylvester.ErrorEquationSolver(s, d, variant="paper",
+                                           method="bartels-stewart")
+    t = linalg.schur_decompose(solver.m2).t
+    assert any(size == 2 and (t[i, i] - t[i + 1, i + 1]) ** 2
+               + 4.0 * t[i, i + 1] * t[i + 1, i] >= 0.0
+               for i, size in linalg.schur_blocks(t))
+    e, _, _ = solver.solve(signal)
+    want, _ = sylvester.solve_error_equation(s, d, signal, variant="paper",
+                                             method="kron")
+    assert (np.linalg.norm(e.values - want.values)
+            <= 1e-10 * np.linalg.norm(want.values))
