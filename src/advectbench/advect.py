@@ -17,13 +17,6 @@ from .errors import NumericalFailureError, UsageError
 from .schemes import Discretization
 
 
-def exact_solution(x, t, c, wavelength):
-    """Advected sinusoid cos(2*pi/wavelength * (x - c*t))."""
-    if not wavelength > 0.0:
-        raise UsageError(f"wavelength must be positive, got {wavelength}")
-    return math.cos(2.0 * math.pi / wavelength * (x - c * t))
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
     """(nx-1) x nt field over the interior grid i = 1..nx-1, n = 1..nt."""

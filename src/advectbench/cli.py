@@ -76,7 +76,8 @@ _FLAGS = {
 }
 _STENCIL_GRID = ("scheme", "coeffs", "nx", "nt", "h", "sigma", "tau", "c")
 
-# a flag of one of these pairs drops the config file's value for the other
+# a flag of one of these pairs drops the config file's value for the other;
+# both given on the command line, or both in the file, is a usage error
 _EXCLUSIVE = (("sigma", "tau"), ("scheme", "coeffs"), ("n_lambda", "wavelength"))
 
 
@@ -135,15 +136,15 @@ def _resolve(args):
     m = _merge(args)
     get = lambda key: m.get(key, _FLAGS[key].default)
     nx, nt, h, c = get("nx"), get("nt"), get("h"), get("c")
-    if "sigma" in m and "tau" in m:
-        raise UsageError("give exactly one of --sigma and --tau")
+    for key, other in _EXCLUSIVE:
+        if key in m and other in m:
+            raise UsageError(f"give exactly one of {_FLAGS[key].flag} "
+                             f"and {_FLAGS[other].flag}")
     if "tau" in m:
         disc = Discretization(nx=nx, nt=nt, h=h, tau=m["tau"], c=c)
     else:
         disc = Discretization.from_cfl(nx=nx, nt=nt, h=h,
                                        sigma=get("sigma"), c=c)
-    if "scheme" in m and "coeffs" in m:
-        raise UsageError("give exactly one of --scheme and --coeffs")
     if "coeffs" in m:
         parts = [p for p in m["coeffs"].replace(",", " ").split() if p]
         try:
@@ -156,8 +157,6 @@ def _resolve(args):
         raise UsageError(
             f"a scheme is required: --scheme {{{','.join(BUILTIN_SCHEMES)}}} "
             "or --coeffs a,b,g,d,e,z,h,t,v")
-    if "n_lambda" in m and "wavelength" in m:
-        raise UsageError("give exactly one of --n-lambda and --lambda")
     if "wavelength" in m:
         signal = SignalSpec.from_wavelength(m["wavelength"], disc)
     else:
@@ -382,11 +381,14 @@ def cmd_diagnose(args):
         print(f"  {_fmt_complex(z)}")
     _print_report(report)
     if s.has_corner_terms:
-        smin = linalg.smallest_singular_value_from_entries(
-            *assembly.operator_entries(s, d, "paper"))
+        try:
+            smin = _fmt(linalg.smallest_singular_value_from_entries(
+                *assembly.operator_entries(s, d, "paper")))
+        except SingularSystemError as exc:
+            smin = f"below the LU pivot threshold ({exc})"
         print("note: L != 0, so uniqueness diagnostics apply to the "
               "vectorized global operator")
-        print(f"smallest singular value of the vectorized operator: {_fmt(smin)}")
+        print(f"smallest singular value of the vectorized operator: {smin}")
     if not s.is_three_level:
         print("note: two-level stencil, so the initial data u_i^0 never "
               "enters the interior columns of M0 in the paper closure")

@@ -40,7 +40,7 @@ SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
 PIVOT_RTOL = 1e-13           # _lu_factor: singular pivot, relative to |A|_F
 THOMAS_PIVOT_RTOL = 1e-14    # tridiag_solve: zero pivot, relative to max |band|
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
-SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value: inverse power steps
+SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
 
 
 def _as_float_array(a, name):
@@ -587,28 +587,17 @@ def kron_vec_operator(a, b):
     return np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
 
 
-def smallest_singular_value(a):
-    """Smallest singular value of a square matrix, from its nonzero entries
-    (see smallest_singular_value_from_entries)."""
-    a = as_matrix(a, "a", square=True)
-    row, col = np.nonzero(a)
-    return smallest_singular_value_from_entries(a.shape[0], row, col, a[row, col])
-
-
 def smallest_singular_value_from_entries(n, row, col, val):
     """Smallest singular value of the n x n matrix with entries
     A[row, col] = val, by inverse power iteration on A^T A.  A and A^T are
     factored in band storage straight from the entries, scaled by a power of
-    two to unit magnitude, so no dense copy is made; returns 0.0 when A is
-    numerically singular for the LU."""
+    two to unit magnitude, so no dense copy is made.  Raises the LU's
+    SingularSystemError when A is numerically singular for it."""
     if n == 0:
         return 0.0
     val, e = _unit_scaled(val)
-    try:
-        fa = _lu_factor(*band_from_entries(n, row, col, val))
-        fat = _lu_factor(*band_from_entries(n, col, row, val))
-    except SingularSystemError:
-        return 0.0
+    fa = _lu_factor(*band_from_entries(n, row, col, val))
+    fat = _lu_factor(*band_from_entries(n, col, row, val))
     x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
     for _ in range(SIGMA_MIN_ITERATIONS):

@@ -70,10 +70,6 @@ class SchemeCoefficients:
         return (self.zeta != 0.0 or self.eta != 0.0
                 or self.theta != 0.0 or self.vartheta != 0.0)
 
-    def scaled(self, factor):
-        """All nine coefficients multiplied by factor (same stencil kernel)."""
-        return SchemeCoefficients(*(factor * v for v in self.as_tuple()))
-
 
 @dataclass(frozen=True)
 class Discretization:

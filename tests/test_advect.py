@@ -29,29 +29,46 @@ def setup(name, d, n_lambda=10.0):
     return s, signal, advect.sample_nodes(d, signal)
 
 
-# ----------------------------------------------------------- exact_solution
+# ----------------------------------------------------------- exact solution
+
+
+def exact(d, signal, i, m):
+    """cos(2*pi/wavelength * (x - c*t)) at node (i, m), the oracle of
+    sample_nodes."""
+    x, t = i * d.h, m * d.tau
+    return math.cos(2.0 * math.pi / signal.wavelength * (x - d.c * t))
 
 
 def test_exact_solution_half_wavelength():
-    assert advect.exact_solution(2.0, 0.0, 1.0, 4.0) == pytest.approx(-1.0)
+    d = disc(h=1.0)
+    nodes = advect.sample_nodes(d, SignalSpec.from_cells_per_wavelength(4.0, d))
+    assert nodes[2, 0] == pytest.approx(-1.0)
 
 
 def test_exact_solution_comoving_point():
-    for t in (0.0, 0.7, 13.2):
-        assert advect.exact_solution(2.0 * t, t, 2.0, 5.0) == pytest.approx(1.0)
+    """At sigma = 1 a node m levels later and m cells downstream sees the
+    same phase."""
+    d = disc(nx=12, nt=6, h=0.5, sigma=1.0, c=2.0)
+    nodes = advect.sample_nodes(d, SignalSpec.from_wavelength(5.0, d))
+    for i in range(d.nx + 1 - d.nt):
+        for m in range(d.nt + 1):
+            assert nodes[i + m, m] == nodes[i, 0]
+    assert nodes[d.nt, d.nt] == pytest.approx(1.0)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
-def test_exact_solution_translation_invariance(x, t, s):
-    a = advect.exact_solution(x, t, 1.5, 3.0)
-    b = advect.exact_solution(x - 1.5 * s, t - s, 1.5, 3.0)
-    assert abs(a - b) <= 1e-13
+@given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+       st.floats(2.0, 20.0))
+def test_exact_solution_translation_invariance(i, m, k, n_lambda):
+    d = disc(nx=20, nt=20, sigma=1.0, c=1.5)
+    nodes = advect.sample_nodes(d, SignalSpec.from_cells_per_wavelength(n_lambda, d))
+    assert abs(nodes[i + k, m + k] - nodes[i, m]) <= 1e-13
 
 
 def test_exact_solution_rejects_bad_wavelength():
-    with pytest.raises(UsageError):
-        advect.exact_solution(0.0, 0.0, 1.0, 0.0)
+    for wavelength in (0.0, -3.0):
+        with pytest.raises(UsageError):
+            SignalSpec.from_wavelength(wavelength, disc())
 
 
 # ------------------------------------------------------------- sample_exact
@@ -71,7 +88,7 @@ def test_sample_exact_range_and_pointwise_oracle():
     assert np.all(np.abs(f.values) <= 1.0)
     for i in range(1, d.nx):
         for n in range(1, d.nt + 1):
-            want = advect.exact_solution(i * d.h, n * d.tau, d.c, signal.wavelength)
+            want = exact(d, signal, i, n)
             assert f.values[i - 1, n - 1] == pytest.approx(want, abs=1e-14)
 
 
@@ -83,7 +100,7 @@ def test_sample_nodes_pointwise_oracle_and_interior():
         assert nodes.shape == (d.nx + 1, d.nt + 1)
         for i in range(d.nx + 1):
             for m in range(d.nt + 1):
-                want = advect.exact_solution(i * d.h, m * d.tau, d.c, signal.wavelength)
+                want = exact(d, signal, i, m)
                 assert nodes[i, m] == pytest.approx(want, abs=1e-14)
         assert np.array_equal(advect.sample_exact(d, signal).values, nodes[1:-1, 1:])
 

@@ -489,6 +489,23 @@ def test_diagnose_builds_no_dense_operator(capsys, monkeypatch):
     assert "smallest singular value of the vectorized operator: " in out
 
 
+def test_diagnose_singular_lu_is_not_a_smallest_singular_value_of_zero(capsys):
+    """At 60^2 the LU of the Crank-Nicolson operator meets a pivot below
+    PIVOT_RTOL; diagnose says so instead of printing sigma_min = 0.0, and
+    30^2, above the threshold, still prints the measured value."""
+    code, out, err = run(capsys, "diagnose", "--scheme", "crank-nicolson",
+                         "--nx", "60", "--nt", "60")
+    assert (code, err) == (0, "")
+    assert ("smallest singular value of the vectorized operator: "
+            "below the LU pivot threshold (pivot ") in out
+    assert not any(line.endswith(": 0.0") for line in out.splitlines())
+    code, out, _ = run(capsys, "diagnose", "--scheme", "crank-nicolson",
+                       "--nx", "30", "--nt", "30")
+    assert code == 0
+    assert ("smallest singular value of the vectorized operator: "
+            "4.838227277276047e-13\n") in out
+
+
 def test_diagnose_structural_notes_for_two_level_scheme(capsys):
     _, out, _ = run(capsys, "diagnose", "--scheme", "lax")
     assert "initial data" in out

@@ -118,13 +118,6 @@ def test_lax_coefficients_scale_as_inverse_time_at_fixed_sigma():
         assert np.allclose(s1, s0 / k, rtol=1e-14, atol=0)
 
 
-def test_scheme_scaled_multiplies_all_coefficients():
-    s = builtin_scheme("crank-nicolson", disc())
-    t = s.scaled(3.0)
-    assert np.allclose(np.array(t.as_tuple()), 3.0 * np.array(s.as_tuple()),
-                       rtol=0, atol=0)
-
-
 def test_discretization_invariants():
     with pytest.raises(UsageError):
         Discretization(nx=2, nt=3, h=1.0, tau=1.0, c=1.0)

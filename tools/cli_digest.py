@@ -85,13 +85,15 @@ def matrix():
              ["simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0", "--nx", "6",
               "--nt", "6", "--out", "field.csv"]]
     # phases 2*pi/wavelength*(x - c*t) that overflow; an M2 with real
-    # eigenvalues (alpha*gamma > 0) for Bartels-Stewart; sigma_min at 60^2
+    # eigenvalues (alpha*gamma > 0) for Bartels-Stewart; sigma_min at 40^2,
+    # just above the LU pivot threshold, and at 60^2, below it
     runs += [["simulate", "--scheme", "lax", "--nx", "6", "--nt", "6",
               "--n-lambda", "1e-320"],
              ["simulate", "--scheme", "lax", "--nx", "6", "--nt", "6",
               "--h", "1e300", "--lambda", "1e-10"],
              ["solve-error", "--coeffs", "1,0.5,0.3,0.2,0.1,0,0,0,0", "--nx", "20",
               "--nt", "20", "--method", "bartels-stewart", "--out", "error.csv"],
+             ["diagnose", "--scheme", "crank-nicolson", "--nx", "40", "--nt", "40"],
              ["diagnose", "--scheme", "crank-nicolson", "--nx", "60", "--nt", "60"]]
     return runs
 
