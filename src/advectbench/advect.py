@@ -75,11 +75,13 @@ def time_step_simulate(s, disc, known):
     """
     nx, nt = disc.nx, disc.nt
     coef_scale = max(abs(v) for v in s.as_tuple())
-    if not s.is_implicit and abs(s.alpha) <= 1e-14 * coef_scale:
+    if not s.is_implicit and abs(s.alpha) <= linalg.THOMAS_PIVOT_RTOL * coef_scale:
         raise NumericalFailureError(
             "explicit update is degenerate: |alpha| is negligible")
 
     u = assembly.check_known(known, disc).copy()
+    bands = (np.full(nx - 2, s.theta), np.full(nx - 1, s.alpha),
+             np.full(nx - 2, s.zeta))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1 if s.is_three_level else 0, nt):
@@ -91,10 +93,7 @@ def time_step_simulate(s, disc, known):
                 if s.is_implicit:
                     rhs[0] -= s.theta * u[0, n + 1]
                     rhs[-1] -= s.zeta * u[nx, n + 1]
-                    m = nx - 1
-                    u[1:nx, n + 1] = linalg.tridiag_solve(
-                        np.full(m - 1, s.theta), np.full(m, s.alpha),
-                        np.full(m - 1, s.zeta), rhs)
+                    u[1:nx, n + 1] = linalg.tridiag_solve(*bands, rhs)
                 else:
                     u[1:nx, n + 1] = rhs / s.alpha
     except (FloatingPointError, NumericalFailureError) as exc:

@@ -16,13 +16,13 @@ columns are time).  Two closure variants are supported:
 Everything known (boundaries i = 0 and i = nx, initial level m = 0, and the
 causal startup level) is folded, negated, into the right-hand side M0.
 
-A variant's equations live in one stencil table (``stencil_table``): flat
-arrays of (equation, node, coefficient, known-flag) terms built by index
-arithmetic.  Every action reads it: M0 sums its known terms and the
-operator's action, in either closure, its unknown terms, both through one
-gather; the vectorized global operator, dense or in band storage, scatters
-its unknown terms.  M1 and M2 remain as matrices for Bartels-Stewart and the
-spectral diagnosis.
+A variant's equations live in one stencil table (``stencil_table``), built
+by index arithmetic and memoized: a pair of (equation, node, coefficient)
+triples, one for the known terms and one for the unknown terms.  Every
+action reads it: M0 sums the known terms and the operator's action, in
+either closure, the unknown terms, both through one gather; the vectorized
+global operator, dense or in band storage, scatters the unknown terms.  M1
+and M2 remain as matrices for Bartels-Stewart and the spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -32,7 +32,6 @@ into M0 are read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,28 +73,14 @@ def check_known(known, disc):
     return known
 
 
-@dataclass(frozen=True)
-class StencilTable:
-    """Every stencil term of one closure variant as flat arrays, sorted by
-    equation and in stencil order within each equation.
-
-    Equation eq sits at row eq % (nx-1), column eq // (nx-1) of the
-    (nx-1) x nt layout (column-major, the vec order).  Each term couples
-    coefficient coef with grid node (i, m); known terms read known[i, m] and
-    move, negated, into M0, the others reference U[i-1, m-1].
-    """
-
-    eq: np.ndarray
-    i: np.ndarray
-    m: np.ndarray
-    coef: np.ndarray
-    known: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
 def stencil_table(s, disc, variant):
-    """The StencilTable of the chosen variant, built by index arithmetic;
-    M0, the operator's action and the global operator all read it.
+    """The variant's stencil terms as a pair of (eq, node, coef) triples,
+    built by index arithmetic: the known terms, which M0 sums, with node the
+    column-major index into the (nx+1) x (nt+1) node array, then the unknown
+    terms, the operator's entries, with node the vec index into U.  Equation
+    eq is U's entry (eq % (nx-1), eq // (nx-1)); each triple is sorted by
+    equation, in stencil order within one equation.
 
     Memoized on (scheme, grid, variant): a sweep reads the same table for
     every signal.  The arrays are shared, so they are read-only."""
@@ -115,43 +100,27 @@ def stencil_table(s, disc, variant):
     cn = np.repeat(centers, rows)[:, None]
     i, m = ci + di, cn + dn
     eq = np.broadcast_to(first_col * rows + np.arange(ci.size)[:, None], i.shape)
+    coef = np.broadcast_to(coef, i.shape)
     keep = m <= nt  # terms beyond the time horizon (paper closure) are absent
-    parts = [(eq[keep], i[keep], m[keep],
-              np.broadcast_to(coef, i.shape)[keep],
-              ((i == 0) | (i == nx) | (m == 0))[keep])]
+    known = keep & ((i == 0) | (i == nx) | (m == 0))
+    unknown = keep & ~known
+    parts = ([(eq[known], m[known] * (nx + 1) + i[known], coef[known])],
+             [(eq[unknown], (m[unknown] - 1) * rows + i[unknown] - 1, coef[unknown])])
     if variant == "causal" and s.is_three_level:
         # cold start: U[i-1, 0] - known[i, 1] = 0 pins level 1 to the known data
-        i = np.repeat(np.arange(1, nx), 2)
-        parts.insert(0, (i - 1, i, np.ones_like(i),
-                         np.tile([1.0, -1.0], rows), np.tile([False, True], rows)))
-    table = StencilTable(*(np.concatenate(cols) for cols in zip(*parts)))
-    for column in vars(table).values():
+        cold = np.arange(rows)
+        parts[0].insert(0, (cold, cold + nx + 2, np.full(rows, -1.0)))
+        parts[1].insert(0, (cold, cold, np.ones(rows)))
+    table = tuple(tuple(np.concatenate(cols) for cols in zip(*part)) for part in parts)
+    for column in table[0] + table[1]:
         column.flags.writeable = False
     return table
 
 
-@functools.lru_cache(maxsize=16)
-def _terms(s, disc, variant, known):
-    """(eq, node, coef) of the table's known terms (known=True) or unknown
-    terms, in table order; node is the vec (column-major) index of the
-    term's node in the node array or in U.  Memoized and read-only like the
-    table."""
-    t = stencil_table(s, disc, variant)
-    k = t.known if known else ~t.known
-    if known:
-        node = t.m[k] * (disc.nx + 1) + t.i[k]
-    else:
-        node = (t.m[k] - 1) * (disc.nx - 1) + t.i[k] - 1
-    terms = (t.eq[k], node, t.coef[k])
-    for column in terms:
-        column.flags.writeable = False
-    return terms
-
-
-def _gather(s, disc, variant, known, values):
-    """Per-equation sums of coef * values[node] over the known or unknown
+def _gather(terms, disc, values):
+    """Per-equation sums of coef * values[node] over (eq, node, coef)
     terms, added in table order, as an (nx-1) x nt matrix."""
-    eq, node, coef = _terms(s, disc, variant, known)
+    eq, node, coef = terms
     shape = (disc.nx - 1, disc.nt)
     sums = np.bincount(eq, weights=coef * values.ravel(order="F")[node],
                        minlength=shape[0] * shape[1])
@@ -162,8 +131,10 @@ def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
     sum of every known term, gathered from the node array."""
     known = check_known(known, disc)
+    # subtracting from fresh zeros, not negating the gather, makes M0 row-major
+    # (np.sum in the residual follows memory order) and keeps -0.0 out of it
     m0 = np.zeros((disc.nx - 1, disc.nt))
-    m0 -= _gather(s, disc, variant, True, known)
+    m0 -= _gather(stencil_table(s, disc, variant)[0], disc, known)
     return m0
 
 
@@ -174,8 +145,10 @@ def apply_operator(s, disc, u, variant="paper"):
     shape = (disc.nx - 1, disc.nt)
     if u.shape != shape:
         raise UsageError(f"field shape {u.shape} does not match {shape}")
+    # adding into fresh zeros gives the result U's memory order, not the
+    # gather's column-major one, and turns any -0.0 into +0.0
     out = np.zeros_like(u)
-    out += _gather(s, disc, variant, False, u)
+    out += _gather(stencil_table(s, disc, variant)[1], disc, u)
     return out
 
 
@@ -194,7 +167,7 @@ def operator_entries(s, disc, variant):
     if size > linalg.MAX_VEC_SIZE:
         raise UsageError(
             f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
-    return (size, *_terms(s, disc, variant, False))
+    return (size, *stencil_table(s, disc, variant)[1])
 
 
 def global_operator(s, disc, variant="paper"):

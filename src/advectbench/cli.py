@@ -251,6 +251,9 @@ def _sweep_norms(summary):
 
 
 def sweep_values(nl_min, nl_max, nl_step):
+    for flag, value in (("min", nl_min), ("max", nl_max), ("step", nl_step)):
+        if not np.isfinite(value):
+            raise UsageError(f"--nl-{flag} must be finite, got {value}")
     if not nl_step > 0.0:
         raise UsageError(f"--nl-step must be positive, got {nl_step}")
     if nl_min > nl_max:
@@ -437,6 +440,9 @@ def main(argv=None):
         return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
     except SingularSystemError as exc:
         print(f"singular system: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advectbench import advect, assembly
+from advectbench import advect, assembly, linalg
 from advectbench.errors import NumericalFailureError, UsageError
 from advectbench.schemes import (Discretization, SignalSpec, builtin_scheme,
                                  custom_scheme)
@@ -151,6 +151,15 @@ def test_simulate_degenerate_explicit_scheme():
     d = disc(nx=4, nt=3)
     with pytest.raises(NumericalFailureError):
         advect.time_step_simulate(s, d, np.ones((d.nx + 1, d.nt + 1)))
+
+
+def test_explicit_degenerate_alpha_uses_the_tridiagonal_pivot_rtol(monkeypatch):
+    """The explicit update and tridiag_solve share THOMAS_PIVOT_RTOL."""
+    monkeypatch.setattr(linalg, "THOMAS_PIVOT_RTOL", 2.0)
+    d = disc(nx=6, nt=6)
+    with pytest.raises(NumericalFailureError, match="degenerate"):
+        advect.time_step_simulate(builtin_scheme("lax", d), d,
+                                  np.ones((d.nx + 1, d.nt + 1)))
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)

@@ -140,20 +140,18 @@ def test_gather_matches_ufunc_at_reference_byte_for_byte():
     for s, d, known, fields in gather_cases():
         rows = d.nx - 1
         for variant in assembly.VARIANTS:
-            t = assembly.stencil_table(s, d, variant)
-            k = t.known
+            eq, node, coef = assembly.stencil_table(s, d, variant)[0]
             want = np.zeros((rows, d.nt))
-            np.subtract.at(want, (t.eq[k] % rows, t.eq[k] // rows),
-                           t.coef[k] * known[t.i[k], t.m[k]])
+            np.subtract.at(want, (eq % rows, eq // rows),
+                           coef * known.ravel(order="F")[node])
             got = assembly.build_m0(s, d, known, variant)
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes(), (s, d, variant)
-        t = assembly.stencil_table(s, d, "causal")
-        k = ~t.known
+        eq, node, coef = assembly.stencil_table(s, d, "causal")[1]
         for u in fields:
             want = np.zeros_like(u)
-            np.add.at(want, (t.eq[k] % rows, t.eq[k] // rows),
-                      t.coef[k] * u[t.i[k] - 1, t.m[k] - 1])
+            np.add.at(want, (eq % rows, eq // rows),
+                      coef * u.ravel(order="F")[node])
             got = assembly.apply_operator(s, d, u, "causal")
             assert got.flags.f_contiguous == want.flags.f_contiguous
             assert got.tobytes() == want.tobytes(), (s, d)
@@ -359,9 +357,12 @@ def test_stencil_table_is_memoized_and_read_only():
                                   Discretization.from_cfl(nx=7, nt=5, h=1.0,
                                                           sigma=0.8, c=1.0),
                                   "causal") is t
-    for column in (t.eq, t.i, t.m, t.coef, t.known):
+    for column in t[0] + t[1]:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
+    # the action, both global operators and sigma_min read this one copy
+    _, *entries = assembly.operator_entries(s, d, "causal")
+    assert len(entries) == 3 and all(a is b for a, b in zip(entries, t[1]))
 
 
 def test_residual_of_zero_field_is_minus_m0():
@@ -417,23 +418,30 @@ def test_stencil_matrix_consistency_all_schemes_both_variants():
 def test_stencil_table_order_and_cold_start():
     d = Discretization.from_cfl(nx=5, nt=4, h=1.0, sigma=0.8, c=1.0)
     s = builtin_scheme("leapfrog", d)  # alpha, gamma, delta, epsilon
-    t = assembly.stencil_table(s, d, "causal")
-    assert np.all(np.diff(t.eq) >= 0)
+    known, unknown = assembly.stencil_table(s, d, "causal")
+    rows = d.nx - 1
+    for eq, _, _ in (known, unknown):
+        assert np.all(np.diff(eq) >= 0)
     # cold start: equation i-1 is U[i-1, 0] - known[i, 1]
-    assert t.eq[:2].tolist() == [0, 0]
-    assert t.coef[:2].tolist() == [1.0, -1.0]
-    assert t.known[:2].tolist() == [False, True]
-    # first centered equation (i=1, n=1) produces column 1, stencil order
-    first = t.eq == d.nx - 1
-    assert t.coef[first].tolist() == [s.alpha, s.gamma, s.delta, s.epsilon]
-    assert t.i[first].tolist() == [1, 1, 2, 0]
-    assert t.m[first].tolist() == [2, 0, 1, 1]
-    assert t.known[first].tolist() == [False, True, False, True]
+    assert [a[0] for a in unknown] == [0, 0, 1.0]  # U[0, 0]
+    assert [a[0] for a in known] == [0, d.nx + 2, -1.0]  # known[1, 1]
+    # first centered equation (i=1, n=1) produces column 1, stencil order:
+    # alpha U[0, 1], delta U[1, 0]; gamma known[1, 0], epsilon known[0, 1]
+    eq, node, coef = unknown
+    first = eq == rows
+    assert coef[first].tolist() == [s.alpha, s.delta]
+    assert node[first].tolist() == [rows, 1]
+    eq, node, coef = known
+    first = eq == rows
+    assert coef[first].tolist() == [s.gamma, s.epsilon]
+    assert node[first].tolist() == [1, d.nx + 1]
     # paper closure: the last column drops the beyond-horizon alpha term
-    p = assembly.stencil_table(s, d, "paper")
-    assert p.eq.max() == (d.nx - 1) * d.nt - 1
-    assert np.all(p.m <= d.nt)
-    assert np.sum(p.eq == p.eq.max()) == 3
+    known, unknown = assembly.stencil_table(s, d, "paper")
+    last = rows * d.nt - 1
+    assert max(known[0].max(), unknown[0].max()) == last
+    assert known[1].max() < (d.nx + 1) * (d.nt + 1)
+    assert unknown[1].max() < rows * d.nt
+    assert np.sum(known[0] == last) + np.sum(unknown[0] == last) == 3
 
 
 def test_stencil_matrix_consistency_against_stencil_residual_at():

@@ -350,6 +350,33 @@ def test_sweep_bad_range_exits_before_building_the_solver(capsys, monkeypatch):
         assert err.startswith("error: "), bad
 
 
+@pytest.mark.parametrize("flag,value", [("--nl-max", "inf"), ("--nl-min", "nan"),
+                                        ("--nl-step", "inf")])
+def test_sweep_bound_that_is_not_finite_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "sweep", "--scheme", "lax", "--nx", "6", "--nt", "6",
+                         flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be finite, got {value}\n"
+
+
+def test_sweep_bound_from_config_file_must_be_finite(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = lax\nnx = 6\nnt = 6\nnl_max = inf\n")
+    code, _, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, err) == (1, "error: --nl-max must be finite, got inf\n")
+
+
+def test_out_of_memory_is_exit_1_without_traceback(capsys, monkeypatch):
+    # a real allocation failure depends on the kernel's overcommit setting
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    monkeypatch.setattr(advect, "sample_nodes", no_memory)
+    code, out, err = run(capsys, "simulate", "--scheme", "lax", "--nx", "6",
+                         "--nt", "6")
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory (Unable to allocate 7.28 TiB)\n"
+
+
 def test_sweep_columns_and_row_format():
     assert cli.SWEEP_COLUMNS == (
         "n_lambda",

@@ -66,8 +66,11 @@ def matrix():
     runs.append(["simulate", *odd, "--lambda", "7.5", "--out", "field.csv"])
     runs += [["solve-error", *odd, "--lambda", "7.5", "--variant", variant,
               "--method", "kron", "--out", "error.csv"] for variant in VARIANTS]
-    # usage errors: bad sweep range, exclusive pair, unknown scheme
+    # usage errors: bad sweep range, sweep bounds that are not finite,
+    # exclusive pair, unknown scheme
     runs += [["sweep", "--scheme", "lax", "--nl-min", "9", "--nl-max", "4"],
+             ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "inf"],
+             ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-step", "inf"],
              ["simulate", "--scheme", "lax", "--sigma", "0.5", "--tau", "0.5"],
              ["diagnose", "--scheme", "upwind"]]
     # an implicit stencil whose level matrix tridiag(1, 0, 1) needs row
