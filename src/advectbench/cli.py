@@ -258,7 +258,11 @@ def sweep_values(nl_min, nl_max, nl_step):
         raise UsageError(f"--nl-step must be positive, got {nl_step}")
     if nl_min > nl_max:
         raise UsageError(f"empty sweep range: {nl_min} > {nl_max}")
-    count = int(np.floor((nl_max - nl_min) / nl_step + 1e-9))
+    steps = (nl_max - nl_min) / nl_step + 1e-9
+    if not np.isfinite(steps):
+        raise UsageError(f"--nl-step {nl_step:g} is too small for the range "
+                         f"[{nl_min:g}, {nl_max:g}]: the step count is not finite")
+    count = int(np.floor(steps))
     return [nl_min + k * nl_step for k in range(count + 1)]
 
 

@@ -332,6 +332,13 @@ def _dense_view(ab, kl):
                       strides=(step, (width - 1) * step))
 
 
+def _pivot_failure(pivot, thresh, e, column):
+    """The SingularSystemError of a pivot at most thresh, both in units
+    2**e."""
+    return SingularSystemError(f"pivot {math.ldexp(abs(pivot), e):.3e} below "
+                               f"{math.ldexp(thresh, e):.3e} at column {column}")
+
+
 def _lu_factor(ab, kl):
     """Band LU with partial pivoting of the matrix stored in (ab, kl).
 
@@ -353,9 +360,7 @@ def _lu_factor(ab, kl):
         r1, c1 = min(n, k + kl + 1), min(n, k + width - kl)
         p = k + int(np.argmax(np.abs(d[k:r1, k])))
         if abs(d[p, k]) <= thresh:
-            raise SingularSystemError(
-                f"pivot {math.ldexp(abs(d[p, k]), e):.3e} below "
-                f"{math.ldexp(thresh, e):.3e} at column {k}")
+            raise _pivot_failure(d[p, k], thresh, e, k)
         if p != k:
             row = d[k, k:c1].copy()
             d[k, k:c1] = d[p, k:c1]
@@ -422,10 +427,52 @@ def gauss_solve(a, b):
     return _lu_solve(*_lu_factor(*to_band(a)), barr)
 
 
+def _tridiag_factor(sub, diag, sup):
+    """Gaussian elimination with partial pivoting on the tridiagonal matrix
+    with bands sub, diag, sup (sequences of floats), as LAPACK's gttrf does
+    it: rows i and i+1 are exchanged when |sub[i]| exceeds the pivot, which
+    gives U a second superdiagonal.  Returns lists (d, du, du2, w, swap):
+    U's diagonal (the pivots) and two superdiagonals, and each step's
+    multiplier and exchange.  A zero pivot is left for the caller to
+    reject; it is never divided by."""
+    d, du, du2 = list(diag), list(sup) + [0.0], [0.0] * len(diag)
+    w, swap = [], []
+    for i, lo in enumerate(sub):
+        swap.append(abs(lo) > abs(d[i]))
+        if swap[i]:  # exchange rows i and i+1
+            w.append(d[i] / lo)
+            d[i], d[i + 1], du[i], du2[i], du[i + 1] = (
+                lo, du[i] - w[i] * d[i + 1], d[i + 1], du[i + 1], -w[i] * du[i + 1])
+        else:
+            w.append(lo / d[i] if d[i] else 0.0)
+            d[i + 1] -= w[i] * du[i]
+    return d, du, du2, w, swap
+
+
+def _tridiag_lu_solve(factors, rhs):
+    """Solve with the factors of _tridiag_factor; rhs is a sequence of
+    floats and the solution a list of Python floats, which are not checked
+    to be finite."""
+    d, du, du2, w, swap = factors
+    x = list(rhs)
+    for i, (wi, exchanged) in enumerate(zip(w, swap)):
+        if exchanged:
+            x[i], x[i + 1] = x[i + 1], x[i] - wi * x[i + 1]
+        else:
+            x[i + 1] -= wi * x[i]
+    n = len(x)
+    x[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        r = x[i] - du[i] * x[i + 1]
+        if du2[i]:
+            r -= du2[i] * x[i + 2]
+        x[i] = r / d[i]
+    return x
+
+
 def tridiag_solve(sub, diag, sup, rhs):
-    """Gaussian elimination with partial pivoting on a tridiagonal system,
-    as LAPACK's gtsv does it: rows i and i+1 are exchanged when |sub[i]|
-    exceeds the pivot, which gives U a second superdiagonal.
+    """Gaussian elimination with partial pivoting on a tridiagonal system
+    (see _tridiag_factor).
 
     sub and sup have length n-1 (below / above the main diagonal).  Raises
     SingularSystemError for a pivot at most THOMAS_PIVOT_RTOL * max |band|
@@ -443,30 +490,12 @@ def tridiag_solve(sub, diag, sup, rhs):
     scale = max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0),
                 np.max(np.abs(sup), initial=0.0))
     thresh = THOMAS_PIVOT_RTOL * max(scale, 1e-300)
-    # Python floats: U's diagonal, first and second superdiagonals, and x
-    d, du, du2, x = diag.tolist(), sup.tolist() + [0.0], [0.0] * n, rhs.tolist()
-    for i, lo in enumerate(sub.tolist()):
-        if max(abs(lo), abs(d[i])) <= thresh:
+    factors = _tridiag_factor(sub.tolist(), diag.tolist(), sup.tolist())
+    for i, pivot in enumerate(factors[0]):
+        if abs(pivot) <= thresh:
             raise SingularSystemError(f"zero pivot at row {i}")
-        if abs(lo) > abs(d[i]):  # exchange rows i and i+1
-            w = d[i] / lo
-            d[i], d[i + 1], du[i], du2[i], du[i + 1] = (
-                lo, du[i] - w * d[i + 1], d[i + 1], du[i + 1], -w * du[i + 1])
-            x[i], x[i + 1] = x[i + 1], x[i] - w * x[i + 1]
-        else:
-            w = lo / d[i]
-            d[i + 1] -= w * du[i]
-            x[i + 1] -= w * x[i]
-    if abs(d[n - 1]) <= thresh:
-        raise SingularSystemError(f"zero pivot at row {n - 1}")
-    x[n - 1] /= d[n - 1]
-    for i in range(n - 2, -1, -1):
-        r = x[i] - du[i] * x[i + 1]
-        if du2[i]:
-            r -= du2[i] * x[i + 2]
-        x[i] = r / d[i]
-    x = np.array(x)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(d))):
+    x = np.array(_tridiag_lu_solve(factors, rhs.tolist()))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(factors[0]))):
         raise NumericalFailureError("the solution exceeds the floating-point range")
     return x
 

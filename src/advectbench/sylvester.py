@@ -4,12 +4,15 @@ equation built on it.
 Three methods are provided, each a private object that factors once and
 solves many right-hand sides: Bartels-Stewart in its Hessenberg-Schur
 form (A reduced to Hessenberg form, one real Schur form of B), Gaussian
-elimination on the vectorized operator in band storage (the
-oracle), and minimum-norm least squares through a complete orthogonal
-decomposition for singular or inconsistent systems.  The error-equation
-solver vectorizes every closure variant with the global operator (kron
-takes it in band storage, built straight from the stencil table); the
-one-shot solvers for A X + X B = C use the Kronecker operator.  Unique
+elimination on the vectorized operator (the oracle), and minimum-norm
+least squares through a complete orthogonal decomposition for singular or
+inconsistent systems.  The error-equation solver vectorizes every closure
+variant with the global operator.  kron reads it from the stencil table:
+when it is block triangular in time (every causal closure, and the paper
+closure of a two-level stencil) the elimination is block substitution,
+one diagonal or tridiagonal block per time column, and otherwise band LU
+on the operator in band storage.  The one-shot solvers for A X + X B = C
+use the Kronecker operator.  Unique
 solvability is diagnosed from the spectra of A and -B: the equation has one
 solution iff they are disjoint, to the relative distance SEP_TOL.  Like the
 linalg thresholds, SEP_TOL is a module constant, not an argument.
@@ -136,6 +139,94 @@ class _KronLU:
         return linalg.unvec(x, *c.shape)
 
 
+def _diagonal_block(bands, e, thresh, column):
+    """The solve r -> D^{-1} r with the diagonal block D given by its bands
+    (bands[1 + c - r, r] = D[r, c]): a division when D is diagonal, else
+    the factors of a pivoted tridiagonal elimination.  Raises
+    SingularSystemError, as _lu_factor does, when a pivot of D scaled by
+    2**-e is at most thresh; column is D's first column in K."""
+    scaled = np.ldexp(bands, -e)
+    diagonal = not (bands[0].any() or bands[2].any())
+    if diagonal:
+        pivots = scaled[1]
+    else:
+        factors = linalg._tridiag_factor(scaled[0, 1:].tolist(), scaled[1].tolist(),
+                                          scaled[2, :-1].tolist())
+        pivots = factors[0]
+    small = np.flatnonzero(np.abs(pivots) <= thresh)
+    if small.size:
+        k = int(small[0])
+        raise linalg._pivot_failure(pivots[k], thresh, e, column + k)
+    if diagonal:
+        return lambda r, d=bands[1].copy(): r / d
+    try:
+        with np.errstate(over="raise"):
+            upper = [np.ldexp(f, e).tolist() for f in factors[:3]]
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            "the LU factors exceed the floating-point range") from exc
+    factors = (*upper, *factors[3:])
+    return lambda r: linalg._tridiag_lu_solve(factors, r.tolist())
+
+
+class _BlockSubstitution:
+    """Block substitution on a vectorized operator K that is block
+    triangular in time, given by its (eq, node, coef) entries sorted by
+    equation.  Column j of U solves K's diagonal block D_j, which is
+    diagonal or tridiagonal, after the terms of the columns already solved
+    are subtracted: first column to last when K is block lower triangular
+    (forward), last to first when it is block upper triangular.  K is
+    singular, as for _KronLU, when a pivot of a D_j, on K scaled by a power
+    of two to unit magnitude, is at most PIVOT_RTOL * |K|_F; the verdict is
+    taken once per distinct diagonal block, in column order."""
+
+    def __init__(self, terms, rows, nt, forward):
+        eq, node, coef = terms
+        scaled, e = linalg._unit_scaled(coef)
+        thresh = linalg.PIVOT_RTOL * max(linalg.frobenius_norm(scaled[None]), 1e-300)
+        col, r = np.divmod(eq, rows)
+        c = node - col * rows  # node's row when it lies in column col
+        inside = (c >= 0) & (c < rows)
+        bands = np.zeros((nt, 3, rows))  # bands[j, 1 + c - r, r] = D_j[r, c]
+        bands[col[inside], 1 + c[inside] - r[inside], r[inside]] = coef[inside]
+        off = ~inside  # terms of the columns already solved
+        starts = np.searchsorted(col[off], np.arange(1, nt))
+        solved = zip(*(np.split(a[off], starts) for a in (r, node, coef)))
+        blocks, self._steps = {}, []
+        for j, (band, terms_j) in enumerate(zip(bands, solved)):
+            key = band.tobytes()
+            if key not in blocks:
+                blocks[key] = _diagonal_block(band, e, thresh, j * rows)
+            self._steps.append((slice(j * rows, (j + 1) * rows), *terms_j, blocks[key]))
+        if not forward:
+            self._steps.reverse()
+
+    def solve(self, c):
+        rhs = linalg.vec(c)
+        x = np.zeros(rhs.size)
+        for cols, eq, node, coef, block in self._steps:
+            r = rhs[cols]
+            if eq.size:
+                r = r - np.bincount(eq, weights=coef * x[node], minlength=r.size)
+            x[cols] = block(r)
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailureError("the solution exceeds the floating-point range")
+        return linalg.unvec(x, *c.shape)
+
+
+def _kron_factorization(scheme, disc, variant):
+    """kron's elimination on the variant's vectorized operator K: block
+    substitution when K is block triangular in time, read off the stencil
+    table's unknown terms, else band LU."""
+    terms = assembly.stencil_table(scheme, disc, variant)[1]
+    rows = disc.nx - 1
+    eq_col, node_col = terms[0] // rows, terms[1] // rows
+    lower = bool(np.all(node_col <= eq_col))
+    if lower or np.all(node_col >= eq_col):
+        return _BlockSubstitution(terms, rows, disc.nt, forward=lower)
+    return _KronLU(*assembly.band_operator(scheme, disc, variant))
+
+
 class _MinNormCOD:
     """Complete orthogonal decomposition of a vectorized operator K; solve(C)
     is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is the
@@ -186,12 +277,15 @@ class ErrorEquationSolver:
     corner coefficients); M1 is tridiagonal, hence already Hessenberg, so it
     computes one real Schur form, of M2, and factors one band system of
     nx-1 or 2(nx-1) unknowns per 1x1/2x2 diagonal block of it, with at most
-    3 diagonals below and above.  kron factors the variant's vectorized
-    global operator by band LU (in the paper closure at most nx diagonals
-    below and nx-1 above; the causal operator is lower triangular with at
-    most 2*nx-1 below), and min-norm factors the dense operator by complete
-    orthogonal decomposition (``factorization.rank`` is then the numerical
-    rank).
+    3 diagonals below and above.  kron eliminates on the variant's
+    vectorized global operator.  The causal operator is block lower
+    triangular in time, and the paper operator of a two-level stencil block
+    upper bidiagonal, so kron solves them by block substitution, with one
+    diagonal block (alpha*I, tridiag(theta, alpha, zeta) or M1) per time
+    column, and builds no band storage; it factors the other paper
+    operators by band LU (at most nx diagonals below and nx-1 above).
+    min-norm factors the dense operator by complete orthogonal
+    decomposition (``factorization.rank`` is then the numerical rank).
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm"):
@@ -224,8 +318,7 @@ class ErrorEquationSolver:
         if method == "bartels-stewart":
             self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
         elif method == "kron":
-            self.factorization = _KronLU(
-                *assembly.band_operator(scheme, disc, variant))
+            self.factorization = _kron_factorization(scheme, disc, variant)
         else:
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))

@@ -137,6 +137,40 @@ def test_implicit_march_exchanges_rows(capsys):
     assert abs(sim - mtx) <= 1e-14 * sim
 
 
+def test_causal_kron_runs_past_the_operator_size_guard(capsys):
+    """N = 22350 exceeds MAX_VEC_SIZE, which guards band and dense storage;
+    block substitution builds neither, so causal kron solves and matches the
+    march to criterion 5's tolerance, while paper kron still stops."""
+    stencil = ("--scheme", "leapfrog", "--nx", "150", "--nt", "150")
+    code, sim_out, err = run(capsys, "simulate", *stencil)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "solve-error", *stencil, "--variant", "causal",
+                         "--method", "kron")
+    assert (code, err) == (0, "")
+    sim = float(sim_out.split("frob=")[1].split()[0])
+    mtx = float(out.split("frob=")[1].split()[0])
+    assert abs(sim - mtx) <= 1e-11 * sim
+    code, out, err = run(capsys, "solve-error", *stencil, "--method", "kron")
+    assert (code, out) == (1, "")
+    assert "exceeds limit 20000" in err
+
+
+def test_causal_kron_follows_the_march_where_band_lu_pivots_across_time(capsys):
+    """alpha = 0.05 makes the march amplify fast (|E| is about 7e17 at 9^2).
+    Band LU with partial pivoting took its pivots from later time columns
+    and met one below PIVOT_RTOL at column 70; block substitution pivots
+    only within each time column, as the march does, and agrees with it."""
+    stencil = ("--coeffs", "0.05,0.5,0,0.1,-0.8,0,0,0.4,0", "--nx", "9", "--nt", "9")
+    code, sim_out, err = run(capsys, "simulate", *stencil)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "solve-error", *stencil, "--variant", "causal",
+                         "--method", "kron")
+    assert (code, err) == (0, "")
+    sim = float(sim_out.split("frob=")[1].split()[0])
+    mtx = float(out.split("frob=")[1].split()[0])
+    assert abs(sim - mtx) <= 1e-11 * sim
+
+
 def test_huge_finite_error_prints_finite_norms(capsys):
     # the field reaches 1e200: finite, but its squares overflow
     with warnings.catch_warnings():
@@ -357,6 +391,15 @@ def test_sweep_bound_that_is_not_finite_is_usage_error(capsys, flag, value):
                          flag, value)
     assert (code, out) == (1, "")
     assert err == f"error: {flag} must be finite, got {value}\n"
+
+
+def test_sweep_step_count_that_is_not_finite_is_usage_error(capsys):
+    """(1e300 - 4) / 1e-300 overflows: the step count is not an integer."""
+    code, out, err = run(capsys, "sweep", "--scheme", "lax", "--nx", "6", "--nt", "6",
+                         "--nl-max", "1e300", "--nl-step", "1e-300")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --nl-step 1e-300 ")
+    assert "not finite" in err
 
 
 def test_sweep_bound_from_config_file_must_be_finite(tmp_path, capsys):

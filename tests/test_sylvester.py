@@ -420,8 +420,9 @@ def test_shape_validation():
 
 @pytest.mark.parametrize("name", ["leapfrog", "lax"])
 def test_error_equation_causal_kron_at_60_matches_simulator(name):
-    """N = 3540: the band LU makes kron on the causal closure a routine
-    solve at refinement-study sizes; criterion 5's tolerance holds there."""
+    """N = 3540: block substitution makes kron on the causal closure a
+    routine solve at refinement-study sizes; criterion 5's tolerance holds
+    there."""
     d = disc(nx=60, nt=60, sigma=0.8)
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
     s = builtin_scheme(name, d)
@@ -431,6 +432,55 @@ def test_error_equation_causal_kron_at_60_matches_simulator(name):
     want = u.values - advect.sample_exact(d, signal).values
     assert (np.linalg.norm(e.values - want)
             <= 1e-11 * max(1.0, np.linalg.norm(want))), name
+
+
+CORNER = (1, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02)
+
+
+@pytest.mark.parametrize("variant, name, n, rtol", [
+    *[("causal", name, n, 1e-13) for name in (*ALL_SCHEMES, "corner") for n in (20, 30)],
+    ("paper", "lax", 9, 1e-12), ("paper", "lax", 11, 1e-12),
+    ("paper", "lax-wendroff", 10, 1e-12)])
+def test_block_substitution_matches_band_lu(variant, name, n, rtol):
+    """The causal closure is block lower triangular in time and a two-level
+    paper closure block upper bidiagonal: kron solves both by block
+    substitution, which agrees with band LU on the same right-hand side."""
+    d = disc(nx=n, nt=n)
+    s = (schemes.custom_scheme(CORNER) if name == "corner"
+         else builtin_scheme(name, d))
+    fac = sylvester.ErrorEquationSolver(s, d, variant=variant,
+                                        method="kron").factorization
+    assert isinstance(fac, sylvester._BlockSubstitution)
+    c = rng(n).uniform(-1, 1, (n - 1, n))
+    want = sylvester._KronLU(*assembly.band_operator(s, d, variant)).solve(c)
+    assert np.linalg.norm(fac.solve(c) - want) <= rtol * np.linalg.norm(want)
+
+
+def test_block_substitution_rejects_singular_diagonal_block():
+    """Lax at even nx: M1, the diagonal block of the paper closure, has odd
+    order and a zero diagonal, so the verdict is band LU's."""
+    d = disc(nx=10, nt=10)
+    with pytest.raises(SingularSystemError, match=r"^pivot .* below .* at column \d+$"):
+        sylvester.ErrorEquationSolver(builtin_scheme("lax", d), d,
+                                      variant="paper", method="kron")
+
+
+def test_causal_kron_builds_no_band_storage(monkeypatch):
+    """Block substitution reads the stencil table; only the three-level
+    paper closures still take band LU."""
+    def band(*args):
+        raise AssertionError("band storage built")
+    monkeypatch.setattr(linalg, "band_from_entries", band)
+    monkeypatch.setattr(linalg, "_lu_factor", band)
+    d = disc()
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    for s in (*(builtin_scheme(name, d) for name in ALL_SCHEMES),
+              schemes.custom_scheme(CORNER)):
+        sylvester.ErrorEquationSolver(s, d, variant="causal",
+                                      method="kron").solve(signal)
+    with pytest.raises(AssertionError, match="band storage built"):
+        sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
+                                      variant="paper", method="kron")
 
 
 def test_error_equation_bartels_stewart_at_60_matches_kron():

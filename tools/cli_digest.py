@@ -66,11 +66,13 @@ def matrix():
     runs.append(["simulate", *odd, "--lambda", "7.5", "--out", "field.csv"])
     runs += [["solve-error", *odd, "--lambda", "7.5", "--variant", variant,
               "--method", "kron", "--out", "error.csv"] for variant in VARIANTS]
-    # usage errors: bad sweep range, sweep bounds that are not finite,
-    # exclusive pair, unknown scheme
+    # usage errors: bad sweep range, sweep bounds or a step count that are
+    # not finite, exclusive pair, unknown scheme
     runs += [["sweep", "--scheme", "lax", "--nl-min", "9", "--nl-max", "4"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "inf"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-step", "inf"],
+             ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "1e300",
+              "--nl-step", "1e-300"],
              ["simulate", "--scheme", "lax", "--sigma", "0.5", "--tau", "0.5"],
              ["diagnose", "--scheme", "upwind"]]
     # an implicit stencil whose level matrix tridiag(1, 0, 1) needs row
@@ -98,6 +100,9 @@ def matrix():
               "--nt", "20", "--method", "bartels-stewart", "--out", "error.csv"],
              ["diagnose", "--scheme", "crank-nicolson", "--nx", "40", "--nt", "40"],
              ["diagnose", "--scheme", "crank-nicolson", "--nx", "60", "--nt", "60"]]
+    # causal kron past MAX_VEC_SIZE, which guards only band and dense storage
+    runs.append(["solve-error", "--scheme", "leapfrog", "--nx", "150", "--nt", "150",
+                 "--variant", "causal", "--method", "kron"])
     return runs
 
 
