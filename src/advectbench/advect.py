@@ -66,22 +66,22 @@ def time_step_simulate(s, disc, known):
     """March the stencil causally and return the interior field.
 
     ``known`` is a node array as ``sample_nodes`` returns it.  Level n+1
-    solves the stencil centered at n for all interior i at once: an explicit
-    divide by alpha when zeta = theta = 0, otherwise one tridiagonal solve
-    per step with bands (theta, alpha, zeta).  The march overwrites the
+    solves the stencil centered at n for all interior i at once, with the
+    level matrix tridiag(theta, alpha, zeta), factored once per march (a
+    division by alpha when zeta = theta = 0).  The march overwrites the
     interior of a copy of ``known``, so only level 0, the boundaries and,
     for three-level stencils, level 1 are read from it.  A level that
     overflows raises ``NumericalFailureError`` naming it.
     """
     nx, nt = disc.nx, disc.nt
     coef_scale = max(abs(v) for v in s.as_tuple())
-    if not s.is_implicit and abs(s.alpha) <= linalg.THOMAS_PIVOT_RTOL * coef_scale:
+    if not s.is_implicit and abs(s.alpha) <= linalg.PIVOT_RTOL * coef_scale:
         raise NumericalFailureError(
             "explicit update is degenerate: |alpha| is negligible")
 
     u = assembly.check_known(known, disc).copy()
-    bands = (np.full(nx - 2, s.theta), np.full(nx - 1, s.alpha),
-             np.full(nx - 2, s.zeta))
+    solve = linalg.tridiag_factor(np.full(nx - 2, s.theta), np.full(nx - 1, s.alpha),
+                                  np.full(nx - 2, s.zeta))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1 if s.is_three_level else 0, nt):
@@ -90,12 +90,9 @@ def time_step_simulate(s, disc, known):
                 if s.is_three_level:
                     rhs -= (s.gamma * u[1:nx, n - 1] + s.eta * u[:nx - 1, n - 1]
                             + s.vartheta * u[2:, n - 1])
-                if s.is_implicit:
-                    rhs[0] -= s.theta * u[0, n + 1]
-                    rhs[-1] -= s.zeta * u[nx, n + 1]
-                    u[1:nx, n + 1] = linalg.tridiag_solve(*bands, rhs)
-                else:
-                    u[1:nx, n + 1] = rhs / s.alpha
+                rhs[0] -= s.theta * u[0, n + 1]
+                rhs[-1] -= s.zeta * u[nx, n + 1]
+                u[1:nx, n + 1] = solve(rhs)
     except (FloatingPointError, NumericalFailureError) as exc:
         raise NumericalFailureError(
             f"the march overflows at time level {n + 1}: {exc}") from exc

@@ -263,7 +263,10 @@ def sweep_values(nl_min, nl_max, nl_step):
         raise UsageError(f"--nl-step {nl_step:g} is too small for the range "
                          f"[{nl_min:g}, {nl_max:g}]: the step count is not finite")
     count = int(np.floor(steps))
-    return [nl_min + k * nl_step for k in range(count + 1)]
+    try:
+        return (nl_min + np.arange(count + 1) * nl_step).tolist()
+    except ValueError as exc:  # a count numpy cannot even size
+        raise MemoryError(exc) from exc
 
 
 def run_sweep(cfg):

@@ -12,13 +12,14 @@ an oracle for matrix equations.
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
 kernel takes only its operands: DEFLATION_RTOL (Schur deflation),
-SCHUR_SWEEPS_PER_ORDER (Schur iteration cap), PIVOT_RTOL (band LU pivots),
-THOMAS_PIVOT_RTOL (tridiagonal pivots), RANK_RTOL (COD numerical rank) and
-SIGMA_MIN_ITERATIONS (inverse power iteration).  Schur, COD, band LU and
-the smallest singular value work on their input scaled by a power of two
-to unit magnitude, which is exact, so finite entries whose squares or
-products overflow still factor.  The public solves raise
-NumericalFailureError rather than return a solution that overflows.
+SCHUR_SWEEPS_PER_ORDER (Schur iteration cap), PIVOT_RTOL (every pivot,
+band LU's and the tridiagonal elimination's alike), RANK_RTOL (COD
+numerical rank) and SIGMA_MIN_ITERATIONS (inverse power iteration).
+Schur, COD, both eliminations and the smallest singular value work on
+their input scaled by a power of two to unit magnitude, which is exact, so
+finite entries whose squares or products overflow still factor.  The
+public solves raise NumericalFailureError rather than return a solution
+that overflows.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ MAX_VEC_SIZE = 20000
 # Numerical thresholds, each read by the one kernel named beside it.
 DEFLATION_RTOL = 1e-14       # schur_decompose: negligible subdiagonal entry
 SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
-PIVOT_RTOL = 1e-13           # _lu_factor: singular pivot, relative to |A|_F
-THOMAS_PIVOT_RTOL = 1e-14    # tridiag_solve: zero pivot, relative to max |band|
+PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative to |A|_F
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
 
@@ -427,77 +427,96 @@ def gauss_solve(a, b):
     return _lu_solve(*_lu_factor(*to_band(a)), barr)
 
 
-def _tridiag_factor(sub, diag, sup):
-    """Gaussian elimination with partial pivoting on the tridiagonal matrix
-    with bands sub, diag, sup (sequences of floats), as LAPACK's gttrf does
-    it: rows i and i+1 are exchanged when |sub[i]| exceeds the pivot, which
-    gives U a second superdiagonal.  Returns lists (d, du, du2, w, swap):
-    U's diagonal (the pivots) and two superdiagonals, and each step's
-    multiplier and exchange.  A zero pivot is left for the caller to
-    reject; it is never divided by."""
-    d, du, du2 = list(diag), list(sup) + [0.0], [0.0] * len(diag)
-    w, swap = [], []
-    for i, lo in enumerate(sub):
+def _tridiag_lu(bands, e, thresh, column):
+    """Factor the diagonal or tridiagonal matrix D with bands[1 + c - r, r]
+    = D[r, c] once and return its solve r -> D^{-1} r (a plain division
+    when D is diagonal), which raises NumericalFailureError when the
+    solution is not finite.  The elimination is _lu_factor's partial
+    pivoting on D scaled by 2**-e, done as LAPACK's gttrf does it: rows i
+    and i+1 are exchanged when the subdiagonal entry exceeds the pivot,
+    which gives U a second superdiagonal.  Raises _lu_factor's
+    SingularSystemError when a pivot of the scaled D is at most thresh,
+    before U is scaled back; column is D's first column in the matrix the
+    caller factors."""
+    sub, d, du = np.ldexp(bands, -e).tolist()
+    du2, w, swap = [0.0] * len(d), [], []
+    for i, lo in enumerate(sub[1:]):
         swap.append(abs(lo) > abs(d[i]))
         if swap[i]:  # exchange rows i and i+1
             w.append(d[i] / lo)
             d[i], d[i + 1], du[i], du2[i], du[i + 1] = (
                 lo, du[i] - w[i] * d[i + 1], d[i + 1], du[i + 1], -w[i] * du[i + 1])
-        else:
+        else:  # a zero pivot is rejected below, never divided by
             w.append(lo / d[i] if d[i] else 0.0)
             d[i + 1] -= w[i] * du[i]
-    return d, du, du2, w, swap
+    small = np.flatnonzero(np.abs(d) <= thresh)
+    if small.size:
+        k = int(small[0])
+        raise _pivot_failure(d[k], thresh, e, column + k)
+    diagonal = None if bands[0].any() or bands[2].any() else bands[1].copy()
+    if diagonal is None:
+        try:
+            with np.errstate(over="raise"):
+                d, du, du2 = (np.ldexp(f, e).tolist() for f in (d, du, du2))
+            if not all(d):  # a pivot of a subnormal D underflows to zero
+                raise FloatingPointError("underflow")
+        except FloatingPointError as exc:
+            raise NumericalFailureError(
+                "the LU factors exceed the floating-point range") from exc
 
-
-def _tridiag_lu_solve(factors, rhs):
-    """Solve with the factors of _tridiag_factor; rhs is a sequence of
-    floats and the solution a list of Python floats, which are not checked
-    to be finite."""
-    d, du, du2, w, swap = factors
-    x = list(rhs)
-    for i, (wi, exchanged) in enumerate(zip(w, swap)):
-        if exchanged:
-            x[i], x[i + 1] = x[i + 1], x[i] - wi * x[i + 1]
+    def solve(r):
+        if diagonal is not None:
+            x = r / diagonal
         else:
-            x[i + 1] -= wi * x[i]
-    n = len(x)
-    x[n - 1] /= d[n - 1]
-    for i in range(n - 2, -1, -1):
-        r = x[i] - du[i] * x[i + 1]
-        if du2[i]:
-            r -= du2[i] * x[i + 2]
-        x[i] = r / d[i]
-    return x
+            x = r.tolist()
+            for i, (wi, exchanged) in enumerate(zip(w, swap)):
+                if exchanged:
+                    x[i], x[i + 1] = x[i + 1], x[i] - wi * x[i + 1]
+                else:
+                    x[i + 1] -= wi * x[i]
+            x[-1] /= d[-1]
+            for i in range(len(x) - 2, -1, -1):
+                ri = x[i] - du[i] * x[i + 1]
+                if du2[i]:
+                    ri -= du2[i] * x[i + 2]
+                x[i] = ri / d[i]
+            x = np.array(x)
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailureError("the solution exceeds the floating-point range")
+        return x
+    return solve
 
 
-def tridiag_solve(sub, diag, sup, rhs):
-    """Gaussian elimination with partial pivoting on a tridiagonal system
-    (see _tridiag_factor).
-
-    sub and sup have length n-1 (below / above the main diagonal).  Raises
-    SingularSystemError for a pivot at most THOMAS_PIVOT_RTOL * max |band|
-    and NumericalFailureError when the elimination leaves the float range.
-    """
+def tridiag_factor(sub, diag, sup):
+    """Factor the tridiagonal matrix A with bands sub, diag, sup once (see
+    _tridiag_lu) and return its solve rhs -> x; sub and sup have length n-1
+    (below / above the main diagonal).  A is singular, as for band LU, when
+    a pivot of A scaled by a power of two to unit magnitude is at most
+    PIVOT_RTOL * |A|_F."""
     sub = as_vector(sub, "sub")
     diag = as_vector(diag, "diag")
     sup = as_vector(sup, "super")
-    rhs = as_vector(rhs, "rhs")
     n = diag.size
     if n == 0:
         raise UsageError("empty system")
-    if sub.size != n - 1 or sup.size != n - 1 or rhs.size != n:
+    if sub.size != n - 1 or sup.size != n - 1:
         raise UsageError("tridiagonal band lengths do not match")
-    scale = max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0),
-                np.max(np.abs(sup), initial=0.0))
-    thresh = THOMAS_PIVOT_RTOL * max(scale, 1e-300)
-    factors = _tridiag_factor(sub.tolist(), diag.tolist(), sup.tolist())
-    for i, pivot in enumerate(factors[0]):
-        if abs(pivot) <= thresh:
-            raise SingularSystemError(f"zero pivot at row {i}")
-    x = np.array(_tridiag_lu_solve(factors, rhs.tolist()))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(factors[0]))):
-        raise NumericalFailureError("the solution exceeds the floating-point range")
-    return x
+    bands = np.zeros((3, n))
+    bands[0, 1:], bands[1], bands[2, :-1] = sub, diag, sup
+    scaled, e = _unit_scaled(bands)
+    return _tridiag_lu(bands, e, PIVOT_RTOL * max(frobenius_norm(scaled), 1e-300), 0)
+
+
+def tridiag_solve(sub, diag, sup, rhs):
+    """Solve the tridiagonal system with bands sub, diag, sup once (see
+    tridiag_factor).  Raises NumericalFailureError when the solution leaves
+    the floating-point range."""
+    rhs = as_vector(rhs, "rhs")
+    solve = tridiag_factor(sub, diag, sup)
+    if rhs.size != np.size(diag):
+        raise UsageError("tridiagonal band lengths do not match")
+    with np.errstate(over="ignore"):
+        return solve(rhs)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ custom_scheme to supply corrected coefficients if that matters for your use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidSchemeError, UsageError
 
@@ -100,10 +100,17 @@ class Discretization:
 
     @classmethod
     def from_cfl(cls, nx, nt, h, sigma, c):
-        """Construct from the CFL number instead of the time step."""
+        """Construct from the CFL number instead of the time step
+        tau = sigma*h/c."""
         if sigma == 0.0 or not math.isfinite(sigma):
             raise UsageError(f"sigma must be nonzero, got {sigma}")
-        return cls(nx=nx, nt=nt, h=h, tau=sigma * h / c, c=c)
+        unit = cls(nx=nx, nt=nt, h=h, tau=1.0, c=c)  # checks all but tau
+        tau = sigma * h / c
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise UsageError(
+                "tau = sigma*h/c must be positive and finite, so sigma must have "
+                f"the sign of c; sigma={sigma:g}, h={h:g} and c={c:g} give {tau:g}")
+        return replace(unit, tau=tau)
 
 
 @dataclass(frozen=True)

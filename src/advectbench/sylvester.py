@@ -75,7 +75,9 @@ def diagnose(p):
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
-    min_sep = min(abs(la - mu) for la in spec_a for mu in spec_nb)
+    # hypot is what abs(la - mu) computes; np.abs may differ in the last bit
+    d = np.subtract.outer(spec_a, spec_nb)
+    min_sep = float(np.min(np.hypot(d.real, d.imag)))
     big = max(np.max(np.abs(p.a), initial=0.0), np.max(np.abs(p.b), initial=0.0))
     e = math.frexp(big)[1]
     norms = (linalg.frobenius_norm(np.ldexp(p.a, -e))
@@ -139,36 +141,6 @@ class _KronLU:
         return linalg.unvec(x, *c.shape)
 
 
-def _diagonal_block(bands, e, thresh, column):
-    """The solve r -> D^{-1} r with the diagonal block D given by its bands
-    (bands[1 + c - r, r] = D[r, c]): a division when D is diagonal, else
-    the factors of a pivoted tridiagonal elimination.  Raises
-    SingularSystemError, as _lu_factor does, when a pivot of D scaled by
-    2**-e is at most thresh; column is D's first column in K."""
-    scaled = np.ldexp(bands, -e)
-    diagonal = not (bands[0].any() or bands[2].any())
-    if diagonal:
-        pivots = scaled[1]
-    else:
-        factors = linalg._tridiag_factor(scaled[0, 1:].tolist(), scaled[1].tolist(),
-                                          scaled[2, :-1].tolist())
-        pivots = factors[0]
-    small = np.flatnonzero(np.abs(pivots) <= thresh)
-    if small.size:
-        k = int(small[0])
-        raise linalg._pivot_failure(pivots[k], thresh, e, column + k)
-    if diagonal:
-        return lambda r, d=bands[1].copy(): r / d
-    try:
-        with np.errstate(over="raise"):
-            upper = [np.ldexp(f, e).tolist() for f in factors[:3]]
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            "the LU factors exceed the floating-point range") from exc
-    factors = (*upper, *factors[3:])
-    return lambda r: linalg._tridiag_lu_solve(factors, r.tolist())
-
-
 class _BlockSubstitution:
     """Block substitution on a vectorized operator K that is block
     triangular in time, given by its (eq, node, coef) entries sorted by
@@ -177,8 +149,9 @@ class _BlockSubstitution:
     are subtracted: first column to last when K is block lower triangular
     (forward), last to first when it is block upper triangular.  K is
     singular, as for _KronLU, when a pivot of a D_j, on K scaled by a power
-    of two to unit magnitude, is at most PIVOT_RTOL * |K|_F; the verdict is
-    taken once per distinct diagonal block, in column order."""
+    of two to unit magnitude, is at most PIVOT_RTOL * |K|_F.  Each distinct
+    diagonal block is factored once, by linalg._tridiag_lu, in column
+    order."""
 
     def __init__(self, terms, rows, nt, forward):
         eq, node, coef = terms
@@ -196,7 +169,7 @@ class _BlockSubstitution:
         for j, (band, terms_j) in enumerate(zip(bands, solved)):
             key = band.tobytes()
             if key not in blocks:
-                blocks[key] = _diagonal_block(band, e, thresh, j * rows)
+                blocks[key] = linalg._tridiag_lu(band, e, thresh, j * rows)
             self._steps.append((slice(j * rows, (j + 1) * rows), *terms_j, blocks[key]))
         if not forward:
             self._steps.reverse()
@@ -209,8 +182,6 @@ class _BlockSubstitution:
             if eq.size:
                 r = r - np.bincount(eq, weights=coef * x[node], minlength=r.size)
             x[cols] = block(r)
-        if not np.all(np.isfinite(x)):
-            raise NumericalFailureError("the solution exceeds the floating-point range")
         return linalg.unvec(x, *c.shape)
 
 

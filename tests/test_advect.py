@@ -146,6 +146,20 @@ def test_simulated_field_zeroes_paper_residual_except_last_column():
         assert np.max(np.abs(res[:, -1])) > 1e-6 * scale, name
 
 
+def test_crank_nicolson_march_factors_its_level_matrix_once(monkeypatch):
+    calls = []
+    factor = linalg._tridiag_lu
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+    monkeypatch.setattr(linalg, "_tridiag_lu", counted)
+    d = disc()
+    s, _, known = setup("crank-nicolson", d)
+    advect.time_step_simulate(s, d, known)
+    assert len(calls) == 1
+
+
 def test_simulate_degenerate_explicit_scheme():
     s = custom_scheme((1e-300, 1.0, 1.0, 0, 0, 0, 0, 0, 0))
     d = disc(nx=4, nt=3)
@@ -154,8 +168,8 @@ def test_simulate_degenerate_explicit_scheme():
 
 
 def test_explicit_degenerate_alpha_uses_the_tridiagonal_pivot_rtol(monkeypatch):
-    """The explicit update and tridiag_solve share THOMAS_PIVOT_RTOL."""
-    monkeypatch.setattr(linalg, "THOMAS_PIVOT_RTOL", 2.0)
+    """The explicit update and the tridiagonal elimination share PIVOT_RTOL."""
+    monkeypatch.setattr(linalg, "PIVOT_RTOL", 2.0)
     d = disc(nx=6, nt=6)
     with pytest.raises(NumericalFailureError, match="degenerate"):
         advect.time_step_simulate(builtin_scheme("lax", d), d,

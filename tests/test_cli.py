@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, CSV determinism, config files."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_overflowing_phase_names_the_wavelength(capsys, command, signal):
     assert "of wavelength " in err
 
 
+@pytest.mark.parametrize("argv", [("solve-error", "--c", "-1", "--method", "kron"),
+                                  ("simulate", "--sigma", "1e300", "--h", "1e10")])
+def test_unusable_derived_time_step_names_sigma_h_and_c(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--scheme", "lax", "--nx", "6", "--nt", "6",
+                         *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tau = sigma*h/c must be positive and finite, so "
+                          "sigma must have the sign of c; sigma=")
+    code, out, err = run(capsys, "simulate", "--scheme", "lax", "--nx", "6", "--nt", "6",
+                         "--sigma", "-0.8", "--c", "-1")
+    assert (code, err) == (0, "")
+
+
 def test_implicit_march_overflow_names_its_level(capsys):
     """alpha = zeta = 1e-300: level 1 reaches 1e300 and level 2 overflows."""
     code, out, err = run(capsys, "simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0",
@@ -135,6 +149,18 @@ def test_implicit_march_exchanges_rows(capsys):
     sim = float(sim_out.split("frob=")[1].split()[0])
     mtx = float(out.split("frob=")[1].split()[0])
     assert abs(sim - mtx) <= 1e-14 * sim
+
+
+def test_singular_level_matrix_gets_band_lus_verdict(capsys):
+    """Each level matrix is tridiag(1, 0, 1) of order 19, which is singular:
+    the march and causal kron both reject its pivot at column 18 as band LU
+    does."""
+    stencil = ("--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", "20", "--nt", "10")
+    for argv in (("simulate",), ("solve-error", "--variant", "causal", "--method", "kron")):
+        code, out, err = run(capsys, argv[0], *stencil, *argv[1:])
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"singular system: pivot 0\.000e\+00 below \S+ at column 18\n",
+                            err)
 
 
 def test_causal_kron_runs_past_the_operator_size_guard(capsys):
@@ -400,6 +426,17 @@ def test_sweep_step_count_that_is_not_finite_is_usage_error(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: --nl-step 1e-300 ")
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("nl_max, want", [
+    ("1e12", "Unable to allocate 7.11 PiB"),    # 1e15 values
+    ("1e300", "Maximum allowed size exceeded")])
+def test_sweep_count_beyond_memory_fails_before_allocating(capsys, nl_max, want):
+    """numpy refuses the array of n_lambda values before touching memory."""
+    code, out, err = run(capsys, "sweep", "--scheme", "lax", "--nx", "6", "--nt", "6",
+                         "--nl-max", nl_max, "--nl-step", "1e-3")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: out of memory ({want}")
 
 
 def test_sweep_bound_from_config_file_must_be_finite(tmp_path, capsys):

@@ -421,8 +421,52 @@ def test_tridiag_exchanges_rows_for_a_zero_diagonal():
     x = linalg.tridiag_solve(np.ones(n - 1), np.zeros(n), np.ones(n - 1), b)
     a = np.eye(n, k=1) + np.eye(n, k=-1)
     assert np.linalg.norm(a @ x - b) <= 1e-14 * np.linalg.norm(x)
-    with pytest.raises(SingularSystemError, match="zero pivot at row 2"):
+    with pytest.raises(SingularSystemError,
+                       match=r"^pivot 0\.000e\+00 below 2\.000e-13 at column 2$"):
         linalg.tridiag_solve(np.ones(2), np.zeros(3), np.ones(2), np.ones(3))
+
+
+def _tridiag_case(name):
+    """(sub, diag, sup) of the named tridiagonal matrix."""
+    g = rng(28)
+    if name.startswith("odd zero diagonal"):
+        n = int(name.split()[-1])
+        return np.ones(n - 1), np.zeros(n), np.ones(n - 1)
+    if name == "even zero diagonal":
+        return np.ones(19), np.zeros(20), np.ones(19)
+    if name == "zero column":
+        sub, dia, sup = g.uniform(-1, 1, 6), g.uniform(-1, 1, 7), g.uniform(-1, 1, 6)
+        sub[2] = dia[2] = sup[1] = 0.0
+        return sub, dia, sup
+    if name.startswith("pivot"):
+        # [[1, 1], [1, 1 + delta]]: the second pivot is delta, and the
+        # threshold PIVOT_RTOL * |A|_F is about PIVOT_RTOL * 2
+        delta = 2.0 * linalg.PIVOT_RTOL * (0.99 if name.endswith("below") else 1.01)
+        return np.ones(1), np.array([1.0, 1.0 + delta]), np.ones(1)
+    return g.uniform(-1, 1, 29), g.uniform(-1, 1, 30), g.uniform(-1, 1, 29)
+
+
+@pytest.mark.parametrize("name, singular", [
+    ("odd zero diagonal 3", True), ("odd zero diagonal 19", True),
+    ("zero column", True), ("pivot below", True), ("pivot above", False),
+    ("even zero diagonal", False), ("random", False)])
+def test_tridiag_and_band_lu_give_one_verdict(name, singular):
+    """A tridiagonal matrix is a band matrix with kl = ku = 1: the tridiagonal
+    elimination and band LU reject the same pivot with the same message,
+    and otherwise agree on the solution."""
+    sub, dia, sup = _tridiag_case(name)
+    a = np.diag(dia) + np.diag(sub, -1) + np.diag(sup, 1)
+    b = rng(29).uniform(-1, 1, dia.size)
+    if singular:
+        with pytest.raises(SingularSystemError) as band:
+            linalg.gauss_solve(a, b)
+        with pytest.raises(SingularSystemError) as tri:
+            linalg.tridiag_solve(sub, dia, sup, b)
+        assert str(tri.value) == str(band.value)
+    else:
+        x, want = linalg.tridiag_solve(sub, dia, sup, b), linalg.gauss_solve(a, b)
+        assert np.linalg.norm(x - want) <= (
+            1e-12 * np.linalg.cond(a) * np.linalg.norm(want))
 
 
 def test_tridiag_pivoting_matches_dense_solve():
@@ -462,6 +506,14 @@ def test_overflowing_solves_are_numerical_failures():
         with pytest.raises(NumericalFailureError, match="floating-point range"):
             linalg.tridiag_solve(np.zeros(2), np.full(3, 1e-10), np.zeros(2),
                                  np.full(3, 1e300))
+
+
+def test_tridiag_pivot_that_underflows_is_numerical_failure():
+    """In units of 5e-324 the matrix is [[3, 1], [1, 0]]: its second pivot,
+    -1/3, passes the threshold on the unit-scaled matrix but is 0 when
+    scaled back, so it is never divided by."""
+    with pytest.raises(NumericalFailureError, match="LU factors exceed"):
+        linalg.tridiag_solve([5e-324], [1.5e-323, 0.0], [5e-324], [1.0, 1.0])
 
 
 # --------------------------------------------------- min-norm least squares

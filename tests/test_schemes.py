@@ -140,6 +140,24 @@ def test_from_cfl_roundtrip():
         Discretization.from_cfl(nx=10, nt=10, h=0.5, sigma=0.0, c=2.0)
 
 
+@pytest.mark.parametrize("h, sigma, c", [(0.5, 0.8, -2.0), (1e10, 1e300, 1.0),
+                                          (1e-300, 1e-300, 1.0)])
+def test_from_cfl_names_sigma_h_and_c_when_tau_is_unusable(h, sigma, c):
+    """tau = sigma*h/c is negative, overflows or underflows to 0."""
+    with pytest.raises(UsageError, match=r"^tau = sigma\*h/c must be positive and "
+                       r"finite, so sigma must have the sign of c; sigma=.* h=.* c="):
+        Discretization.from_cfl(nx=10, nt=10, h=h, sigma=sigma, c=c)
+
+
+def test_from_cfl_checks_h_and_c_before_dividing():
+    with pytest.raises(UsageError, match="c must be nonzero"):
+        Discretization.from_cfl(nx=10, nt=10, h=0.5, sigma=0.8, c=0.0)
+    with pytest.raises(UsageError, match="h must be positive"):
+        Discretization.from_cfl(nx=10, nt=10, h=-0.5, sigma=0.8, c=2.0)
+    d = Discretization.from_cfl(nx=10, nt=10, h=0.5, sigma=-0.8, c=-2.0)
+    assert d.tau == 0.2
+
+
 def test_signal_spec_constructors():
     d = disc(h=0.5)
     s = SignalSpec.from_cells_per_wavelength(9.8, d)

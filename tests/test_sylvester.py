@@ -94,6 +94,23 @@ def test_diagnose_lax_wendroff_separation_is_exactly_beta():
     assert sylvester.diagnose(scheme_problem(s, d)).min_separation == abs(s.beta)
 
 
+@pytest.mark.parametrize("name", (*ALL_SCHEMES, "corner"))
+def test_diagnose_separation_is_the_pairwise_minimum_bit_for_bit(name):
+    """np.hypot over the outer difference of the spectra is abs(la - mu) to
+    the last bit; np.abs is not (Lax-Wendroff 11^2 would end in ...38)."""
+    for n in (6, 11, 20, 30, 60, 101):
+        d = disc(nx=n, nt=n)
+        s = (schemes.custom_scheme(CORNER) if name == "corner"
+             else builtin_scheme(name, d))
+        report = sylvester.diagnose(scheme_problem(s, d))
+        want = min(abs(la - mu) for la in report.spectrum_a
+                   for mu in report.spectrum_neg_b)
+        assert report.min_separation == want, (name, n)
+    d = disc(nx=11, nt=11)
+    report = sylvester.diagnose(scheme_problem(builtin_scheme("lax-wendroff", d), d))
+    assert report.min_separation == 0.45802976404311374
+
+
 def test_diagnose_non_normal_m2_separation_is_exact():
     """M2 = tridiag(1, 0, -0.3) of order 100 is far from normal: its Schur
     spectrum put the separation at 8.0e-4, the closed form at 0.21796."""

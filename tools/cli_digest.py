@@ -67,22 +67,29 @@ def matrix():
     runs += [["solve-error", *odd, "--lambda", "7.5", "--variant", variant,
               "--method", "kron", "--out", "error.csv"] for variant in VARIANTS]
     # usage errors: bad sweep range, sweep bounds or a step count that are
-    # not finite, exclusive pair, unknown scheme
+    # not finite, exclusive pair, unknown scheme, a CFL number whose time
+    # step sigma*h/c is negative or overflows
     runs += [["sweep", "--scheme", "lax", "--nl-min", "9", "--nl-max", "4"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "inf"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-step", "inf"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "1e300",
               "--nl-step", "1e-300"],
              ["simulate", "--scheme", "lax", "--sigma", "0.5", "--tau", "0.5"],
-             ["diagnose", "--scheme", "upwind"]]
+             ["diagnose", "--scheme", "upwind"],
+             ["solve-error", "--scheme", "lax", "--nx", "6", "--nt", "6", "--c", "-1",
+              "--method", "kron"],
+             ["simulate", "--scheme", "lax", "--nx", "6", "--nt", "6", "--sigma", "1e300",
+              "--h", "1e10"]]
     # an implicit stencil whose level matrix tridiag(1, 0, 1) needs row
-    # exchanges; coefficients near the float limits; Crank-Nicolson in units
-    # 1e-150 times the usual; an implicit march that overflows at level 2
-    pivoting = ["--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", "21", "--nt", "10"]
-    runs += [["simulate", *pivoting, "--out", "field.csv"],
-             ["solve-error", *pivoting, "--variant", "causal", "--method", "kron",
-              "--out", "error.csv"],
-             ["solve-error", "--coeffs", "1,1.7e308,0,0,0,0,0,0,0", "--nx", "6",
+    # exchanges at even order and is singular at odd order; coefficients near
+    # the float limits; Crank-Nicolson in units 1e-150 times the usual; an
+    # implicit march that overflows at level 2
+    for nx in ("21", "20"):
+        pivoting = ["--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", nx, "--nt", "10"]
+        runs += [["simulate", *pivoting, "--out", "field.csv"],
+                 ["solve-error", *pivoting, "--variant", "causal", "--method", "kron",
+                  "--out", "error.csv"]]
+    runs += [["solve-error", "--coeffs", "1,1.7e308,0,0,0,0,0,0,0", "--nx", "6",
               "--nt", "6", "--method", "bartels-stewart", "--out", "error.csv"],
              ["diagnose", "--coeffs",
               "2.25e-150,-0.25e-150,0,-1e-150,-1e-150,0,-1e-150,-1e-150,0",
