@@ -20,9 +20,10 @@ A variant's equations live in one stencil table (``stencil_table``), built
 by index arithmetic and memoized: a pair of (equation, node, coefficient)
 triples, one for the known terms and one for the unknown terms.  Every
 action reads it: M0 sums the known terms and the operator's action, in
-either closure, the unknown terms, both through one gather; the vectorized
-global operator, dense or in band storage, scatters the unknown terms.  M1
-and M2 remain as matrices for Bartels-Stewart and the spectral diagnosis.
+either closure, the unknown terms, both through one gather; the dense
+global operator scatters them, and ``operator_entries`` hands them to
+linalg's band storage.  M1 and M2 remain as matrices for Bartels-Stewart
+and the spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -160,7 +161,7 @@ def residual(s, disc, known, u, variant="paper"):
 def operator_entries(s, disc, variant):
     """(size, row, col, coef) of the variant's vectorized operator: every
     unknown term of the stencil table at G[row, col], vec stacking columns.
-    The global operator, dense or in band storage, scatters them; the
+    The global operator and linalg's band storage scatter them; the
     diagnosis's smallest singular value factors them without a dense G."""
     _check_variant(variant)
     size = (disc.nx - 1) * disc.nt
@@ -178,10 +179,3 @@ def global_operator(s, disc, variant="paper"):
     g = np.zeros((size, size))
     g[row, col] = coef
     return g
-
-
-def band_operator(s, disc, variant="paper"):
-    """The global operator in band storage, (ab, kl) as linalg.to_band
-    returns it, scattered straight from the stencil table: O(N*nx) memory
-    instead of O(N^2)."""
-    return linalg.band_from_entries(*operator_entries(s, disc, variant))

@@ -378,6 +378,8 @@ def _fmt_complex(z):
 def cmd_diagnose(args):
     cfg = _resolve(args)
     s, d = cfg.scheme, cfg.disc
+    # the size guard comes before the report, so a usage error prints nothing
+    entries = assembly.operator_entries(s, d, "paper") if s.has_corner_terms else None
     # the CFL normalization: the whole system scaled by h*sigma/c = tau
     report = sylvester.diagnose(sylvester.SylvesterProblem(
         d.tau * assembly.build_m1(s, d), d.tau * assembly.build_m2(s, d),
@@ -390,10 +392,9 @@ def cmd_diagnose(args):
     for z in sorted(report.spectrum_neg_b, key=key):
         print(f"  {_fmt_complex(z)}")
     _print_report(report)
-    if s.has_corner_terms:
+    if entries is not None:
         try:
-            smin = _fmt(linalg.smallest_singular_value_from_entries(
-                *assembly.operator_entries(s, d, "paper")))
+            smin = _fmt(linalg.smallest_singular_value_from_entries(*entries))
         except SingularSystemError as exc:
             smin = f"below the LU pivot threshold ({exc})"
         print("note: L != 0, so uniqueness diagnostics apply to the "

@@ -15,11 +15,13 @@ kernel takes only its operands: DEFLATION_RTOL (Schur deflation),
 SCHUR_SWEEPS_PER_ORDER (Schur iteration cap), PIVOT_RTOL (every pivot,
 band LU's and the tridiagonal elimination's alike), RANK_RTOL (COD
 numerical rank) and SIGMA_MIN_ITERATIONS (inverse power iteration).
-Schur, COD, both eliminations and the smallest singular value work on
-their input scaled by a power of two to unit magnitude, which is exact, so
-finite entries whose squares or products overflow still factor.  The
-public solves raise NumericalFailureError rather than return a solution
-that overflows.
+Hessenberg, Schur, COD, both eliminations and the smallest singular value
+work on their input scaled by a power of two to unit magnitude, which is
+exact (_unit_scaled, or _pivot_scale with the pivot threshold), so finite
+entries whose squares or products overflow still factor, and return through
+_scaled_back, which raises NumericalFailureError when a factor overflows or
+a pivot underflows to zero.  The public solves raise it rather than return
+a solution that overflows.
 """
 
 from __future__ import annotations
@@ -90,6 +92,24 @@ def _unit_scaled(a):
     return np.ldexp(a, -e), e
 
 
+def _pivot_scale(a):
+    """(e, thresh): the exponent of _unit_scaled(a) and the singular-pivot
+    threshold PIVOT_RTOL * |a * 2**-e|_F, both eliminations' rule."""
+    scaled, e = _unit_scaled(a)
+    return e, PIVOT_RTOL * max(frobenius_norm(np.atleast_2d(scaled)), 1e-300)
+
+
+def _scaled_back(x, e, message, pivots=None):
+    """Multiply the unit-scaled factor x by 2**e in place and return it.
+    Raises NumericalFailureError(message) when an entry overflows, or when
+    an entry x[pivots], one a solve divides by, underflows to zero."""
+    with np.errstate(over="ignore"):
+        np.ldexp(x, e, out=x)
+    if not np.isfinite(x).all() or (pivots is not None and not x[pivots].all()):
+        raise NumericalFailureError(message)
+    return x
+
+
 def vec(x):
     """Column-stacking vectorization."""
     return as_matrix(x).reshape(-1, order="F")
@@ -114,13 +134,14 @@ def _householder_unit(x):
 
 
 def hessenberg(a):
-    """Householder reduction A = Q H Q^T with H upper Hessenberg.
+    """Householder reduction A = Q H Q^T with H upper Hessenberg, on A
+    scaled to unit magnitude.
 
     Returns (q, h); entries of h below the first subdiagonal are exactly zero.
+    Raises NumericalFailureError when h exceeds the floating-point range.
     """
-    a = as_matrix(a, "a", square=True)
-    n = a.shape[0]
-    h = a.copy()
+    h, e = _unit_scaled(as_matrix(a, "a", square=True))
+    n = h.shape[0]
     q = np.eye(n)
     for k in range(n - 2):
         v = _householder_unit(h[k + 1:, k])
@@ -130,7 +151,7 @@ def hessenberg(a):
         h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
         q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
         h[k + 2:, k] = 0.0
-    return q, h
+    return q, _scaled_back(h, e, "the Hessenberg form exceeds the floating-point range")
 
 
 @dataclass(frozen=True)
@@ -257,15 +278,10 @@ def schur_decompose(a):
             s_prod = (h[hi - 1, hi - 1] * h[hi, hi]
                       - h[hi - 1, hi] * h[hi, hi - 1])
         _francis_step(h, q, lo, hi, s_sum, s_prod)
-    try:
-        with np.errstate(over="raise"):
-            t = np.ldexp(h, e)
-        eigs = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-                for z in _block_eigenvalues(h)]
-    except (FloatingPointError, OverflowError) as exc:
-        raise NumericalFailureError(
-            "the Schur form exceeds the floating-point range") from exc
-    return SchurForm(q=q, t=t, eigenvalues=eigs)
+    eigs = np.array(_block_eigenvalues(h), dtype=complex)
+    message = "the Schur form exceeds the floating-point range"
+    _scaled_back(eigs.view(float), e, message)
+    return SchurForm(q=q, t=_scaled_back(h, e, message), eigenvalues=eigs.tolist())
 
 
 def _tridiagonal_toeplitz_spectrum(a):
@@ -351,11 +367,11 @@ def _lu_factor(ab, kl):
     SingularSystemError when a pivot is at most PIVOT_RTOL * |A|_F.  Returns
     (lu, kl, piv).
     """
-    lu, e = _unit_scaled(ab)
+    e, thresh = _pivot_scale(ab)
+    lu = np.ldexp(ab, -e)
     n, width = lu.shape
     d = _dense_view(lu, kl)
     piv = np.arange(n)
-    thresh = PIVOT_RTOL * max(frobenius_norm(lu), 1e-300)
     for k in range(n):
         r1, c1 = min(n, k + kl + 1), min(n, k + width - kl)
         p = k + int(np.argmax(np.abs(d[k:r1, k])))
@@ -370,13 +386,9 @@ def _lu_factor(ab, kl):
         # the trailing block, transposed to match the layout's memory order
         trailing = d[k + 1:r1, k + 1:c1].T
         trailing -= np.outer(d[k, k + 1:c1], d[k + 1:r1, k])
-    upper = lu[:, :width - kl]  # U's superdiagonals and diagonal
-    try:
-        with np.errstate(over="raise"):
-            np.ldexp(upper, e, out=upper)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            "the LU factors exceed the floating-point range") from exc
+    # U's superdiagonals and diagonal, the last of its columns in storage
+    _scaled_back(lu[:, :width - kl], e, "the LU factors exceed the floating-point range",
+                 pivots=(slice(None), -1))
     return lu, kl, piv
 
 
@@ -455,14 +467,9 @@ def _tridiag_lu(bands, e, thresh, column):
         raise _pivot_failure(d[k], thresh, e, column + k)
     diagonal = None if bands[0].any() or bands[2].any() else bands[1].copy()
     if diagonal is None:
-        try:
-            with np.errstate(over="raise"):
-                d, du, du2 = (np.ldexp(f, e).tolist() for f in (d, du, du2))
-            if not all(d):  # a pivot of a subnormal D underflows to zero
-                raise FloatingPointError("underflow")
-        except FloatingPointError as exc:
-            raise NumericalFailureError(
-                "the LU factors exceed the floating-point range") from exc
+        d, du, du2 = _scaled_back(np.array([d, du, du2]), e,
+                                  "the LU factors exceed the floating-point range",
+                                  pivots=0).tolist()
 
     def solve(r):
         if diagonal is not None:
@@ -503,8 +510,7 @@ def tridiag_factor(sub, diag, sup):
         raise UsageError("tridiagonal band lengths do not match")
     bands = np.zeros((3, n))
     bands[0, 1:], bands[1], bands[2, :-1] = sub, diag, sup
-    scaled, e = _unit_scaled(bands)
-    return _tridiag_lu(bands, e, PIVOT_RTOL * max(frobenius_norm(scaled), 1e-300), 0)
+    return _tridiag_lu(bands, *_pivot_scale(bands), 0)
 
 
 def tridiag_solve(sub, diag, sup, rhs):
@@ -612,12 +618,8 @@ def cod_factor(a):
         z[:, i] = zb[:, 0]
         z[:, rank:] = zb[:, 1:]
         r[i, rank:] = 0.0
-    try:
-        with np.errstate(over="raise"):
-            t = np.ldexp(r[:rank, :rank], e)
-    except FloatingPointError as exc:
-        raise NumericalFailureError(
-            "the COD exceeds the floating-point range") from exc
+    t = _scaled_back(r[:rank, :rank].copy(), e, "the COD exceeds the floating-point range",
+                     pivots=np.diag_indices(rank))
     return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n))
 
 
@@ -657,8 +659,5 @@ def smallest_singular_value_from_entries(n, row, col, val):
         x = z / nz
     # x has converged to the left singular vector of the smallest pair
     atx = np.bincount(col, weights=val * x[row], minlength=n)
-    try:
-        return math.ldexp(float(np.linalg.norm(atx)), e)
-    except OverflowError as exc:
-        raise NumericalFailureError(
-            "the smallest singular value exceeds the floating-point range") from exc
+    return float(_scaled_back(np.linalg.norm(atx, keepdims=True), e,
+                              "the smallest singular value exceeds the floating-point range")[0])

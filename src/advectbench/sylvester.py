@@ -69,24 +69,29 @@ def diagnose(p):
 
     unique iff the smallest pairwise distance between the two spectra
     exceeds SEP_TOL * (|A|_F + |B|_F), a bound relative to the input, so the
-    verdict does not depend on its units.  The comparison is made in units
-    2**e in which the largest entry of A or B lies in [0.5, 1), so the norms
-    neither overflow nor underflow; scaling by a power of two is exact.
+    verdict does not depend on its units.  The distances and norms are taken
+    in units 2**e in which the largest entry of A or B lies in [0.5, 1), so
+    they neither overflow nor underflow (scaling by a power of two is exact);
+    a least distance beyond the float range raises NumericalFailureError.
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
-    # hypot is what abs(la - mu) computes; np.abs may differ in the last bit
-    d = np.subtract.outer(spec_a, spec_nb)
-    min_sep = float(np.min(np.hypot(d.real, d.imag)))
     big = max(np.max(np.abs(p.a), initial=0.0), np.max(np.abs(p.b), initial=0.0))
     e = math.frexp(big)[1]
+    sa, snb = (np.ldexp(np.array(z, dtype=complex).view(float), -e).view(complex)
+               for z in (spec_a, spec_nb))
+    # hypot is what abs(la - mu) computes; np.abs may differ in the last bit
+    d = np.subtract.outer(sa, snb)
+    min_sep = float(np.min(np.hypot(d.real, d.imag)))
     norms = (linalg.frobenius_norm(np.ldexp(p.a, -e))
              + linalg.frobenius_norm(np.ldexp(p.b, -e)))
     return SolvabilityReport(
         spectrum_a=spec_a,
         spectrum_neg_b=spec_nb,
-        min_separation=min_sep,
-        unique=math.ldexp(min_sep, -e) > SEP_TOL * norms,
+        min_separation=float(linalg._scaled_back(
+            np.array([min_sep]), e,
+            "the spectral separation exceeds the floating-point range")[0]),
+        unique=min_sep > SEP_TOL * norms,
         sep_tol=SEP_TOL,
     )
 
@@ -149,14 +154,13 @@ class _BlockSubstitution:
     are subtracted: first column to last when K is block lower triangular
     (forward), last to first when it is block upper triangular.  K is
     singular, as for _KronLU, when a pivot of a D_j, on K scaled by a power
-    of two to unit magnitude, is at most PIVOT_RTOL * |K|_F.  Each distinct
-    diagonal block is factored once, by linalg._tridiag_lu, in column
-    order."""
+    of two to unit magnitude, is at most K's pivot threshold
+    (linalg._pivot_scale).  Each distinct diagonal block is factored once,
+    by linalg._tridiag_lu, in column order."""
 
     def __init__(self, terms, rows, nt, forward):
         eq, node, coef = terms
-        scaled, e = linalg._unit_scaled(coef)
-        thresh = linalg.PIVOT_RTOL * max(linalg.frobenius_norm(scaled[None]), 1e-300)
+        e, thresh = linalg._pivot_scale(coef)
         col, r = np.divmod(eq, rows)
         c = node - col * rows  # node's row when it lies in column col
         inside = (c >= 0) & (c < rows)
@@ -195,7 +199,7 @@ def _kron_factorization(scheme, disc, variant):
     lower = bool(np.all(node_col <= eq_col))
     if lower or np.all(node_col >= eq_col):
         return _BlockSubstitution(terms, rows, disc.nt, forward=lower)
-    return _KronLU(*assembly.band_operator(scheme, disc, variant))
+    return _KronLU(*linalg.band_from_entries(*assembly.operator_entries(scheme, disc, variant)))
 
 
 class _MinNormCOD:

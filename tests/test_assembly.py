@@ -308,7 +308,7 @@ def test_band_operator_all_schemes_both_variants(nx, nt):
         s = builtin_scheme(name, d)
         for variant in assembly.VARIANTS:
             g = assembly.global_operator(s, d, variant)
-            ab, kl = assembly.band_operator(s, d, variant)
+            ab, kl = linalg.band_from_entries(*assembly.operator_entries(s, d, variant))
             ku = ab.shape[1] - 2 * kl - 1
             row, col = np.nonzero(g)
             assert (kl, ku) == (max(0, np.max(row - col)),
@@ -346,7 +346,7 @@ def test_band_operator_size_guard_comes_before_any_allocation(monkeypatch):
     monkeypatch.setattr(assembly, "stencil_table", forbidden)
     monkeypatch.setattr(linalg, "band_from_entries", forbidden)
     with pytest.raises(UsageError, match="size 39800 exceeds limit 20000"):
-        assembly.band_operator(s, d, "causal")
+        linalg.band_from_entries(*assembly.operator_entries(s, d, "causal"))
 
 
 def test_stencil_table_is_memoized_and_read_only():

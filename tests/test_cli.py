@@ -283,6 +283,35 @@ def test_overflowing_solve_is_numerical_failure(capsys):
     assert err.startswith("numerical failure: the solve leaves the floating-point range")
 
 
+def test_min_norm_pivot_that_underflows_is_numerical_failure(capsys):
+    """Subnormal coefficients: a diagonal entry of the COD's T underflows to
+    0 when scaled back, which the factorization reports before any solve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--coeffs",
+                             "1.5e-323,5e-324,0,5e-324,0,0,0,0,0", "--nx", "5", "--nt", "5")
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: the COD exceeds the floating-point range\n"
+
+
+@pytest.mark.parametrize("coeffs, method, message", [
+    *[("1e307,1.7e308,1e307,0,0,0,0,0,0", method,
+       "the solve leaves the floating-point range (overflow encountered in subtract)")
+      for method in ("bartels-stewart", "kron", "min-norm")],
+    ("1e308,1e308,0,1e308,-1e308,0,0,0,0", "bartels-stewart",
+     "the LU factors exceed the floating-point range")])
+def test_near_float_limit_solve_fails_with_only_its_message(capsys, coeffs, method,
+                                                            message):
+    """The spectral distances and the Hessenberg reduction run in unit-scaled
+    units, so the only output is the solve's own numerical failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", "--coeffs", coeffs, "--nx", "6",
+                             "--nt", "6", "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: {message}\n"
+
+
 def test_band_lu_pivot_threshold_stays_finite(capsys):
     """|A|_F overflows, but the elimination runs on A scaled to unit
     magnitude, so the singular verdict rests on a finite threshold."""
@@ -594,6 +623,15 @@ def test_diagnose_builds_no_dense_operator(capsys, monkeypatch):
                          "--nx", "20", "--nt", "20")
     assert (code, err) == (0, "")
     assert "smallest singular value of the vectorized operator: " in out
+
+
+def test_diagnose_size_guard_comes_before_the_report(capsys):
+    """A corner stencil whose operator exceeds MAX_VEC_SIZE is a usage error
+    that prints nothing to stdout, like every other usage error."""
+    code, out, err = run(capsys, "diagnose", "--scheme", "crank-nicolson",
+                         "--nx", "150", "--nt", "150")
+    assert (code, out) == (1, "")
+    assert err == "error: vectorized operator of size 22350 exceeds limit 20000\n"
 
 
 def test_diagnose_singular_lu_is_not_a_smallest_singular_value_of_zero(capsys):

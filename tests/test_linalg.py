@@ -87,6 +87,28 @@ def test_hessenberg_random_residuals():
     assert np.linalg.norm(q.T @ q - np.eye(10)) <= 1e-12 * math.sqrt(10)
 
 
+def test_hessenberg_of_power_of_two_multiple_is_the_exact_multiple():
+    """The reduction runs on its input scaled to unit magnitude, so 2**k A
+    gives the same Q and exactly 2**k H, also where A's squares underflow
+    (k = -600) or overflow (k = 900, 1022)."""
+    a = rng(8).uniform(-1, 1, (9, 9))
+    q, h = linalg.hessenberg(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-600, 3, 900, 1022):
+            qk, hk = linalg.hessenberg(np.ldexp(a, k))
+            assert np.array_equal(qk, q), k
+            assert np.array_equal(hk, np.ldexp(h, k)), k
+
+
+def test_hessenberg_beyond_float_range_is_numerical_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError,
+                           match="^the Hessenberg form exceeds the floating-point range$"):
+            linalg.hessenberg(np.full((3, 3), 1.7e308))
+
+
 # --------------------------------------------------------- schur_decompose
 
 
@@ -381,6 +403,17 @@ def test_band_lu_beyond_float_range_is_numerical_failure():
         linalg._lu_factor(ab, kl)
 
 
+def test_band_lu_pivot_that_underflows_is_numerical_failure():
+    """The tridiagonal case of band LU: the second pivot passes the threshold
+    on the unit-scaled matrix but is 0 when U is scaled back, so the solve
+    never divides by it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError,
+                           match="^the LU factors exceed the floating-point range$"):
+            linalg.gauss_solve([[1.5e-323, 5e-324], [5e-324, 0.0]], [1, 1])
+
+
 # ------------------------------------------------------------ tridiag_solve
 
 
@@ -581,6 +614,16 @@ def test_cod_of_huge_matrix_is_the_scaled_factorization():
 def test_cod_beyond_float_range_is_numerical_failure():
     with pytest.raises(NumericalFailureError, match="floating-point range"):
         linalg.cod_factor(np.full((3, 3), 1.7e308))
+
+
+def test_cod_pivot_that_underflows_is_numerical_failure():
+    """A diagonal entry of T that underflows to 0 when scaled back would be
+    divided by in solve_min_norm."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError,
+                           match="^the COD exceeds the floating-point range$"):
+            linalg.cod_factor(np.array([[1.5e-323, 5e-324], [5e-324, 0.0]]))
 
 
 def test_rank_cut_is_the_module_constant(monkeypatch):

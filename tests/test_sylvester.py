@@ -135,6 +135,18 @@ def test_diagnose_bound_does_not_overflow():
     assert r.min_separation == 1.7e308 and r.unique
 
 
+def test_diagnose_separation_beyond_float_range_is_numerical_failure():
+    """The spectra 1.7e308 and -1.7e308 lie 3.4e308 apart: the distance is
+    taken in units in which it is finite, and its overflow back in user
+    units is reported, not returned as inf."""
+    p = sylvester.SylvesterProblem([[1.7e308]], [[1.7e308]], [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="^the spectral separation "
+                           "exceeds the floating-point range$"):
+            sylvester.diagnose(p)
+
+
 TINY_CRANK_NICOLSON = [2.25e-150, -0.25e-150, 0, -1e-150, -1e-150, 0,
                        -1e-150, -1e-150, 0]
 
@@ -469,7 +481,8 @@ def test_block_substitution_matches_band_lu(variant, name, n, rtol):
                                         method="kron").factorization
     assert isinstance(fac, sylvester._BlockSubstitution)
     c = rng(n).uniform(-1, 1, (n - 1, n))
-    want = sylvester._KronLU(*assembly.band_operator(s, d, variant)).solve(c)
+    want = sylvester._KronLU(*linalg.band_from_entries(
+        *assembly.operator_entries(s, d, variant))).solve(c)
     assert np.linalg.norm(fac.solve(c) - want) <= rtol * np.linalg.norm(want)
 
 

@@ -110,6 +110,18 @@ def matrix():
     # causal kron past MAX_VEC_SIZE, which guards only band and dense storage
     runs.append(["solve-error", "--scheme", "leapfrog", "--nx", "150", "--nt", "150",
                  "--variant", "causal", "--method", "kron"])
+    # a subnormal operator whose COD pivot underflows when scaled back;
+    # spectra and Hessenberg reductions near 1e308; diagnose's size guard on
+    # a corner stencil, which comes before the report
+    runs.append(["solve-error", "--coeffs", "1.5e-323,5e-324,0,5e-324,0,0,0,0,0",
+                 "--nx", "5", "--nt", "5", "--method", "min-norm", "--out", "error.csv"])
+    runs += [["solve-error", "--coeffs", coeffs, "--nx", "6", "--nt", "6",
+              "--method", method, "--out", "error.csv"]
+             for coeffs, methods in (("1e307,1.7e308,1e307,0,0,0,0,0,0", METHODS),
+                                     ("1e308,1e308,0,1e308,-1e308,0,0,0,0",
+                                      ("bartels-stewart",)))
+             for method in methods]
+    runs.append(["diagnose", "--scheme", "crank-nicolson", "--nx", "150", "--nt", "150"])
     return runs
 
 
