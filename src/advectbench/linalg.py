@@ -7,7 +7,9 @@ tridiagonal Toeplitz matrices), Gaussian elimination with partial pivoting
 on band storage (dense input is stored with the bandwidth of its nonzeros)
 and on tridiagonal systems, minimum-norm least squares through a complete
 orthogonal decomposition, and the Kronecker-vectorization operator used as
-an oracle for matrix equations.
+an oracle for matrix equations.  The COD's Q is formed from its stored
+reflectors in panels by the compact WY form, and its solve back-substitutes
+in blocks of rows; both block sizes are _BLOCK.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,7 @@ SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
 PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative to |A|_F
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
+_BLOCK = 8  # reflectors per panel of the COD's Q, rows per block of its back-substitution
 
 
 def _as_float_array(a, name):
@@ -540,8 +544,26 @@ class CODFactorization:
     rank: int
     shape: tuple
 
+    @cached_property
+    def _diagonal_blocks(self):
+        """(start, diagonal, columns above the diagonal) of each diagonal
+        block of T of at most _BLOCK rows, as Python floats, the last block
+        first."""
+        blocks = []
+        for i in reversed(range(0, self.rank, _BLOCK)):
+            d = self.t[i:i + _BLOCK, i:i + _BLOCK]
+            blocks.append((i, d.diagonal().tolist(),
+                           [d[:k, k].tolist() for k in range(d.shape[0])]))
+        return blocks
+
     def solve_min_norm(self, b):
-        """Minimum-norm least-squares solution of A x ~ b."""
+        """Minimum-norm least-squares solution of A x ~ b.
+
+        T w = (Q^T b)[:rank] is back-substituted in blocks of _BLOCK rows:
+        one product with the part of w already solved, then the block's
+        rows from the last, on Python floats.  Raises NumericalFailureError
+        when the solution exceeds the floating-point range.
+        """
         b = as_vector(b, "b")
         m, n = self.shape
         if b.size != m:
@@ -550,12 +572,22 @@ class CODFactorization:
         x = np.zeros(n)
         if r == 0:
             return x
-        c = (self.q.T @ b)[:r]
-        w = np.zeros(r)
-        for i in range(r - 1, -1, -1):
-            w[i] = (c[i] - self.t[i, i + 1:] @ w[i + 1:]) / self.t[i, i]
-        y = self.z[:, :r] @ w
-        x[self.perm] = y
+        # an overflow, numpy's or the Python floats' (which is silent), is
+        # caught by the check of x below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.q[:, :r].T @ b
+            for i, diagonal, columns in self._diagonal_blocks:
+                stop = i + len(diagonal)
+                c = (w[i:stop] - self.t[i:stop, stop:] @ w[stop:]).tolist()
+                for k in range(len(c) - 1, -1, -1):
+                    ck = c[k] = c[k] / diagonal[k]
+                    column = columns[k]
+                    for j in range(k):
+                        c[j] -= column[j] * ck
+                w[i:stop] = c
+            x[self.perm] = self.z[:, :r] @ w
+        if not np.isfinite(x).all():
+            raise NumericalFailureError("the solution exceeds the floating-point range")
         return x
 
     def null_space(self):
@@ -566,33 +598,64 @@ class CODFactorization:
         return ns
 
 
+def _form_q(q, p):
+    """Overwrite the unit reflectors v_0..v_{p-1}, v_k stored in rows k: of
+    column k of q (every other column an identity column), with
+    Q = H_0 ... H_{p-1}, H_k = I - 2 v_k v_k^T, as LAPACK's xORGQR does:
+    from the last panel of at most _BLOCK reflectors to the first, each
+    panel applied as I - V T V^T with T from xLARFT's recurrence."""
+    for i in reversed(range(0, p, _BLOCK)):
+        b = min(_BLOCK, p - i)
+        v = q[i:, i:i + b].copy()
+        g = v.T @ v
+        t = np.zeros((b, b))
+        for j in range(b):
+            t[:j, j] = -2.0 * (t[:j, :j] @ g[:j, j])
+            t[j, j] = 2.0
+        trailing = q[i:, i + b:]
+        trailing -= v @ (t @ (v.T @ trailing))
+        # the panel's own columns: (I - V T V^T) applied to identity columns
+        q[i:, i:i + b] = -(v @ (t @ v[:b].T))
+        q[i:i + b, i:i + b] += np.eye(b)
+
+
 def cod_factor(a):
     """Rank-revealing complete orthogonal decomposition.
 
     Column-pivoted Householder QR followed by right Householder reflections
     that compress the leading rank rows into an upper-triangular core.  The
     numerical rank counts leading diagonal entries above RANK_RTOL times the
-    largest revealed diagonal.
+    largest revealed diagonal.  The pivoted loop only stores its left
+    reflectors; Q is formed from them afterwards in panels of _BLOCK by
+    the compact WY form (_form_q), at matrix-matrix cost.  t is a view of
+    the factored copy of a: a copy would add a rank x rank array to the
+    peak memory.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
     r, e = _unit_scaled(a)
+    # column k of q holds the unit reflector v_k in rows k: until _form_q
     q = np.eye(m)
     perm = np.arange(n)
-    kmax = min(m, n)
+    kmax = reflectors = min(m, n)
     for k in range(kmax):
-        norms = np.sqrt(np.sum(r[k:, k:] * r[k:, k:], axis=0))
+        rk = r[k:, k:]
+        norms = np.sqrt(np.einsum("ij,ij->j", rk, rk))
         j = k + int(np.argmax(norms))
         if norms[j - k] == 0.0:
+            reflectors = k
             break
         if j != k:
             r[:, [k, j]] = r[:, [j, k]]
             perm[[k, j]] = perm[[j, k]]
         v = _householder_unit(r[k:, k])
-        if v is not None:
-            r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-            q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
+        if v is None:  # H_k = I
+            q[k, k] = 0.0
+        else:
+            rk -= np.multiply.outer(v, 2.0 * (v @ rk))
+            q[k:, k] = v
         r[k + 1:, k] = 0.0
+    _form_q(q, reflectors)
     diag = np.abs(np.diag(r[:kmax, :kmax])) if kmax else np.zeros(0)
     rank = 0
     if kmax and diag[0] > 0.0:
@@ -618,7 +681,7 @@ def cod_factor(a):
         z[:, i] = zb[:, 0]
         z[:, rank:] = zb[:, 1:]
         r[i, rank:] = 0.0
-    t = _scaled_back(r[:rank, :rank].copy(), e, "the COD exceeds the floating-point range",
+    t = _scaled_back(r[:rank, :rank], e, "the COD exceeds the floating-point range",
                      pivots=np.diag_indices(rank))
     return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n))
 

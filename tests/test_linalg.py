@@ -633,6 +633,88 @@ def test_rank_cut_is_the_module_constant(monkeypatch):
     assert linalg.cod_factor(a).rank == 1
 
 
+def low_rank(seed, m, n, r):
+    g = rng(seed)
+    return g.uniform(-1, 1, (m, r)) @ g.uniform(-1, 1, (r, n))
+
+
+COD_CASES = {
+    "tall 7x5": (rng(21).uniform(-1, 1, (7, 5)), 5),
+    "tall 40x30": (rng(22).uniform(-1, 1, (40, 30)), 30),
+    "wide 5x7": (rng(23).uniform(-1, 1, (5, 7)), 5),
+    "wide 30x40": (rng(24).uniform(-1, 1, (30, 40)), 30),
+    "square 25x25": (rng(25).uniform(-1, 1, (25, 25)), 25),
+    "rank 3 of 12x10": (low_rank(26, 12, 10, 3), 3),
+    "rank 8 of 20x20": (low_rank(27, 20, 20, 8), 8),
+    "rank 9 of 15x22": (low_rank(28, 15, 22, 9), 9),
+    "1x1": (np.array([[-3.0]]), 1),
+    "zero 4x3": (np.zeros((4, 3)), 0),
+}
+
+
+@pytest.mark.parametrize("name", COD_CASES)
+def test_cod_factors_reconstruct_a_with_orthogonal_q_and_z(name):
+    """A P = Q [T 0; 0 0] Z^T with Q, Z orthogonal and T upper triangular,
+    Q's trailing columns (never multiplied by T) included."""
+    a, rank = COD_CASES[name]
+    f = linalg.cod_factor(a)
+    m, n = a.shape
+    assert f.rank == rank and f.t.shape == (rank, rank)
+    assert np.array_equal(f.t, np.triu(f.t))
+    assert np.array_equal(np.sort(f.perm), np.arange(n))
+    back = f.q[:, :rank] @ f.t @ f.z[:, :rank].T
+    assert np.linalg.norm(a[:, f.perm] - back) <= 1e-13 * np.linalg.norm(a)
+    assert np.max(np.abs(f.q.T @ f.q - np.eye(m))) <= 1e-13
+    assert np.max(np.abs(f.z.T @ f.z - np.eye(n))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", [name for name, (a, rank) in COD_CASES.items()
+                                  if rank in (0, min(a.shape))])
+def test_cod_q_is_the_product_of_the_pivoted_reflectors(name):
+    """On full rank (or none), Q is H_0 ... H_{k-1} of the Householder QR of
+    A P; LAPACK's complete QR of A P (numpy's, the same sign convention)
+    forms that product, trailing columns included."""
+    a, _ = COD_CASES[name]
+    f = linalg.cod_factor(a)
+    want = np.linalg.qr(a[:, f.perm], mode="complete")[0]
+    assert np.max(np.abs(f.q - want)) <= 1e-13
+
+
+def plain_min_norm(f, b):
+    """Reference: T w = (Q^T b)[:rank] back-substituted one row at a time."""
+    r = f.rank
+    c = (f.q.T @ b)[:r]
+    w = np.zeros(r)
+    for i in range(r - 1, -1, -1):
+        w[i] = (c[i] - f.t[i, i + 1:] @ w[i + 1:]) / f.t[i, i]
+    x = np.zeros(f.shape[1])
+    x[f.perm] = f.z[:, :r] @ w
+    return x
+
+
+@pytest.mark.parametrize("m, n, rank", [(7, 7, 7), (8, 8, 8), (9, 9, 9), (16, 16, 16),
+                                        (17, 17, 17), (24, 24, 24), (30, 30, 16),
+                                        (30, 30, 17), (40, 35, 23), (35, 40, 24)])
+def test_blocked_substitution_matches_plain_substitution(m, n, rank):
+    """Ranks on and off the edges of the blocks of back-substitution."""
+    f = linalg.cod_factor(low_rank(40 + rank, m, n, rank))
+    assert f.rank == rank
+    b = rng(rank).uniform(-1, 1, m)
+    want = plain_min_norm(f, b)
+    assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_min_norm_solution_beyond_float_range_is_numerical_failure():
+    """T is finite but w = 1e300 / 1e-10 is not: the solve raises the named
+    error, as gauss_solve does, and warns nothing."""
+    f = linalg.cod_factor(np.array([[1.0, 0.0], [0.0, 1e-10]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError,
+                           match="^the solution exceeds the floating-point range$"):
+            f.solve_min_norm(np.array([0.0, 1e300]))
+
+
 # -------------------------------------------------------- kron_vec_operator
 
 

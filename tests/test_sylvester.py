@@ -295,6 +295,16 @@ def test_min_norm_matches_bartels_stewart_when_unique():
     assert residual <= 1e-10 * max(1.0, np.linalg.norm(p.c))
 
 
+@pytest.mark.parametrize("name, rank", [("leapfrog", 380), ("lax", 373),
+                                        ("lax-wendroff", 375), ("crank-nicolson", 380)])
+def test_min_norm_ranks_of_the_paper_closures_at_20(name, rank):
+    """The numerical ranks the COD reveals, pinned, so a change to the factor
+    that moves a pivot or the rank cut shows."""
+    d = disc()
+    solver = sylvester.ErrorEquationSolver(builtin_scheme(name, d), d, method="min-norm")
+    assert (solver.factorization.rank, solver.factorization.size) == (rank, 380)
+
+
 def test_min_norm_singular_consistent_null_perturbations():
     d = disc(nx=4, nt=4)
     s = builtin_scheme("lax", d)

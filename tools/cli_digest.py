@@ -9,11 +9,13 @@ temporary directory.  Prints the invocation count, the exit-code histogram
 and one sha256 over every invocation's argv, exit code, stdout, stderr and
 written files (names and bytes).  Two commits behave identically on the
 matrix when they print the same three lines; run it once per checkout, with
-the same numpy/BLAS build, and compare.  After the total come one sha256 per
-(command, variant, method) group, a dash standing for a flag the command
-was not given, so a change that moves some outputs shows which groups it
-leaves byte-identical.  Every invocation passes only flags that its command
-reads.
+the same numpy/BLAS build, and compare.  The path of SRC is replaced by
+``<src>`` in stdout and stderr before hashing, so a leaked warning, which
+names its source file, hashes alike in any checkout directory.  After the
+total come one sha256 per (command, variant, method) group, a dash standing
+for a flag the command was not given, so a change that moves some outputs
+shows which groups it leaves byte-identical.  Every invocation passes only
+flags that its command reads.
 """
 
 import contextlib
@@ -157,13 +159,15 @@ def main(argv):
     if not (src / "advectbench" / "__init__.py").is_file():
         print(f"error: no advectbench sources under {src}", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(src.resolve()))
+    root = str(src.resolve())
+    sys.path.insert(0, root)
     from advectbench import cli
 
     total, codes, groups = hashlib.sha256(), Counter(), {}
     runs = matrix()
     for args in runs:
         code, out, err, files = run(cli, args)
+        out, err = out.replace(root, "<src>"), err.replace(root, "<src>")
         codes[code] += 1
         record = (json.dumps([args, code, out, err, files]) + "\n").encode()
         total.update(record)
