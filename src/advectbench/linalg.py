@@ -3,7 +3,8 @@
 Self-contained routines on numpy arrays: norms, Householder Hessenberg
 reduction, real Schur decomposition (Francis double-shift QR; a 2x2
 diagonal block is kept whatever its spectrum), eigenvalues (closed form for
-tridiagonal Toeplitz matrices), Gaussian elimination with partial pivoting
+tridiagonal Toeplitz matrices, with the unitary eigenvectors of the normal
+ones), Gaussian elimination with partial pivoting
 on band storage (dense input is stored with the bandwidth of its nonzeros)
 and on tridiagonal systems, minimum-norm least squares through a complete
 orthogonal decomposition, and the Kronecker-vectorization operator used as
@@ -288,22 +289,47 @@ def schur_decompose(a):
     return SchurForm(q=q, t=_scaled_back(h, e, message), eigenvalues=eigs.tolist())
 
 
-def _tridiagonal_toeplitz_spectrum(a):
-    """Eigenvalues b + 2 sqrt(c d) cos(k pi/(n+1)), k = 1..n, of a
-    non-triangular tridiagonal Toeplitz matrix (b on the diagonal, c above,
-    d below), or None when a is not one."""
+def tridiagonal_toeplitz_eig(a, vectors=False):
+    """Closed-form eigenpairs of a tridiagonal Toeplitz matrix T of order n
+    (b on the diagonal, c above, d below; c = d = 0 when T is diagonal or
+    1x1).  With s = sqrt|c| sqrt|d| when c and d are both positive or both
+    not, else i sqrt|c| sqrt|d|, eigenvalue k, k = 1..n, is
+    b + 2 s cos(k pi/(n+1)) and eigenvector k has entries
+    (s/c)^j sin(j k pi/(n+1)), j = 1..n.
+
+    Returns None when a is not tridiagonal Toeplitz, else the eigenvalues
+    as a complex array.  With vectors=True it returns (values, phase, u),
+    or None when T is not normal (|c| != |d|): then s/c is a power of i,
+    phase its powers j = 1..n, and T = V diag(values) V^H with the unitary
+    V = diag(phase) u, u the orthogonal and symmetric DST-I matrix
+    sqrt(2/(n+1)) sin(j k pi/(n+1)), column k paired with value k.
+    Raises NumericalFailureError when an eigenvalue overflows."""
     n = a.shape[0]
-    b, c, d = a[0, 0], a[0, 1], a[1, 0]
+    b = a[0, 0]
+    c, d = (a[0, 1], a[1, 0]) if n > 1 else (0.0, 0.0)
     if not np.array_equal(a, b * np.eye(n) + c * np.eye(n, k=1) + d * np.eye(n, k=-1)):
+        return None
+    if vectors and abs(c) != abs(d):
         return None
     # cos(k pi/(n+1)) as a sine, exactly odd about the middle k
     cos = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * n + 2))
+    real = (c > 0.0) == (d > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         w = 2.0 * cos * (np.sqrt(abs(c)) * np.sqrt(abs(d)))  # c d may overflow
-        z = b + w if (c > 0.0) == (d > 0.0) else b + 1j * w
+        z = b + w if real else b + 1j * w
     if not np.all(np.isfinite(z)):
         raise NumericalFailureError("the spectrum exceeds the floating-point range")
-    return [complex(x) for x in z]
+    z = np.asarray(z, dtype=complex)
+    if not vectors:
+        return z
+    # s/c = i^q: +-1 for a real spectrum, +-i otherwise
+    q = (0 if real else 1) + (2 if c < 0.0 else 0)
+    j = np.arange(1, n + 1)
+    phase = np.array([1, 1j, -1, -1j])[q * j % 4]
+    # j k reduced modulo 2(n+1), the period of sin(j k pi/(n+1))
+    jk = np.outer(j, j) % (2 * n + 2)
+    u = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * jk)
+    return z, phase, u
 
 
 def eigenvalues(a):
@@ -313,8 +339,8 @@ def eigenvalues(a):
     a = as_matrix(a, "a", square=True)
     if np.all(np.tril(a, -1) == 0.0) or np.all(np.triu(a, 1) == 0.0):
         return [complex(x) for x in np.diag(a)]
-    spectrum = _tridiagonal_toeplitz_spectrum(a)
-    return schur_decompose(a).eigenvalues if spectrum is None else spectrum
+    spectrum = tridiagonal_toeplitz_eig(a)
+    return schur_decompose(a).eigenvalues if spectrum is None else spectrum.tolist()
 
 
 def band_from_entries(n, row, col, val):

@@ -2,12 +2,15 @@
 equation built on it.
 
 Three methods are provided, each a private object that factors once and
-solves many right-hand sides: Bartels-Stewart in its Hessenberg-Schur
-form (A reduced to Hessenberg form, one real Schur form of B), Gaussian
-elimination on the vectorized operator (the oracle), and minimum-norm
-least squares through a complete orthogonal decomposition for singular or
-inconsistent systems.  The error-equation solver vectorizes every closure
-variant with the global operator.  kron reads it from the stencil table:
+solves many right-hand sides: Bartels-Stewart (when A and B are both
+normal tridiagonal Toeplitz matrices, as leapfrog's M1 and M2 are, by their
+closed-form unitary diagonalizations, a division per entry; otherwise in
+Hessenberg-Schur form, A reduced to Hessenberg form and one real Schur form
+of B), Gaussian elimination on the vectorized operator (the oracle), and
+minimum-norm least squares through a complete orthogonal decomposition for
+singular or inconsistent systems.  The error-equation solver vectorizes
+every closure variant with the global operator.  kron reads it from the
+stencil table:
 when it is block triangular in time (every causal closure, and the paper
 closure of a two-level stencil) the elimination is block substitution,
 one diagonal or tridiagonal block per time column, and otherwise band LU
@@ -64,6 +67,15 @@ class SolvabilityReport:
     notes: str = ""
 
 
+def _unit_scaled_pair(a, b):
+    """(a * 2**-e, b * 2**-e, e): A and B scaled by one power of two, that
+    which brings the largest entry of either into [0.5, 1)
+    (linalg._unit_scaled); the scaling is exact."""
+    big = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+    e = linalg._unit_scaled(np.array([big]))[1]
+    return np.ldexp(a, -e), np.ldexp(b, -e), e
+
+
 def diagnose(p):
     """Unique-solvability verdict from the spectra of A and -B.
 
@@ -76,15 +88,13 @@ def diagnose(p):
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
-    big = max(np.max(np.abs(p.a), initial=0.0), np.max(np.abs(p.b), initial=0.0))
-    e = math.frexp(big)[1]
+    a, b, e = _unit_scaled_pair(p.a, p.b)
     sa, snb = (np.ldexp(np.array(z, dtype=complex).view(float), -e).view(complex)
                for z in (spec_a, spec_nb))
     # hypot is what abs(la - mu) computes; np.abs may differ in the last bit
     d = np.subtract.outer(sa, snb)
     min_sep = float(np.min(np.hypot(d.real, d.imag)))
-    norms = (linalg.frobenius_norm(np.ldexp(p.a, -e))
-             + linalg.frobenius_norm(np.ldexp(p.b, -e)))
+    norms = linalg.frobenius_norm(a) + linalg.frobenius_norm(b)
     return SolvabilityReport(
         spectrum_a=spec_a,
         spectrum_neg_b=spec_nb,
@@ -97,19 +107,53 @@ def diagnose(p):
 
 
 class _BartelsStewart:
-    """Hessenberg-Schur factorization of A X + X B = C: A = QA H QA^T with H
-    upper Hessenberg (a tridiagonal A is kept as it is, QA = I) and one real
-    Schur form B = QB T QB^T.  For each 1x1/2x2 diagonal block S of T the
-    system H Y + Y S = R is factored once by band LU, in the row-interleaved
-    order S^T Y^T + Y^T H^T = R^T, which has at most 3 subdiagonals.  A solve
-    transforms C, takes one band solve per column block of T, left to right,
-    and transforms back.  Requires unique solvability."""
+    """Bartels-Stewart factorization of A X + X B = C; requires unique
+    solvability.
+
+    When A and B are both normal tridiagonal Toeplitz matrices (|sub| =
+    |super|; a diagonal or 1x1 matrix is one), their Schur forms are
+    diagonal and known in closed form: A = V1 diag(lam) V1^H and
+    B = V2 diag(mu) V2^H, V = diag(phase) U with U the orthogonal DST-I
+    matrix (linalg.tridiagonal_toeplitz_eig).  This is the fast
+    diagonalization of Lynch, Rice and Thomas.  The factorization is V1,
+    V2 and the divisors lam_i + mu_j, the eigenvalues of the vectorized
+    operator K, on A and B scaled by one power of two to unit magnitude; a
+    solve is X = Re(V1 ((V1^H C V2) / (lam_i + mu_j)) V2^H), scaled back.
+    K is unitarily similar to the diagonal of the divisors, so a divisor
+    is a pivot of K and fails, as a block pivot does, when it is at most
+    PIVOT_RTOL times their Frobenius norm (linalg._pivot_scale).
+
+    Otherwise Hessenberg-Schur: A = QA H QA^T with H upper Hessenberg (a
+    tridiagonal A is kept as it is, QA = I) and one real Schur form
+    B = QB T QB^T.  For each 1x1/2x2 diagonal block S of T the system
+    H Y + Y S = R is factored once by band LU, in the row-interleaved order
+    S^T Y^T + Y^T H^T = R^T, which has at most 3 subdiagonals.  A solve
+    transforms C, takes one band solve per column block of T, left to
+    right, and transforms back."""
 
     def __init__(self, a, b, report):
         if not report.unique:
             raise SingularSystemError(
                 "A and -B share eigenvalues (min separation "
                 f"{report.min_separation:.3e}); use min-norm")
+        a_unit, b_unit, e = _unit_scaled_pair(a, b)
+        fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True)
+                  for m in (a_unit, b_unit))
+        self._diagonal = None
+        if fa is not None and fb is not None:
+            (lam, phase_a, ua), (mu, phase_b, ub) = fa, fb
+            d = np.add.outer(lam, mu)
+            mag = np.abs(d)
+            ed, thresh = linalg._pivot_scale(mag)
+            small = np.argwhere(np.ldexp(mag, -ed).T <= thresh)
+            if small.size:
+                j, i = small[0]
+                exc = linalg._pivot_failure(math.ldexp(mag[i, j], -ed), thresh,
+                                            ed + e, i)
+                raise NumericalFailureError(
+                    f"pivot failure in the block system of column {j}: {exc}")
+            self._diagonal = (ua, phase_a, ub, phase_b, d, e)
+            return
         self._qa, h = linalg.hessenberg(a)
         fb = linalg.schur_decompose(b)
         self._qb, self._t = fb.q, fb.t
@@ -125,6 +169,8 @@ class _BartelsStewart:
                 ) from exc
 
     def solve(self, c):
+        if self._diagonal is not None:
+            return self._solve_diagonal(c)
         t = self._t
         d = self._qa.T @ c @ self._qb
         y = np.zeros_like(d)
@@ -132,6 +178,22 @@ class _BartelsStewart:
             r = d[:, js] - y[:, :js.start] @ t[:js.start, js]
             y[:, js] = block.solve(r.T).T
         return self._qa @ y @ self._qb.T
+
+    def _solve_diagonal(self, c):
+        ua, phase_a, ub, phase_b, d, e = self._diagonal
+        # an overflow is caught by _scaled_back's check of the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _dst_both_sides(ua, phase_a.conj()[:, None] * c * phase_b, ub) / d
+            y = (phase_a[:, None] * _dst_both_sides(ua, f, ub) * phase_b.conj()).real
+        return linalg._scaled_back(np.ascontiguousarray(y), -e,
+                                   "the solution exceeds the floating-point range")
+
+
+def _dst_both_sides(ua, x, ub):
+    """ua @ x @ ub for complex x and real symmetric ua, ub, as two real
+    products on the interleaved real and imaginary parts of x."""
+    y = (ua @ np.ascontiguousarray(x).view(float)).view(complex)
+    return (ub @ np.ascontiguousarray(y.T).view(float)).view(complex).T
 
 
 class _KronLU:
@@ -218,8 +280,9 @@ class _MinNormCOD:
 
 
 def solve_bartels_stewart(p):
-    """Bartels-Stewart in Hessenberg-Schur form (see _BartelsStewart).
-    Requires unique solvability."""
+    """Bartels-Stewart, by closed-form diagonalization or in
+    Hessenberg-Schur form (see _BartelsStewart).  Requires unique
+    solvability."""
     return _BartelsStewart(p.a, p.b, diagnose(p)).solve(p.c)
 
 
@@ -249,7 +312,12 @@ class ErrorEquationSolver:
 
     The factorization is computed once, so sweeping many signals is cheap.
     Bartels-Stewart is only legal for the paper variant with L = 0 (no
-    corner coefficients); M1 is tridiagonal, hence already Hessenberg, so it
+    corner coefficients).  When |alpha| = |gamma| and |delta| = |epsilon|,
+    as for leapfrog, M1 and M2 are normal tridiagonal Toeplitz, and it
+    diagonalizes both in closed form: set-up forms two DST-I matrices and
+    the divisors lam_i + mu_j, and a solve is four dense products and one
+    division per entry, with no Schur form and no block factorization.
+    Otherwise M1, tridiagonal and hence already Hessenberg, is kept, and it
     computes one real Schur form, of M2, and factors one band system of
     nx-1 or 2(nx-1) unknowns per 1x1/2x2 diagonal block of it, with at most
     3 diagonals below and above.  kron eliminates on the variant's

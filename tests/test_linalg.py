@@ -258,6 +258,31 @@ def test_eigenvalues_toeplitz_normal_case_matches_numpy():
             assert complex(b) in got
 
 
+@pytest.mark.parametrize("c, d", [(0.7, 0.7), (-0.7, -0.7), (0.7, -0.7),
+                                  (-0.7, 0.7), (0.0, 0.0)])
+def test_normal_toeplitz_eigenvectors_pair_with_the_eigenvalues(c, d):
+    """|c| = |d|: V = diag(phase) u is unitary, u the symmetric DST-I
+    matrix and phase powers of i, and T V = V diag(values), column k paired
+    with value k; the values are those eigenvalues returns, bit for bit."""
+    for n in (1, 2, 7, 30):
+        t = _toeplitz(n, 0.3, c, d)
+        values, phase, u = linalg.tridiagonal_toeplitz_eig(t, vectors=True)
+        v = phase[:, None] * u
+        assert np.array_equal(u, u.T)
+        assert set(phase.tolist()) <= {1, 1j, -1, -1j}
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-14 * n
+        assert np.linalg.norm(t @ v - v * values) <= 1e-14 * n
+        assert values.tolist() == linalg.eigenvalues(t)
+
+
+def test_toeplitz_eigenvectors_only_of_normal_matrices():
+    t = _toeplitz(5, 1.0, 0.5, 0.25)
+    assert linalg.tridiagonal_toeplitz_eig(t, vectors=True) is None
+    assert linalg.tridiagonal_toeplitz_eig(t).tolist() == linalg.eigenvalues(t)
+    t[2, 2] = 2.0
+    assert linalg.tridiagonal_toeplitz_eig(t) is None
+
+
 def test_eigenvalues_non_toeplitz_tridiagonal_goes_to_schur(monkeypatch):
     calls = []
     schur = linalg.schur_decompose

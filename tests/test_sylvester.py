@@ -523,22 +523,87 @@ def test_causal_kron_builds_no_band_storage(monkeypatch):
                                       variant="paper", method="kron")
 
 
-def test_error_equation_bartels_stewart_at_60_matches_kron():
-    """Leapfrog paper closure at N = 3540: M2's Schur form is all 2x2
-    blocks, so every block system is 2(nx-1) unknowns wide."""
-    d = disc(nx=60, nt=60, sigma=0.8)
+# alpha = gamma and delta = epsilon: M1 and M2 symmetric, real spectra
+NORMAL_REAL = (1, 3, 1, 0.5, 0.5, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name, n", [("leapfrog", 20), ("leapfrog", 60),
+                                     ("leapfrog", 100), ("normal-real", 20),
+                                     ("normal-real", 31)])
+def test_error_equation_bartels_stewart_closed_form_matches_kron(name, n):
+    """M1 and M2 are normal tridiagonal Toeplitz (leapfrog's skew-symmetric
+    up to the diagonal, with eigenvector phases powers of i; NORMAL_REAL's
+    symmetric, with phases 1), so Bartels-Stewart diagonalizes both in
+    closed form; the field agrees with band LU's (N = 9900 at 100^2)."""
+    d = disc(nx=n, nt=n, sigma=0.8)
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
-    s = builtin_scheme("leapfrog", d)
+    s = (schemes.custom_scheme(NORMAL_REAL) if name == "normal-real"
+         else builtin_scheme(name, d))
     solver = sylvester.ErrorEquationSolver(s, d, variant="paper",
                                            method="bartels-stewart")
-    assert all(size == 2 for _, size in linalg.schur_blocks(
-        linalg.schur_decompose(solver.m2).t))
+    _, phase_a, _, phase_b, _, _ = solver.factorization._diagonal
+    real = name == "normal-real"
+    assert all(np.isreal(p).all() == real for p in (phase_a, phase_b))
     e, report, _ = solver.solve(signal)
     assert report.unique
     want, _ = sylvester.solve_error_equation(s, d, signal, variant="paper",
                                              method="kron")
     assert (np.linalg.norm(e.values - want.values)
             <= 1e-11 * np.linalg.norm(want.values))
+
+
+def test_bartels_stewart_closed_form_runs_no_schur_and_no_block_lu(monkeypatch):
+    """Leapfrog's paper closure takes the closed form; Lax-Wendroff's
+    (nilpotent M2, |epsilon/delta| = 9) and a dense pair keep the
+    Hessenberg-Schur path."""
+    schur = linalg.schur_decompose
+    calls = []
+
+    def forbidden(*args):
+        raise AssertionError("Schur form or block LU computed")
+
+    def counted(a):
+        calls.append(a.shape)
+        return schur(a)
+
+    monkeypatch.setattr(linalg, "schur_decompose", forbidden)
+    monkeypatch.setattr(linalg, "_lu_factor", forbidden)
+    d = disc()
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d, variant="paper",
+                                  method="bartels-stewart").solve(signal)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "schur_decompose", counted)
+    d = disc(nx=10, nt=10)
+    sylvester.ErrorEquationSolver(builtin_scheme("lax-wendroff", d), d, variant="paper",
+                                  method="bartels-stewart")
+    sylvester.solve_bartels_stewart(unique_instance(5))
+    # Lax-Wendroff's M2; then the dense A and B for diagnose, and B again
+    assert calls == [(10, 10), (6, 6), (5, 5), (5, 5)]
+
+
+def test_leapfrog_separation_is_the_smallest_singular_value():
+    """K = I (x) M1 + M2^T (x) I is normal for leapfrog, so its smallest
+    singular value is the least |lam_i + mu_j|, diagnose's separation."""
+    d = disc()
+    s = builtin_scheme("leapfrog", d)
+    sep = sylvester.diagnose(scheme_problem(s, d)).min_separation
+    sigma = np.linalg.svd(assembly.global_operator(s, d, "paper"), compute_uv=False)[-1]
+    assert abs(sep - sigma) <= 1e-12 * sigma
+
+
+def test_bartels_stewart_closed_form_at_300_beyond_the_vectorized_limit():
+    """N = 89700 exceeds MAX_VEC_SIZE, so kron's band LU cannot run; the
+    closed form still solves to a small operator residual."""
+    d = disc(nx=300, nt=300)
+    assert (d.nx - 1) * d.nt > linalg.MAX_VEC_SIZE
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    s = builtin_scheme("leapfrog", d)
+    _, _, residual = sylvester.ErrorEquationSolver(
+        s, d, variant="paper", method="bartels-stewart").solve(signal)
+    known = advect.sample_nodes(d, signal)
+    rhs = assembly.residual(s, d, known, known[1:-1, 1:], "paper")
+    assert residual <= 1e-10 * linalg.frobenius_norm(rhs)
 
 
 def test_error_equation_bartels_stewart_real_m2_spectrum_matches_kron():
