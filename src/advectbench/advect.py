@@ -2,7 +2,10 @@
 
 This is the ground-truth side of the workbench: the advected sinusoid, a
 simulator that marches any solvable stencil (explicit or implicit), and the
-error statistics reported by the sweeps.
+error statistics reported by the sweeps.  Sampling and the march take one
+signal or a stack of them: a sweep samples all of its signals into one
+k x (nx+1) x (nt+1) array and marches them together, level by level, each
+signal's field bit-identical to its own march.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import assembly, linalg
 from .errors import NumericalFailureError, UsageError
-from .schemes import Discretization
+from .schemes import Discretization, SignalSpec
 
 
 @dataclass(frozen=True)
@@ -45,16 +48,24 @@ class ErrorSummary:
 
 def sample_nodes(disc, signal):
     """Exact solution on every grid node, i = 0..nx by m = 0..nt: the known
-    data of the simulator and of M0.  Raises UsageError when the phase
-    overflows."""
+    data of the simulator and of M0.  ``signal`` is one SignalSpec, or a
+    sequence of k of them sampled together into a k x (nx+1) x (nt+1) stack
+    whose node arrays are each bit-identical to one signal's.  Raises
+    UsageError when a phase overflows, naming the first such signal."""
+    single = isinstance(signal, SignalSpec)
+    signals = [signal] if single else list(signal)
     x = np.arange(disc.nx + 1)[:, None] * disc.h
     t = np.arange(disc.nt + 1)[None, :] * disc.tau
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = 2.0 * np.pi / signal.wavelength * (x - disc.c * t)
-    if not np.all(np.isfinite(phase)):
+        wavenumbers = np.array([2.0 * np.pi / sig.wavelength for sig in signals])
+        phase = wavenumbers[:, None, None] * (x - disc.c * t)
+    finite = np.isfinite(phase).all(axis=(1, 2))
+    if not finite.all():
+        bad = signals[int(np.argmin(finite))]
         raise UsageError(f"the phase 2*pi/wavelength*(x - c*t) of wavelength "
-                         f"{signal.wavelength:g} exceeds the floating-point range")
-    return np.cos(phase)
+                         f"{bad.wavelength:g} exceeds the floating-point range")
+    nodes = np.cos(phase, out=phase)
+    return nodes[0] if single else nodes
 
 
 def sample_exact(disc, signal):
@@ -65,13 +76,19 @@ def sample_exact(disc, signal):
 def time_step_simulate(s, disc, known):
     """March the stencil causally and return the interior field.
 
-    ``known`` is a node array as ``sample_nodes`` returns it.  Level n+1
-    solves the stencil centered at n for all interior i at once, with the
-    level matrix tridiag(theta, alpha, zeta), factored once per march (a
-    division by alpha when zeta = theta = 0).  The march overwrites the
+    ``known`` is a node array as ``sample_nodes`` returns it, or a stack of
+    k of them, which are marched together; a node array is a stack of one.
+    Level n+1 solves the stencil centered at n for all interior i of all k
+    arrays at once, with the level matrix tridiag(theta, alpha, zeta),
+    factored once per march (a division by alpha when zeta = theta = 0),
+    whose solve takes the k right-hand sides as the columns of one matrix.
+    Every operation acts on each array as it would on that array alone, so
+    each field is bit-identical to its own march.  The march overwrites the
     interior of a copy of ``known``, so only level 0, the boundaries and,
     for three-level stencils, level 1 are read from it.  A level that
-    overflows raises ``NumericalFailureError`` naming it.
+    overflows in any array raises ``NumericalFailureError`` naming it.
+    Returns a FieldMatrix, or for a stack the list of the k fields in stack
+    order.
     """
     nx, nt = disc.nx, disc.nt
     coef_scale = max(abs(v) for v in s.as_tuple())
@@ -79,24 +96,26 @@ def time_step_simulate(s, disc, known):
         raise NumericalFailureError(
             "explicit update is degenerate: |alpha| is negligible")
 
-    u = assembly.check_known(known, disc).copy()
+    known = assembly.check_known(known, disc, stack=True)
+    u = np.array(known, ndmin=3)  # a copy; a node array is a stack of one
     solve = linalg.tridiag_factor(np.full(nx - 2, s.theta), np.full(nx - 1, s.alpha),
                                   np.full(nx - 2, s.zeta))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1 if s.is_three_level else 0, nt):
-                rhs = -(s.beta * u[1:nx, n] + s.delta * u[2:, n]
-                        + s.epsilon * u[:nx - 1, n])
+                rhs = -(s.beta * u[:, 1:nx, n] + s.delta * u[:, 2:, n]
+                        + s.epsilon * u[:, :nx - 1, n])
                 if s.is_three_level:
-                    rhs -= (s.gamma * u[1:nx, n - 1] + s.eta * u[:nx - 1, n - 1]
-                            + s.vartheta * u[2:, n - 1])
-                rhs[0] -= s.theta * u[0, n + 1]
-                rhs[-1] -= s.zeta * u[nx, n + 1]
-                u[1:nx, n + 1] = solve(rhs)
+                    rhs -= (s.gamma * u[:, 1:nx, n - 1] + s.eta * u[:, :nx - 1, n - 1]
+                            + s.vartheta * u[:, 2:, n - 1])
+                rhs[:, 0] -= s.theta * u[:, 0, n + 1]
+                rhs[:, -1] -= s.zeta * u[:, nx, n + 1]
+                u[:, 1:nx, n + 1] = solve(rhs.T).T
     except (FloatingPointError, NumericalFailureError) as exc:
         raise NumericalFailureError(
             f"the march overflows at time level {n + 1}: {exc}") from exc
-    return FieldMatrix(values=u[1:nx, 1:], disc=disc)
+    fields = [FieldMatrix(values=v, disc=disc) for v in u[:, 1:nx, 1:]]
+    return fields if known.ndim == 3 else fields[0]
 
 
 def error_matrix(u, u_exact):

@@ -64,11 +64,12 @@ def build_m2(s, disc):
             + np.diag(np.full(n - 1, s.alpha), -1))
 
 
-def check_known(known, disc):
+def check_known(known, disc, stack=False):
     """The node array ``known`` as float64, checked to be (nx+1) x (nt+1)
-    and finite."""
-    known = linalg.as_matrix(known, "known")
-    if known.shape != (disc.nx + 1, disc.nt + 1):
+    and finite; with stack=True a k x (nx+1) x (nt+1) stack of node arrays
+    passes too."""
+    known = linalg.as_matrix(known, "known", stack=stack)
+    if known.shape[-2:] != (disc.nx + 1, disc.nt + 1):
         raise UsageError(f"known node array shape {known.shape} does not match "
                          f"grid nodes {(disc.nx + 1, disc.nt + 1)}")
     return known

@@ -270,7 +270,10 @@ def sweep_values(nl_min, nl_max, nl_step):
 
 
 def run_sweep(cfg):
-    """Evaluate both error paths over the n_lambda grid, ordered ascending.
+    """Evaluate both error paths over the n_lambda grid, ordered ascending:
+    the solver's set-up, then one sampling and one march of all the
+    signals, then one error-equation solve per signal, in n_lambda order;
+    the first failure of these steps ends the sweep.
 
     Returns (records, iso) where iso maps each n_lambda to the per-time-column
     Euclidean norms of the simulation error (the isovalue grid).
@@ -278,12 +281,12 @@ def run_sweep(cfg):
     n_lambdas = sweep_values(cfg.nl_min, cfg.nl_max, cfg.nl_step)
     solver = sylvester.ErrorEquationSolver(cfg.scheme, cfg.disc,
                                            variant=cfg.variant, method=cfg.method)
+    signals = [SignalSpec.from_cells_per_wavelength(nl, cfg.disc) for nl in n_lambdas]
+    known = advect.sample_nodes(cfg.disc, signals)
+    sims = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
     records, iso = [], []
-    for nl in n_lambdas:
-        signal = SignalSpec.from_cells_per_wavelength(nl, cfg.disc)
-        known = advect.sample_nodes(cfg.disc, signal)
-        u = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
-        e_field_sim = advect.error_matrix(u, advect.FieldMatrix(known[1:-1, 1:], cfg.disc))
+    for nl, signal, nodes, u in zip(n_lambdas, signals, known, sims):
+        e_field_sim = advect.error_matrix(u, advect.FieldMatrix(nodes[1:-1, 1:], cfg.disc))
         e_sim = advect.error_summary(e_field_sim)
         iso.append((nl, np.sqrt(np.sum(e_field_sim.values ** 2, axis=0))))
         e_field, report, _ = solver.solve(signal)

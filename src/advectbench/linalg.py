@@ -57,11 +57,12 @@ def _as_float_array(a, name):
         raise UsageError(f"{name} must be a numeric array: {exc}") from exc
 
 
-def as_matrix(a, name="matrix", square=False):
-    """Validate and return a 2-D float64 array with finite entries."""
+def as_matrix(a, name="matrix", square=False, stack=False):
+    """Validate and return a 2-D float64 array with finite entries; with
+    stack=True a 3-D one, a stack of such matrices, is accepted too."""
     m = _as_float_array(a, name)
-    if m.ndim != 2:
-        raise UsageError(f"{name} must be 2-D, got ndim={m.ndim}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        raise UsageError(f"{name} must be 2-D{' or 3-D' if stack else ''}, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise UsageError(f"{name} contains non-finite entries")
     if square and m.shape[0] != m.shape[1]:
@@ -307,7 +308,9 @@ def tridiagonal_toeplitz_eig(a, vectors=False):
     n = a.shape[0]
     b = a[0, 0]
     c, d = (a[0, 1], a[1, 0]) if n > 1 else (0.0, 0.0)
-    if not np.array_equal(a, b * np.eye(n) + c * np.eye(n, k=1) + d * np.eye(n, k=-1)):
+    # each band constant, and no nonzero entry off the three bands
+    if (any((np.diagonal(a, k) != v).any() for k, v in ((0, b), (1, c), (-1, d)))
+            or np.count_nonzero(a) != n * bool(b) + (n - 1) * (bool(c) + bool(d))):
         return None
     if vectors and abs(c) != abs(d):
         return None
@@ -473,7 +476,13 @@ def _tridiag_lu(bands, e, thresh, column):
     """Factor the diagonal or tridiagonal matrix D with bands[1 + c - r, r]
     = D[r, c] once and return its solve r -> D^{-1} r (a plain division
     when D is diagonal), which raises NumericalFailureError when the
-    solution is not finite.  The elimination is _lu_factor's partial
+    solution is not finite.  r is a vector or an n-by-k matrix; the solve
+    eliminates the k columns together, a row of them per step, by the
+    floating-point operations of a vector solve in the same order, so each
+    column is bit-identical to a vector solve.  The elimination overflows
+    silently, under any errstate of the caller, as the vector solve on
+    Python floats does; the plain division runs under the caller's
+    errstate.  The elimination is _lu_factor's partial
     pivoting on D scaled by 2**-e, done as LAPACK's gttrf does it: rows i
     and i+1 are exchanged when the subdiagonal entry exceeds the pivot,
     which gives U a second superdiagonal.  Raises _lu_factor's
@@ -503,20 +512,22 @@ def _tridiag_lu(bands, e, thresh, column):
 
     def solve(r):
         if diagonal is not None:
-            x = r / diagonal
+            x = (r.T / diagonal).T
         else:
-            x = r.tolist()
-            for i, (wi, exchanged) in enumerate(zip(w, swap)):
-                if exchanged:
-                    x[i], x[i + 1] = x[i + 1], x[i] - wi * x[i + 1]
-                else:
-                    x[i + 1] -= wi * x[i]
-            x[-1] /= d[-1]
-            for i in range(len(x) - 2, -1, -1):
-                ri = x[i] - du[i] * x[i + 1]
-                if du2[i]:
-                    ri -= du2[i] * x[i + 2]
-                x[i] = ri / d[i]
+            # the rows of r: floats, or length-k rows eliminated together
+            x = r.tolist() if r.ndim == 1 else list(r.copy())
+            with np.errstate(all="ignore"):
+                for i, (wi, exchanged) in enumerate(zip(w, swap)):
+                    if exchanged:
+                        x[i], x[i + 1] = x[i + 1], x[i] - wi * x[i + 1]
+                    else:
+                        x[i + 1] -= wi * x[i]
+                x[-1] /= d[-1]
+                for i in range(len(x) - 2, -1, -1):
+                    ri = x[i] - du[i] * x[i + 1]
+                    if du2[i]:
+                        ri -= du2[i] * x[i + 2]
+                    x[i] = ri / d[i]
             x = np.array(x)
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError("the solution exceeds the floating-point range")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advectbench import advect, assembly, linalg
-from advectbench.errors import NumericalFailureError, UsageError
+from advectbench.errors import NumericalFailureError, SingularSystemError, UsageError
 from advectbench.schemes import (Discretization, SignalSpec, builtin_scheme,
                                  custom_scheme)
 
@@ -207,6 +207,79 @@ def test_crank_nicolson_as_catalogued_is_unstable():
     s, signal, known = setup("crank-nicolson", d)
     u = advect.time_step_simulate(s, d, known)
     assert np.max(np.abs(u.values)) > 10.0
+
+
+# ------------------------------------------------- one march for k signals
+
+# tridiag(1, 0, 1) as the level matrix: rows are exchanged at nx = 21, and
+# at nx = 20 its order is odd and it is singular
+ROW_EXCHANGES = (0, 1, 0, 0, 0, 1, 0, 1, 0)
+
+
+def sweep_signals(d, count):
+    return [SignalSpec.from_cells_per_wavelength(4.0 + 0.1 * j, d) for j in range(count)]
+
+
+def assert_batch_is_bit_identical(s, d, signals):
+    """The stack of every signal, and its march, equal each signal's own
+    sampling and march byte for byte."""
+    stack = advect.sample_nodes(d, signals)
+    fields = advect.time_step_simulate(s, d, stack)
+    assert stack.shape == (len(signals), d.nx + 1, d.nt + 1)
+    assert len(fields) == len(signals)
+    for signal, nodes, field in zip(signals, stack, fields):
+        alone = advect.sample_nodes(d, signal)
+        assert nodes.tobytes() == alone.tobytes()
+        want = advect.time_step_simulate(s, d, alone).values
+        assert field.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, count", [(20, 161), (30, 9)])
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_batched_march_is_bit_identical_to_single_marches(name, n, count):
+    """Three-level, explicit and implicit: the sweep's 161 signals at 20^2
+    and the causal workload's 9 at 30^2."""
+    d = disc(nx=n, nt=n)
+    assert_batch_is_bit_identical(builtin_scheme(name, d), d, sweep_signals(d, count))
+
+
+def test_batched_march_with_row_exchanges_is_bit_identical():
+    d = disc(nx=21, nt=20)
+    assert_batch_is_bit_identical(custom_scheme(ROW_EXCHANGES), d, sweep_signals(d, 17))
+
+
+def test_batched_march_of_a_singular_level_matrix_keeps_the_verdict():
+    d = disc(nx=20, nt=20)
+    s = custom_scheme(ROW_EXCHANGES)
+    signals = sweep_signals(d, 5)
+    for known in (advect.sample_nodes(d, signals[0]), advect.sample_nodes(d, signals)):
+        with pytest.raises(SingularSystemError, match=r"^pivot .* at column 18$"):
+            advect.time_step_simulate(s, d, known)
+
+
+def test_stacked_phase_overflow_names_the_first_signal():
+    d = disc()
+    good = SignalSpec.from_cells_per_wavelength(10.0, d)
+    bad = [SignalSpec(wavelength=w, n_lambda=w) for w in (1e-307, 2e-308)]
+    for first, second in (bad, bad[::-1]):
+        with pytest.raises(UsageError, match=f"of wavelength {first.wavelength:g} exceeds"):
+            advect.sample_nodes(d, [good, first, good, second])
+
+
+def test_bad_node_stack_rejected_by_simulator_and_build_m0():
+    d = disc(nx=6, nt=6)
+    s = builtin_scheme("lax", d)
+    good = advect.sample_nodes(d, sweep_signals(d, 3))
+    one_nan = good.copy()
+    one_nan[2, 0, 3] = np.nan
+    for bad, message in ((good[:, :-1], "does not match grid nodes"),
+                         (one_nan, "non-finite"),
+                         (good[None], "must be 2-D or 3-D, got ndim=4")):
+        with pytest.raises(UsageError, match=message):
+            advect.time_step_simulate(s, d, bad)
+    for variant in assembly.VARIANTS:  # M0 takes one node array only
+        with pytest.raises(UsageError, match="must be 2-D, got ndim=3"):
+            assembly.build_m0(s, d, good, variant)
 
 
 # --------------------------------------------------- error matrix / summary

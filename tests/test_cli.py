@@ -136,6 +136,38 @@ def test_implicit_march_overflow_names_its_level(capsys):
     assert err.startswith("numerical failure: the march overflows at time level 2")
 
 
+def test_sweep_fails_in_order_set_up_march_solves(capsys, monkeypatch):
+    """A sweep sets up its solver, marches all of its signals at once, then
+    solves them one by one; the first failing step ends it."""
+    calls = []
+    march, solve = advect.time_step_simulate, sylvester.ErrorEquationSolver.solve
+    monkeypatch.setattr(advect, "time_step_simulate",
+                        lambda *args: calls.append("march") or march(*args))
+    monkeypatch.setattr(sylvester.ErrorEquationSolver, "solve",
+                        lambda self, signal: calls.append("solve") or solve(self, signal))
+    grid = ("--nx", "6", "--nt", "40")
+    # M1 = tridiag(1e10, 0, 1e10) of order 5 is singular, and the march overflows
+    singular = ("--coeffs", "1,0,0,1e10,1e10,0,0,0,0", *grid)
+    assert run(capsys, "simulate", *singular)[0] == 2
+    calls.clear()
+    code, out, err = run(capsys, "sweep", *singular, "--method", "kron")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("singular system: pivot")
+    # the march overflows at the level simulate names, before any solve
+    growing = ("--coeffs", "1,1e10,0,0,0,0,0,0,0", *grid)
+    code, out, err = run(capsys, "simulate", *growing)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: the march overflows at time level 31: ")
+    calls.clear()
+    assert run(capsys, "sweep", *growing) == (2, "", err)
+    assert calls == ["march"]
+    calls.clear()
+    code, out, _ = run(capsys, "sweep", "--scheme", "lax", "--nx", "6", "--nt", "6",
+                       "--nl-step", "4")
+    assert code == 0
+    assert calls == ["march"] + ["solve"] * (len(out.splitlines()) - 1)
+
+
 def test_implicit_march_exchanges_rows(capsys):
     """Each level matrix is tridiag(1, 0, 1) of order 20: nonsingular, but
     its first pivot is zero unless rows are exchanged.  The march agrees

@@ -283,6 +283,21 @@ def test_toeplitz_eigenvectors_only_of_normal_matrices():
     assert linalg.tridiagonal_toeplitz_eig(t) is None
 
 
+@pytest.mark.parametrize("b, c, d", [(1.0, 0.5, 0.25), (0.0, 0.5, -0.5),
+                                     (1.0, 0.0, 0.25), (2.0, 0.0, 0.0)])
+def test_toeplitz_structure_test_rejects_any_changed_entry(b, c, d):
+    """Constant bands pass, zero ones included; one changed entry, on a
+    band or off them, fails."""
+    n = 5
+    t = _toeplitz(n, b, c, d)
+    assert linalg.tridiagonal_toeplitz_eig(t) is not None
+    for i in range(n):
+        for j in range(n):
+            u = t.copy()
+            u[i, j] += 1.0
+            assert linalg.tridiagonal_toeplitz_eig(u) is None, (i, j)
+
+
 def test_eigenvalues_non_toeplitz_tridiagonal_goes_to_schur(monkeypatch):
     calls = []
     schur = linalg.schur_decompose
@@ -463,6 +478,33 @@ def test_tridiag_matches_dense_solve():
     a = np.diag(dia) + np.diag(sub, -1) + np.diag(sup, 1)
     x = linalg.tridiag_solve(sub, dia, sup, b)
     assert np.allclose(x, linalg.gauss_solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sub, diag, sup", [
+    (0.0, 2.5, 0.0),   # diagonal: a plain division
+    (-1.0, 4.0, 1.5),  # no exchange
+    (1.0, 0.0, 1.0),   # a zero diagonal: rows are exchanged
+])
+def test_tridiag_solve_of_columns_is_bit_identical_to_vector_solves(sub, diag, sup):
+    n, k = 10, 7
+    solve = linalg.tridiag_factor(np.full(n - 1, sub), np.full(n, diag), np.full(n - 1, sup))
+    rhs = rng(31).uniform(-1, 1, (n, k))
+    x = solve(rhs)
+    assert x.shape == (n, k)
+    for j in range(k):
+        assert x[:, j].tobytes() == solve(rhs[:, j]).tobytes()
+
+
+def test_tridiag_solve_of_columns_overflows_as_the_vector_solve_does():
+    """Both eliminations overflow silently under the caller's errstate,
+    and the finiteness check names the failure."""
+    solve = linalg.tridiag_factor(np.zeros(3), np.full(4, 1e-300), np.full(3, 1e-300))
+    rhs = np.full((4, 2), 1e10)
+    with np.errstate(over="raise", invalid="raise"):
+        for r in (rhs[:, 0], rhs):
+            with pytest.raises(NumericalFailureError,
+                               match="^the solution exceeds the floating-point range$"):
+                solve(r)
 
 
 def test_tridiag_zero_pivot():
