@@ -15,8 +15,7 @@ from .schemes import (BUILTIN_SCHEMES, Discretization, SchemeCoefficients,
                       stencil_residual_at)
 from .sylvester import (METHODS, ErrorEquationSolver, SolvabilityReport,
                         SylvesterProblem, diagnose, solve_bartels_stewart,
-                        solve_error_equation, solve_kron_oracle,
-                        solve_min_norm)
+                        solve_error_equation, solve_kron_oracle)
 
 __all__ = [
     "AdvectBenchError", "InvalidSchemeError",
@@ -32,7 +31,7 @@ __all__ = [
     "time_step_simulate",
     "METHODS", "ErrorEquationSolver", "SolvabilityReport", "SylvesterProblem",
     "diagnose", "solve_bartels_stewart", "solve_error_equation",
-    "solve_kron_oracle", "solve_min_norm",
+    "solve_kron_oracle",
 ]
 
 __version__ = "0.1.0"

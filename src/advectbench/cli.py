@@ -39,7 +39,7 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -239,8 +239,9 @@ class SweepRecord:
     min_separation: float
 
     def csv_row(self):
+        values = (getattr(self, name) for name in SWEEP_COLUMNS)
         return ",".join(("true" if v else "false") if isinstance(v, (bool, np.bool_))
-                        else _fmt(v) for v in astuple(self))
+                        else _fmt(v) for v in values)
 
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))

@@ -2,13 +2,14 @@
 
 Self-contained routines on numpy arrays: norms, Householder Hessenberg
 reduction, real Schur decomposition (Francis double-shift QR; a 2x2
-diagonal block is kept whatever its spectrum), eigenvalues (closed form for
-tridiagonal Toeplitz matrices, with the unitary eigenvectors of the normal
-ones), Gaussian elimination with partial pivoting
-on band storage (dense input is stored with the bandwidth of its nonzeros)
-and on tridiagonal systems, minimum-norm least squares through a complete
-orthogonal decomposition, and the Kronecker-vectorization operator used as
-an oracle for matrix equations.  The COD's Q is formed from its stored
+diagonal block is kept whatever its spectrum), eigenvalues (the closed
+form of a tridiagonal Toeplitz matrix first, with the unitary eigenvectors
+of the normal ones, then the diagonal of triangular input, then the Schur
+form), Gaussian elimination with partial pivoting on band storage (dense
+input is stored with the bandwidth of its nonzeros) and on tridiagonal
+systems, minimum-norm least squares through a complete orthogonal
+decomposition, and the Kronecker-vectorization operator used as an oracle
+for matrix equations.  The COD's Q is formed from its stored
 reflectors in panels by the compact WY form, and its solve back-substitutes
 in blocks of rows; both block sizes are _BLOCK.
 
@@ -244,8 +245,6 @@ def schur_decompose(a):
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
     max_sweeps = SCHUR_SWEEPS_PER_ORDER * n
-    if n == 0:
-        return SchurForm(q=np.eye(0), t=a.copy(), eigenvalues=[])
     a, e = _unit_scaled(a)
     q, h = hessenberg(a)
     hnorm = frobenius_norm(a)
@@ -336,14 +335,17 @@ def tridiagonal_toeplitz_eig(a, vectors=False):
 
 
 def eigenvalues(a):
-    """Eigenvalues with multiplicity: the diagonal of triangular input, the
-    closed form of a tridiagonal Toeplitz matrix (exact where the Schur
-    form of a non-normal one is not), otherwise the real Schur form's."""
+    """Eigenvalues with multiplicity: the closed form of a tridiagonal
+    Toeplitz matrix (exact where the Schur form of a non-normal one is not;
+    every scheme's M1 and M2 is one), else the diagonal of triangular input
+    (an empty matrix included), otherwise the real Schur form's."""
     a = as_matrix(a, "a", square=True)
+    spectrum = tridiagonal_toeplitz_eig(a) if a.size else None
+    if spectrum is not None:
+        return spectrum.tolist()
     if np.all(np.tril(a, -1) == 0.0) or np.all(np.triu(a, 1) == 0.0):
         return [complex(x) for x in np.diag(a)]
-    spectrum = tridiagonal_toeplitz_eig(a)
-    return schur_decompose(a).eigenvalues if spectrum is None else spectrum.tolist()
+    return schur_decompose(a).eigenvalues
 
 
 def band_from_entries(n, row, col, val):
@@ -607,8 +609,6 @@ class CODFactorization:
             raise UsageError(f"rhs length {b.size} does not match {self.shape}")
         r = self.rank
         x = np.zeros(n)
-        if r == 0:
-            return x
         # an overflow, numpy's or the Python floats' (which is silent), is
         # caught by the check of x below
         with np.errstate(over="ignore", invalid="ignore"):

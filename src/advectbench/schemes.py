@@ -17,6 +17,7 @@ custom_scheme to supply corrected coefficients if that matters for your use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import InvalidSchemeError, UsageError
@@ -87,6 +88,11 @@ class Discretization:
             raise UsageError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 2:
             raise UsageError(f"nt must be >= 2, got {self.nt}")
+        # every command builds the (nx+1) x (nt+1) node array, M1 or M2 in
+        # float64, and numpy sizes no array of more than sys.maxsize bytes
+        if 8 * max((self.nx + 1) * (self.nt + 1), self.nx ** 2, self.nt ** 2) > sys.maxsize:
+            raise UsageError(f"an nx={self.nx} by nt={self.nt} grid is too large: "
+                             "numpy cannot size its arrays")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise UsageError(f"h must be positive, got {self.h}")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):

@@ -14,8 +14,9 @@ stencil table:
 when it is block triangular in time (every causal closure, and the paper
 closure of a two-level stencil) the elimination is block substitution,
 one diagonal or tridiagonal block per time column, and otherwise band LU
-on the operator in band storage.  The one-shot solvers for A X + X B = C
-use the Kronecker operator.  Unique
+on the operator in band storage.  The one-shot oracle for A X + X B = C
+eliminates on the Kronecker operator; its minimum-norm solution is
+linalg.cod_factor of that operator.  Unique
 solvability is diagnosed from the spectra of A and -B: the equation has one
 solution iff they are disjoint, to the relative distance SEP_TOL.  Like the
 linalg thresholds, SEP_TOL is a module constant, not an argument.
@@ -291,19 +292,6 @@ def solve_kron_oracle(p):
     (I (x) A + B^T (x) I) vec(X) = vec(C), factored in band storage."""
     k = linalg.kron_vec_operator(p.a, p.b)
     return _KronLU(*linalg.to_band(k)).solve(p.c)
-
-
-def solve_min_norm(p):
-    """Minimum-norm least-squares solution over the vectorized operator.
-
-    Returns (x, residual_norm, rank); reduces to the unique solution when
-    the problem is uniquely solvable.
-    """
-    k = linalg.kron_vec_operator(p.a, p.b)
-    fac = _MinNormCOD(k)
-    x = fac.solve(p.c)
-    residual = float(np.linalg.norm(k @ linalg.vec(x) - linalg.vec(p.c)))
-    return x, residual, fac.rank
 
 
 class ErrorEquationSolver:

@@ -518,6 +518,22 @@ def test_out_of_memory_is_exit_1_without_traceback(capsys, monkeypatch):
     assert err == "error: out of memory (Unable to allocate 7.28 TiB)\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve-error", "sweep", "diagnose"])
+@pytest.mark.parametrize("nx, nt", [("6", "4000000000000000000"),
+                                    ("10000000000000000000", "6")])
+def test_grid_numpy_cannot_size_is_one_error_line(capsys, monkeypatch, command, nx, nt):
+    """Refused while the grid is validated, before any array is built (numpy
+    itself would raise ValueError: array is too big, or maximum allowed
+    size or dimension exceeded)."""
+    monkeypatch.setattr(np, "zeros", None)
+    monkeypatch.setattr(np, "full", None)
+    monkeypatch.setattr(np, "arange", None)
+    code, out, err = run(capsys, command, "--scheme", "lax", "--nx", nx, "--nt", nt)
+    assert (code, out) == (1, "")
+    assert err == (f"error: an nx={nx} by nt={nt} grid is too large: "
+                   "numpy cannot size its arrays\n")
+
+
 def test_sweep_columns_and_row_format():
     assert cli.SWEEP_COLUMNS == (
         "n_lambda",

@@ -2,6 +2,7 @@
 oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -194,6 +195,26 @@ def test_schur_beyond_float_range_is_numerical_failure():
 
 
 # ------------------------------------------------------------- eigenvalues
+
+
+def test_empty_matrix_has_an_empty_spectrum_and_schur_form():
+    a = np.zeros((0, 0))
+    assert linalg.eigenvalues(a) == []
+    f = linalg.schur_decompose(a)
+    assert f.q.shape == f.t.shape == (0, 0) and f.eigenvalues == []
+
+
+def test_eigenvalues_of_a_large_toeplitz_matrix_make_no_square_temporary():
+    """The closed form is tried first and reads the bands, so a 1000 x 1000
+    operator costs no n x n temporary (the triangular test made two)."""
+    a = _toeplitz(1000, 0.3, 0.7, -0.7)
+    tracemalloc.start()
+    try:
+        linalg.eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_eigenvalues_of_tridiagonal_whose_products_overflow():

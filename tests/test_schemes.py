@@ -1,6 +1,7 @@
 """Stencil catalog and grid-parameter tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ def test_discretization_invariants():
         Discretization(nx=4, nt=3, h=1.0, tau=1.0, c=0.0)
     d = Discretization(nx=4, nt=3, h=0.5, tau=0.25, c=2.0)
     assert d.sigma == d.c * d.tau / d.h
+
+
+@pytest.mark.parametrize("nx, nt", [(6, None), (None, 6)])
+def test_grid_numpy_cannot_size_is_refused(nx, nt):
+    """The largest grid whose float64 M1 or M2 numpy can size is accepted
+    (no array is built here), one step more is refused."""
+    edge = math.isqrt(sys.maxsize // 8)
+    make = lambda n: Discretization(nx=nx or n, nt=nt or n, h=1.0, tau=1.0, c=1.0)
+    make(edge)
+    with pytest.raises(UsageError, match="too large: numpy cannot size its arrays"):
+        make(edge + 1)
 
 
 def test_from_cfl_roundtrip():

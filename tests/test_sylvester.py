@@ -51,6 +51,28 @@ def test_diagnose_shared_spectrum():
     assert not r.unique
 
 
+@pytest.mark.parametrize("name", ["lax", "lax-wendroff", "crank-nicolson"])
+def test_closed_form_spectra_of_triangular_operators_are_their_diagonals(name):
+    """M2 of a stencil without gamma is lower bidiagonal, and at sigma = 1
+    Lax's and Lax-Wendroff's M1 is too: eigenvalues' closed form gives
+    exactly the diagonal, bit for bit, unscaled and scaled by tau as
+    diagnose prints it."""
+    triangular = set()
+    for n in (3, 6, 20):
+        for sigma in (0.5, 0.8, 1.0):
+            d = disc(nx=n, nt=n, sigma=sigma)
+            s = builtin_scheme(name, d)
+            for label, m in (("M1", assembly.build_m1(s, d)), ("M2", assembly.build_m2(s, d))):
+                for a in (m, d.tau * m):
+                    if np.any(np.tril(a, -1)) and np.any(np.triu(a, 1)):
+                        continue
+                    triangular.add(label)
+                    got = np.array(linalg.eigenvalues(a), dtype=complex)
+                    want = np.array([complex(x) for x in np.diag(a)])
+                    assert got.tobytes() == want.tobytes(), (label, n, sigma)
+    assert triangular == ({"M2"} if name == "crank-nicolson" else {"M1", "M2"})
+
+
 def test_diagnose_lax_even_nx_shares_zero_eigenvalue():
     d = disc(nx=20, nt=20)
     s = builtin_scheme("lax", d)
@@ -279,16 +301,25 @@ def test_overflowing_one_shot_solves_are_numerical_failures():
 # ----------------------------------------------------------------- min-norm
 
 
+def min_norm(p):
+    """(X, |K vec(X) - vec(C)|, rank) for the minimum-norm least-squares
+    solution X of K vec(X) ~ vec(C), K the vectorized operator of A and B."""
+    k = linalg.kron_vec_operator(p.a, p.b)
+    fac = linalg.cod_factor(k)
+    x = linalg.unvec(fac.solve_min_norm(linalg.vec(p.c)), *p.c.shape)
+    return x, float(np.linalg.norm(k @ linalg.vec(x) - linalg.vec(p.c))), fac.rank
+
+
 def test_min_norm_zero_problem():
     p = sylvester.SylvesterProblem(np.zeros((1, 1)), np.zeros((1, 1)),
                                    np.zeros((1, 1)))
-    x, residual, rank = sylvester.solve_min_norm(p)
+    x, residual, rank = min_norm(p)
     assert x[0, 0] == 0.0 and residual == 0.0 and rank == 0
 
 
 def test_min_norm_matches_bartels_stewart_when_unique():
     p = unique_instance(3)
-    x1, residual, rank = sylvester.solve_min_norm(p)
+    x1, residual, rank = min_norm(p)
     x2 = sylvester.solve_bartels_stewart(p)
     assert np.linalg.norm(x1 - x2) <= 1e-9 * max(1.0, np.linalg.norm(x2))
     assert rank == x1.size
@@ -313,7 +344,7 @@ def test_min_norm_singular_consistent_null_perturbations():
     x0 = rng(4).uniform(-1, 1, (d.nx - 1, d.nt))
     p = sylvester.SylvesterProblem(m1, m2, m1 @ x0 + x0 @ m2)
     assert not sylvester.diagnose(p).unique
-    x, residual, rank = sylvester.solve_min_norm(p)
+    x, residual, rank = min_norm(p)
     assert residual <= 1e-10 * max(1.0, np.linalg.norm(p.c))
     k = linalg.kron_vec_operator(m1, m2)
     z = linalg.cod_factor(k).null_space()
@@ -329,7 +360,7 @@ def test_min_norm_solution_orthogonal_to_null_space():
     s = builtin_scheme("lax", d)
     m1, m2 = assembly.build_m1(s, d), assembly.build_m2(s, d)
     p = sylvester.SylvesterProblem(m1, m2, rng(6).uniform(-1, 1, (3, 4)))
-    x, _, _ = sylvester.solve_min_norm(p)
+    x, _, _ = min_norm(p)
     z = linalg.cod_factor(linalg.kron_vec_operator(m1, m2)).null_space()
     assert np.linalg.norm(z.T @ linalg.vec(x)) <= 1e-9 * max(
         1.0, np.linalg.norm(x))
@@ -344,7 +375,7 @@ def test_residual_guarantee():
             achieved = np.linalg.norm(p.a @ x + x @ p.b - p.c)
             scale = max(1.0, np.linalg.norm(p.c))
             assert achieved <= 1e-10 * scale
-        x, residual, _ = sylvester.solve_min_norm(p)
+        x, residual, _ = min_norm(p)
         achieved = np.linalg.norm(p.a @ x + x @ p.b - p.c)
         assert achieved <= residual + 1e-12 * max(1.0, np.linalg.norm(p.c))
 

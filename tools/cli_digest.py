@@ -5,17 +5,18 @@
 Runs a fixed matrix of invocations in-process through
 ``advectbench.cli.main``, with the package imported from SRC (default: this
 checkout's ``src``), one BLAS thread, and each invocation in a fresh
-temporary directory.  Prints the invocation count, the exit-code histogram
-and one sha256 over every invocation's argv, exit code, stdout, stderr and
-written files (names and bytes).  Two commits behave identically on the
+temporary directory, into which the file its ``--config`` names is first
+written from CONFIGS.  Prints the invocation count, the exit-code
+histogram and one sha256 over every invocation's argv, exit code, stdout,
+stderr and written files (names and bytes).  Two commits behave identically on the
 matrix when they print the same three lines; run it once per checkout, with
 the same numpy/BLAS build, and compare.  The path of SRC is replaced by
 ``<src>`` in stdout and stderr before hashing, so a leaked warning, which
 names its source file, hashes alike in any checkout directory.  After the
 total come one sha256 per (command, variant, method) group, a dash standing
 for a flag the command was not given, so a change that moves some outputs
-shows which groups it leaves byte-identical.  Every invocation passes only
-flags that its command reads.
+shows which groups it leaves byte-identical.  Every invocation but one
+usage error passes only flags that its command reads.
 """
 
 import contextlib
@@ -40,6 +41,18 @@ METHODS = ("bartels-stewart", "kron", "min-norm")
 GRIDS = (6, 11, 20, 30)
 MIN_NORM_MAX_GRID = 20      # the dense COD takes seconds beyond 20^2
 COEFFS = "1,0.5,-0.3,0.2,0.1,0.05,0.04,0.03,0.02"
+# config files by name: a study file that sets every key, a file with an
+# unknown key, one whose sigma yields to --tau, one with both sigma and tau
+CONFIGS = {
+    "study.cfg": "# every key of the flag table\n"
+                 "scheme = leapfrog\ncoeffs = " + COEFFS + "\nnx = 8\nnt = 7\nh = 0.5\n"
+                 "sigma = 0.6\ntau = 0.25\nc = 1.5\nn-lambda = 9\nlambda = 4.5\n"
+                 "variant = causal\nmethod = kron\nnl_min = 5\nnl_max = 9\n"
+                 "nl_step = 0.5\nout = sweep.csv\nsvg = sweep.svg\niso = iso.csv\n",
+    "unknown.cfg": "scheme = lax\nnx = 6\nnt = 6\nupwind = 1\n",
+    "sigma.cfg": "scheme = leapfrog\nnx = 6\nnt = 6\nsigma = 0.8\n",
+    "both.cfg": "scheme = lax\nnx = 6\nnt = 6\nsigma = 0.8\ntau = 0.5\n",
+}
 
 
 def _solves(stencil):
@@ -124,6 +137,20 @@ def matrix():
                                       ("bartels-stewart",)))
              for method in methods]
     runs.append(["diagnose", "--scheme", "crank-nicolson", "--nx", "150", "--nt", "150"])
+    # config files: the study file's --scheme and --tau drop its coeffs and
+    # sigma, and sweep ignores its n_lambda and lambda
+    runs += [["sweep", "--config", "study.cfg", "--scheme", "leapfrog", "--tau", "0.25"],
+             ["simulate", "--config", "unknown.cfg"],
+             ["solve-error", "--config", "sigma.cfg", "--tau", "0.5", "--method", "kron"],
+             ["diagnose", "--config", "both.cfg"]]
+    # a flag the command does not read; a sweep count numpy cannot size
+    runs += [["diagnose", "--scheme", "lax", "--out", "field.csv"],
+             ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "1e300",
+              "--nl-step", "1e-3"]]
+    # grids whose arrays numpy cannot size
+    runs += [[command, "--scheme", "lax", "--nx", nx, "--nt", nt]
+             for nx, nt in (("6", "4000000000000000000"), ("10000000000000000000", "6"))
+             for command in ("simulate", "solve-error", "sweep", "diagnose")]
     return runs
 
 
@@ -132,7 +159,10 @@ def run(cli, argv):
     in a fresh directory; an exception escaping main is recorded by name."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
+    config = dict(zip(argv[1::2], argv[2::2])).get("--config")
     with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            Path(tmp, config).write_text(CONFIGS[config], encoding="utf-8")
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
