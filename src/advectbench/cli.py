@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import advect, assembly, linalg, sylvester
-from .errors import AdvectBenchError, SingularSystemError, UsageError
+from .errors import AdvectBenchError, NumericalFailureError, SingularSystemError, UsageError
 from .schemes import (BUILTIN_SCHEMES, Discretization, SignalSpec,
                       builtin_scheme, custom_scheme)
 
@@ -287,9 +287,16 @@ def run_sweep(cfg):
     sims = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
     records, iso = [], []
     for nl, signal, nodes, u in zip(n_lambdas, signals, known, sims):
-        e_field_sim = advect.error_matrix(u, advect.FieldMatrix(nodes[1:-1, 1:], cfg.disc))
-        e_sim = advect.error_summary(e_field_sim)
-        iso.append((nl, np.sqrt(np.sum(e_field_sim.values ** 2, axis=0))))
+        error = u.values - nodes[1:-1, 1:]  # U - U_exact
+        e_sim = advect.error_summary(advect.FieldMatrix(error, cfg.disc))
+        with np.errstate(over="ignore"):
+            squares = np.sum(error ** 2, axis=0)
+        norms = np.sqrt(squares)
+        # squares that overflow, or underflow in a nonzero column: rescale
+        for j in np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
+                                                     & error.any(axis=0))):
+            norms[j] = linalg.frobenius_norm(error[:, j:j + 1])
+        iso.append((nl, norms))
         e_field, report, _ = solver.solve(signal)
         e_mtx = advect.error_summary(e_field)
         records.append(SweepRecord(nl, *_sweep_norms(e_sim), *_sweep_norms(e_mtx),
@@ -304,7 +311,13 @@ def write_sweep_csv(records, stream):
 
 
 def write_sweep_svg(records, path):
-    """Self-contained line chart: grid_l2_squared of both paths vs n_lambda."""
+    """Self-contained line chart: grid_l2_squared of both paths vs n_lambda;
+    a value beyond the float range raises NumericalFailureError before path is opened."""
+    for column in ("err_sim_grid_l2_squared", "err_mtx_grid_l2_squared"):
+        beyond = [r.n_lambda for r in records if not np.isfinite(getattr(r, column))]
+        if beyond:
+            raise NumericalFailureError(f"{column} exceeds the floating-point range at "
+                                        f"n_lambda {_fmt(beyond[0])}; the chart cannot plot it")
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 20, 50
     xs = [r.n_lambda for r in records]

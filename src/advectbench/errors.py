@@ -23,8 +23,5 @@ class SingularSystemError(AdvectBenchError, ArithmeticError):
 
 
 class NumericalFailureError(AdvectBenchError, ArithmeticError):
-    """An iterative kernel failed to converge."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """A value left the floating-point range, an iteration did not converge,
+    or a pivot or residual check failed; the message says which."""

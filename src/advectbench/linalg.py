@@ -92,11 +92,11 @@ def frobenius_norm(a):
     return math.sqrt(total)
 
 
-def _unit_scaled(a):
-    """(a * 2**-e, e) with the largest magnitude of the scaled copy in
-    [0.5, 1); scaling by a power of two is exact."""
-    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    return np.ldexp(a, -e), e
+def _unit_scaled(*arrays):
+    """(a * 2**-e for each operand a, then e): all scaled by the one power of
+    two that brings their largest magnitude into [0.5, 1), which is exact."""
+    e = math.frexp(max(float(np.max(np.abs(a), initial=0.0)) for a in arrays))[1]
+    return (*(np.ldexp(a, -e) for a in arrays), e)
 
 
 def _pivot_scale(a):
@@ -239,8 +239,8 @@ def schur_decompose(a):
     |h(i+1,i)| <= DEFLATION_RTOL*(|h(i,i)|+|h(i+1,i+1)|) (the neighbour sum
     falls back to |A|_F when it vanishes).  The form is not standardized: a
     deflated 2x2 block stays as it is, whether its eigenvalues are a complex
-    pair or real.  Raises NumericalFailureError carrying the step count
-    after SCHUR_SWEEPS_PER_ORDER*n bulge chases.
+    pair or real.  Raises NumericalFailureError, whose message states the
+    cap, after SCHUR_SWEEPS_PER_ORDER*n bulge chases.
     """
     a = as_matrix(a, "a", square=True)
     n = a.shape[0]
@@ -269,9 +269,7 @@ def schur_decompose(a):
         stagnation += 1
         if steps > max_sweeps:
             raise NumericalFailureError(
-                f"Schur iteration did not converge within {max_sweeps} sweeps",
-                iterations=max_sweeps,
-            )
+                f"Schur iteration did not converge within {max_sweeps} sweeps")
         if stagnation % 11 == 0:
             # ad hoc exceptional shifts to break convergence stalls
             s1 = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
@@ -428,15 +426,8 @@ def _lu_factor(ab, kl):
 
 
 def _lu_solve(lu, kl, piv, b):
-    """Solve A X = B from the band factors of _lu_factor; b is a vector or
-    an n-by-k matrix and the result matches its shape.  Raises
-    NumericalFailureError when the solution leaves the floating-point
-    range."""
-    if b.ndim == 2:
-        x = np.empty(b.shape)
-        for j in range(b.shape[1]):
-            x[:, j] = _lu_solve(lu, kl, piv, b[:, j])
-        return x
+    """Solve A x = b for the vector b from the band factors of _lu_factor;
+    raises NumericalFailureError when x leaves the floating-point range."""
     n, width = lu.shape
     w = width - 1 - kl  # superdiagonals of U; lu[k, w] is U's diagonal
     # x sits between w leading and kl trailing scratch entries, so every
@@ -461,17 +452,13 @@ def _lu_solve(lu, kl, piv, b):
 
 
 def gauss_solve(a, b):
-    """Solve A X = B by Gaussian elimination with partial pivoting.
-
-    b may be a vector or an n-by-k matrix; the result matches its shape.
-    """
+    """Solve A x = b for the vector b by Gaussian elimination with partial
+    pivoting on band storage (_lu_factor, _lu_solve)."""
     a = as_matrix(a, "a", square=True)
-    barr = np.asarray(b, dtype=float)
-    if barr.ndim not in (1, 2) or barr.shape[0] != a.shape[0]:
-        raise UsageError(f"rhs shape {barr.shape} does not match {a.shape}")
-    if not np.all(np.isfinite(barr)):
-        raise UsageError("rhs contains non-finite entries")
-    return _lu_solve(*_lu_factor(*to_band(a)), barr)
+    b = as_vector(b, "rhs")
+    if b.size != a.shape[0]:
+        raise UsageError(f"rhs length {b.size} does not match {a.shape}")
+    return _lu_solve(*_lu_factor(*to_band(a)), b)
 
 
 def _tridiag_lu(bands, e, thresh, column):
@@ -674,14 +661,11 @@ def cod_factor(a):
     # column k of q holds the unit reflector v_k in rows k: until _form_q
     q = np.eye(m)
     perm = np.arange(n)
-    kmax = reflectors = min(m, n)
+    kmax = min(m, n)
     for k in range(kmax):
         rk = r[k:, k:]
         norms = np.sqrt(np.einsum("ij,ij->j", rk, rk))
         j = k + int(np.argmax(norms))
-        if norms[j - k] == 0.0:
-            reflectors = k
-            break
         if j != k:
             r[:, [k, j]] = r[:, [j, k]]
             perm[[k, j]] = perm[[j, k]]
@@ -692,7 +676,7 @@ def cod_factor(a):
             rk -= np.multiply.outer(v, 2.0 * (v @ rk))
             q[k:, k] = v
         r[k + 1:, k] = 0.0
-    _form_q(q, reflectors)
+    _form_q(q, kmax)
     diag = np.abs(np.diag(r[:kmax, :kmax])) if kmax else np.zeros(0)
     rank = 0
     if kmax and diag[0] > 0.0:

@@ -68,15 +68,6 @@ class SolvabilityReport:
     notes: str = ""
 
 
-def _unit_scaled_pair(a, b):
-    """(a * 2**-e, b * 2**-e, e): A and B scaled by one power of two, that
-    which brings the largest entry of either into [0.5, 1)
-    (linalg._unit_scaled); the scaling is exact."""
-    big = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    e = linalg._unit_scaled(np.array([big]))[1]
-    return np.ldexp(a, -e), np.ldexp(b, -e), e
-
-
 def diagnose(p):
     """Unique-solvability verdict from the spectra of A and -B.
 
@@ -89,7 +80,7 @@ def diagnose(p):
     """
     spec_a = linalg.eigenvalues(p.a)
     spec_nb = [-z for z in linalg.eigenvalues(p.b)]
-    a, b, e = _unit_scaled_pair(p.a, p.b)
+    a, b, e = linalg._unit_scaled(p.a, p.b)
     sa, snb = (np.ldexp(np.array(z, dtype=complex).view(float), -e).view(complex)
                for z in (spec_a, spec_nb))
     # hypot is what abs(la - mu) computes; np.abs may differ in the last bit
@@ -137,7 +128,7 @@ class _BartelsStewart:
             raise SingularSystemError(
                 "A and -B share eigenvalues (min separation "
                 f"{report.min_separation:.3e}); use min-norm")
-        a_unit, b_unit, e = _unit_scaled_pair(a, b)
+        a_unit, b_unit, e = linalg._unit_scaled(a, b)
         fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True)
                   for m in (a_unit, b_unit))
         self._diagonal = None
@@ -246,9 +237,7 @@ class _BlockSubstitution:
         x = np.zeros(rhs.size)
         for cols, eq, node, coef, block in self._steps:
             r = rhs[cols]
-            if eq.size:
-                r = r - np.bincount(eq, weights=coef * x[node], minlength=r.size)
-            x[cols] = block(r)
+            x[cols] = block(r - np.bincount(eq, weights=coef * x[node], minlength=r.size))
         return linalg.unvec(x, *c.shape)
 
 

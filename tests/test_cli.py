@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from advectbench import advect, assembly, cli, sylvester
-from advectbench.schemes import Discretization, SignalSpec, builtin_scheme
+from advectbench import advect, assembly, cli, linalg, sylvester
+from advectbench.schemes import Discretization, SignalSpec, builtin_scheme, custom_scheme
 
 
 def run(capsys, *argv):
@@ -587,6 +587,74 @@ def test_sweep_svg_and_iso_outputs(tmp_path, capsys):
     assert text.startswith("<svg") and text.count("<polyline") == 2
     lines = iso.read_text().splitlines()
     assert lines[0].startswith("n_lambda,n1,") and len(lines) == 6
+
+
+# the causal march multiplies the field by 1e12 a level: the squares of the
+# last two error columns, about 1e312 and 1e336, overflow
+GROWING_SWEEP = ("sweep", "--coeffs", "1e-12,1,0,0,0,0,0,0,0", "--variant", "causal",
+                 "--method", "kron", "--nx", "6", "--nt", "14", "--nl-min", "5",
+                 "--nl-max", "9", "--nl-step", "2")
+
+
+def test_sweep_iso_norms_whose_squares_overflow(tmp_path, capsys):
+    """A column whose squares overflow gets frobenius_norm's rescaled norm;
+    every other column keeps the plain sum of squares, bit for bit."""
+    iso = tmp_path / "iso.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *GROWING_SWEEP, "--out", str(tmp_path / "s.csv"),
+                           "--iso", str(iso))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in iso.read_text().splitlines()[1:]]
+    d = Discretization.from_cfl(nx=6, nt=14, h=1.0, sigma=0.8, c=1.0)
+    s = custom_scheme([1e-12, 1, 0, 0, 0, 0, 0, 0, 0])
+    for row, n_lambda in zip(rows, (5.0, 7.0, 9.0), strict=True):
+        signal = SignalSpec.from_cells_per_wavelength(n_lambda, d)
+        u = advect.time_step_simulate(s, d, advect.sample_nodes(d, signal))
+        e = advect.error_matrix(u, advect.sample_exact(d, signal)).values
+        got = [float(v) for v in row[1:]]
+        assert got[:12] == np.sqrt(np.sum(e[:, :12] ** 2, axis=0)).tolist()
+        for j in (12, 13):
+            assert got[j] == linalg.frobenius_norm(e[:, j:j + 1])
+            assert math.isclose(got[j], math.hypot(*e[:, j]), rel_tol=1e-14)
+        assert 1e156 < got[12] < 1e157 and 1e168 < got[13] < 1e169
+
+
+def test_sweep_iso_norms_whose_squares_underflow(tmp_path, capsys, monkeypatch):
+    """Nodes scaled by 2**-600 scale every error exactly, and its squares
+    underflow: a nonzero column still gets its norm times 2**-600, and
+    leapfrog's first column, exactly zero, stays 0."""
+    argv = ("sweep", "--scheme", "leapfrog", "--nx", "6", "--nt", "6", "--nl-step", "4",
+            "--out", str(tmp_path / "s.csv"), "--iso", str(tmp_path / "iso.csv"))
+
+    def iso_grid():
+        assert run(capsys, *argv)[0] == 0
+        return [[float(v) for v in line.split(",")[1:]]
+                for line in (tmp_path / "iso.csv").read_text().splitlines()[1:]]
+
+    want = iso_grid()
+    sample = advect.sample_nodes
+    monkeypatch.setattr(advect, "sample_nodes", lambda *args: np.ldexp(sample(*args), -600))
+    got = iso_grid()
+    assert all(row[0] == 0.0 for row in want + got)
+    for got_row, want_row in zip(got, want, strict=True):
+        for g, w in zip(got_row[1:], want_row[1:], strict=True):
+            assert w > 1e-3 and math.isclose(math.ldexp(g, 600), w, rel_tol=1e-14)
+
+
+def test_sweep_svg_of_a_value_beyond_float_range_is_numerical_failure(tmp_path, capsys):
+    """grid_l2_squared is about 2e336: the CSV prints inf, the chart is
+    refused before its file is opened."""
+    out, svg = tmp_path / "s.csv", tmp_path / "chart.svg"
+    code, stdout, err = run(capsys, *GROWING_SWEEP, "--out", str(out), "--svg", str(svg))
+    assert code == 2
+    assert err == ("numerical failure: err_sim_grid_l2_squared exceeds the floating-point "
+                   "range at n_lambda 5.0; the chart cannot plot it\n")
+    assert stdout == f"wrote {out} (3 rows)\n"
+    assert not svg.exists()
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    column = header.index("err_sim_grid_l2_squared")
+    assert [row[column] for row in rows] == ["inf"] * 3
 
 
 def test_error_csv_path_keeps_directory_dots(tmp_path, capsys):

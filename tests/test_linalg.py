@@ -171,9 +171,8 @@ def test_schur_of_real_pair_keeps_one_2x2_block():
 
 def test_schur_nonconvergence_reports_iterations(monkeypatch):
     monkeypatch.setattr(linalg, "SCHUR_SWEEPS_PER_ORDER", 1)
-    with pytest.raises(Exception) as info:
+    with pytest.raises(NumericalFailureError, match="within 12 sweeps"):  # the cap, 1 * 12
         linalg.schur_decompose(rng(7).uniform(-1, 1, (12, 12)))
-    assert getattr(info.value, "iterations", None) == 12  # the cap, 1 * 12
 
 
 def test_schur_of_power_of_two_multiple_is_the_exact_multiple():
@@ -411,10 +410,15 @@ def test_gauss_solve_bit_identical_to_dense_elimination():
         cases.append(linalg.kron_vec_operator(ta, tb))
     for a in cases:
         n = a.shape[0]
-        for b in (g.uniform(-1, 1, n), g.uniform(-1, 1, (n, 3))):
-            got = linalg.gauss_solve(a, b)
-            assert got.shape == b.shape
-            assert got.tobytes() == _dense_lu_solve(a, b).tobytes()
+        b = g.uniform(-1, 1, n)
+        got = linalg.gauss_solve(a, b)
+        assert got.shape == b.shape
+        assert got.tobytes() == _dense_lu_solve(a, b).tobytes()
+
+
+def test_gauss_solve_refuses_a_matrix_right_hand_side():
+    with pytest.raises(UsageError, match="1-D"):
+        linalg.gauss_solve(np.eye(3), np.ones((3, 2)))
 
 
 def test_band_lu_keeps_bandwidth_and_pivot_message():
@@ -737,6 +741,8 @@ COD_CASES = {
     "rank 9 of 15x22": (low_rank(28, 15, 22, 9), 9),
     "1x1": (np.array([[-3.0]]), 1),
     "zero 4x3": (np.zeros((4, 3)), 0),
+    # the trailing column block is exactly zero after the first step
+    "rank 1 of 3x2, zero column": (np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), 1),
 }
 
 

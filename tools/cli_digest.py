@@ -147,6 +147,14 @@ def matrix():
     runs += [["diagnose", "--scheme", "lax", "--out", "field.csv"],
              ["sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-max", "1e300",
               "--nl-step", "1e-3"]]
+    # a causal march that grows 1e12 a level: the squares of the last two
+    # isovalue columns overflow, and grid_l2_squared, which the chart plots,
+    # exceeds the float range
+    growing = ["sweep", "--coeffs", "1e-12,1,0,0,0,0,0,0,0", "--variant", "causal",
+               "--method", "kron", "--nx", "6", "--nt", "14", "--nl-min", "5",
+               "--nl-max", "9", "--nl-step", "2"]
+    runs += [[*growing, "--out", "sweep.csv", "--iso", "iso.csv"],
+             [*growing, "--svg", "sweep.svg"]]
     # grids whose arrays numpy cannot size
     runs += [[command, "--scheme", "lax", "--nx", nx, "--nt", nt]
              for nx, nt in (("6", "4000000000000000000"), ("10000000000000000000", "6"))
