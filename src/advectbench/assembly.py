@@ -16,14 +16,14 @@ columns are time).  Two closure variants are supported:
 Everything known (boundaries i = 0 and i = nx, initial level m = 0, and the
 causal startup level) is folded, negated, into the right-hand side M0.
 
-A variant's equations live in one stencil table (``stencil_table``), built
-by index arithmetic and memoized: a pair of (equation, node, coefficient)
-triples, one for the known terms and one for the unknown terms.  Every
-action reads it: M0 sums the known terms and the operator's action, in
-either closure, the unknown terms, both through one gather; the dense
-global operator scatters them, and ``operator_entries`` hands them to
-linalg's band storage.  M1 and M2 remain as matrices for Bartels-Stewart
-and the spectral diagnosis.
+Every stencil term is a scaled shift of the node field, and one helper,
+``_shifted_terms``, is all that knows a closure's geometry: laid over a
+zero-padded (nx+1) x (nt+2) node array, the stencil is at most nine shifted
+views, one per nonzero term.  The operator's action sums them over U, M0
+over the known nodes, and ``stencil_table`` reads the operator's entries
+off them over an array of vec indices; the dense global operator scatters
+those entries and linalg's band storage reads them.  M1 and M2 remain as
+matrices for Bartels-Stewart and the spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -75,82 +75,87 @@ def check_known(known, disc, stack=False):
     return known
 
 
+def _shifted_terms(s, disc, variant, padded):
+    """The closure's geometry over ``padded``: node (i, m) at [i, m] of a
+    zero-padded (nx+1) x (nt+2) array, level nt+1 the paper horizon.
+    Returns (first, terms), terms the (c, view) of each nonzero stencil term
+    in stencil order: equation column n >= first sums c * view[:, n - first];
+    first = 1 leaves column 0 to the causal three-level cold start."""
+    _check_variant(variant)
+    first = int(variant == "causal" and s.is_three_level)
+    # equation column n is centered at level n + 1 (paper) or n (causal)
+    a = first + (variant == "paper")
+    return first, [(c, padded[i:i + disc.nx - 1, a + m:a + m + disc.nt - first])
+                   for c, i, m in stencil_nodes(s, 1, 0) if c != 0.0]
+
+
+def _add_terms(out, terms):
+    """out += c * view over the terms, in order.  Only the products answer to
+    the caller's errstate; a sum that overflows is the caller's to judge."""
+    for c, view in terms:
+        product = c * view
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += product
+
+
 @functools.lru_cache(maxsize=8)
 def stencil_table(s, disc, variant):
-    """The variant's stencil terms as a pair of (eq, node, coef) triples,
-    built by index arithmetic: the known terms, which M0 sums, with node the
-    column-major index into the (nx+1) x (nt+1) node array, then the unknown
-    terms, the operator's entries, with node the vec index into U.  Equation
-    eq is U's entry (eq % (nx-1), eq // (nx-1)); each triple is sorted by
-    equation, in stencil order within one equation.
+    """The operator's entries as one (eq, node, coef) triple, read off the
+    stencil's views of an array of vec indices: equation eq is U's entry
+    (eq % (nx-1), eq // (nx-1)) and node the vec index of the unknown its
+    term reads.  Sorted by equation, in stencil order within one equation.
 
-    Memoized on (scheme, grid, variant): a sweep reads the same table for
-    every signal.  The arrays are shared, so they are read-only."""
-    _check_variant(variant)
+    Memoized on (scheme, grid, variant): every solve of a sweep reads the
+    same entries.  The arrays are shared, so they are read-only."""
     nx, nt = disc.nx, disc.nt
     rows = nx - 1
-    if variant == "paper":
-        centers, first_col = np.arange(1, nt + 1), 0
-    else:
-        first_col = 1 if s.is_three_level else 0
-        centers = np.arange(first_col, nt)
-    coef, di, dn = (np.array(v) for v in zip(*stencil_nodes(s, 0, 0)))
-    nonzero = coef != 0.0
-    coef, di, dn = coef[nonzero], di[nonzero], dn[nonzero]
-    # one row per equation (centers in column-major order), one column per term
-    ci = np.tile(np.arange(1, nx), centers.size)[:, None]
-    cn = np.repeat(centers, rows)[:, None]
-    i, m = ci + di, cn + dn
-    eq = np.broadcast_to(first_col * rows + np.arange(ci.size)[:, None], i.shape)
-    coef = np.broadcast_to(coef, i.shape)
-    keep = m <= nt  # terms beyond the time horizon (paper closure) are absent
-    known = keep & ((i == 0) | (i == nx) | (m == 0))
-    unknown = keep & ~known
-    parts = ([(eq[known], m[known] * (nx + 1) + i[known], coef[known])],
-             [(eq[unknown], (m[unknown] - 1) * rows + i[unknown] - 1, coef[unknown])])
-    if variant == "causal" and s.is_three_level:
-        # cold start: U[i-1, 0] - known[i, 1] = 0 pins level 1 to the known data
-        cold = np.arange(rows)
-        parts[0].insert(0, (cold, cold + nx + 2, np.full(rows, -1.0)))
-        parts[1].insert(0, (cold, cold, np.ones(rows)))
-    table = tuple(tuple(np.concatenate(cols) for cols in zip(*part)) for part in parts)
-    for column in table[0] + table[1]:
+    index = np.full((nx + 1, nt + 2), -1)  # -1: a known or absent node
+    index[1:-1, 1:-1] = np.arange(rows * nt).reshape(nt, rows).T
+    first, terms = _shifted_terms(s, disc, variant, index)
+    # equations in column-major order, one term per entry of the last axis
+    node = np.stack([view.T for _, view in terms], axis=-1)
+    eq = np.broadcast_to(index[1:-1, 1 + first:-1].T[..., None], node.shape)
+    coef = np.broadcast_to([c for c, _ in terms], node.shape)
+    unknown = node >= 0
+    cold = np.arange(first * rows)  # cold start: U[i-1, 0] - known[i, 1] = 0
+    table = (np.concatenate([cold, eq[unknown]]), np.concatenate([cold, node[unknown]]),
+             np.concatenate([np.ones(cold.size), coef[unknown]]))
+    for column in table:
         column.flags.writeable = False
     return table
 
 
-def _gather(terms, disc, values):
-    """Per-equation sums of coef * values[node] over (eq, node, coef)
-    terms, added in table order, as an (nx-1) x nt matrix."""
-    eq, node, coef = terms
-    shape = (disc.nx - 1, disc.nt)
-    sums = np.bincount(eq, weights=coef * values.ravel(order="F")[node],
-                       minlength=shape[0] * shape[1])
-    return sums.reshape(shape, order="F")
-
-
 def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
-    sum of every known term, gathered from the node array."""
+    stencil sums over the node array with its unknowns zeroed."""
     known = check_known(known, disc)
-    # subtracting from fresh zeros, not negating the gather, makes M0 row-major
-    # (np.sum in the residual follows memory order) and keeps -0.0 out of it
+    padded = np.zeros((disc.nx + 1, disc.nt + 2))
+    padded[:, :-1] = known
+    padded[1:-1, 1:-1] = 0.0
+    first, terms = _shifted_terms(s, disc, variant, padded)
+    # subtracting from fresh zeros makes M0 row-major (np.sum in the residual
+    # follows memory order) and keeps -0.0 out of it
     m0 = np.zeros((disc.nx - 1, disc.nt))
-    m0 -= _gather(stencil_table(s, disc, variant)[0], disc, known)
+    m0[:, :first] += known[1:-1, 1:first + 1]  # the cold start's level 1
+    _add_terms(m0[:, first:], [(-c, view) for c, view in terms])
     return m0
 
 
 def apply_operator(s, disc, u, variant="paper"):
-    """Action of the variant's interior operator on a field U: the sum of
-    every unknown term, gathered from U."""
+    """Action of the variant's interior operator on a field U: the stencil
+    sums over U, zero-padded."""
     u = linalg.as_matrix(u, "u")
     shape = (disc.nx - 1, disc.nt)
     if u.shape != shape:
         raise UsageError(f"field shape {u.shape} does not match {shape}")
-    # adding into fresh zeros gives the result U's memory order, not the
-    # gather's column-major one, and turns any -0.0 into +0.0
+    padded = np.zeros((disc.nx + 1, disc.nt + 2))
+    padded[1:-1, 1:-1] = u
+    first, terms = _shifted_terms(s, disc, variant, padded)
+    # adding into fresh zeros gives the result U's memory order and turns
+    # any -0.0 into +0.0
     out = np.zeros_like(u)
-    out += _gather(stencil_table(s, disc, variant)[1], disc, u)
+    out[:, :first] += u[:, :first]  # the cold start's U[:, 0]
+    _add_terms(out[:, first:], terms)
     return out
 
 
@@ -161,7 +166,7 @@ def residual(s, disc, known, u, variant="paper"):
 
 def operator_entries(s, disc, variant):
     """(size, row, col, coef) of the variant's vectorized operator: every
-    unknown term of the stencil table at G[row, col], vec stacking columns.
+    entry of the stencil table at G[row, col], vec stacking columns.
     The global operator and linalg's band storage scatter them; the
     diagnosis's smallest singular value factors them without a dense G."""
     _check_variant(variant)
@@ -169,7 +174,7 @@ def operator_entries(s, disc, variant):
     if size > linalg.MAX_VEC_SIZE:
         raise UsageError(
             f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
-    return (size, *stencil_table(s, disc, variant)[1])
+    return (size, *stencil_table(s, disc, variant))
 
 
 def global_operator(s, disc, variant="paper"):

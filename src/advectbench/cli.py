@@ -36,6 +36,7 @@ configurations produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import namedtuple
@@ -277,7 +278,7 @@ def run_sweep(cfg):
     the first failure of these steps ends the sweep.
 
     Returns (records, iso) where iso maps each n_lambda to the per-time-column
-    Euclidean norms of the simulation error (the isovalue grid).
+    Euclidean norms of the simulation error (the isovalue grid) if cfg.iso.
     """
     n_lambdas = sweep_values(cfg.nl_min, cfg.nl_max, cfg.nl_step)
     solver = sylvester.ErrorEquationSolver(cfg.scheme, cfg.disc,
@@ -289,14 +290,15 @@ def run_sweep(cfg):
     for nl, signal, nodes, u in zip(n_lambdas, signals, known, sims):
         error = u.values - nodes[1:-1, 1:]  # U - U_exact
         e_sim = advect.error_summary(advect.FieldMatrix(error, cfg.disc))
-        with np.errstate(over="ignore"):
-            squares = np.sum(error ** 2, axis=0)
-        norms = np.sqrt(squares)
-        # squares that overflow, or underflow in a nonzero column: rescale
-        for j in np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
-                                                     & error.any(axis=0))):
-            norms[j] = linalg.frobenius_norm(error[:, j:j + 1])
-        iso.append((nl, norms))
+        if cfg.iso:
+            with np.errstate(over="ignore"):
+                squares = np.sum(error ** 2, axis=0)
+            norms = np.sqrt(squares)
+            # squares that overflow, or underflow in a nonzero column: rescale
+            for j in np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
+                                                         & error.any(axis=0))):
+                norms[j] = linalg.frobenius_norm(error[:, j:j + 1])
+            iso.append((nl, norms))
         e_field, report, _ = solver.solve(signal)
         e_mtx = advect.error_summary(e_field)
         records.append(SweepRecord(nl, *_sweep_norms(e_sim), *_sweep_norms(e_mtx),
@@ -379,11 +381,12 @@ def cmd_sweep(args):
         print(f"wrote {cfg.out} ({len(records)} rows)")
     else:
         write_sweep_csv(records, sys.stdout)
+    if cfg.iso:  # before the chart, which may refuse to plot
+        write_iso_csv(iso, cfg.iso)
     if cfg.svg:
         write_sweep_svg(records, cfg.svg)
         print(f"wrote {cfg.svg}")
     if cfg.iso:
-        write_iso_csv(iso, cfg.iso)
         print(f"wrote {cfg.iso}")
     return 0
 
@@ -425,6 +428,7 @@ def cmd_diagnose(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="advectbench",
                      description="finite-difference scheme workbench for the "

@@ -244,8 +244,8 @@ class _BlockSubstitution:
 def _kron_factorization(scheme, disc, variant):
     """kron's elimination on the variant's vectorized operator K: block
     substitution when K is block triangular in time, read off the stencil
-    table's unknown terms, else band LU."""
-    terms = assembly.stencil_table(scheme, disc, variant)[1]
+    table, else band LU."""
+    terms = assembly.stencil_table(scheme, disc, variant)
     rows = disc.nx - 1
     eq_col, node_col = terms[0] // rows, terms[1] // rows
     lower = bool(np.all(node_col <= eq_col))

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advectbench import assembly, linalg
+from advectbench import assembly, linalg, sylvester
 from advectbench.errors import SingularSystemError, UsageError
 from advectbench.schemes import (BUILTIN_SCHEMES, Discretization,
-                                 builtin_scheme, custom_scheme,
-                                 stencil_residual_at)
+                                 SignalSpec, builtin_scheme, custom_scheme,
+                                 stencil_nodes, stencil_residual_at)
 
 LAX_SMALL = Discretization(nx=4, nt=3, h=0.5, tau=0.25, c=1.0)
 
@@ -78,7 +78,7 @@ U3 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
 
 
 def test_apply_l_zeta_up_left_shift():
-    """L's corner terms act through apply_operator's stencil table; the
+    """L's corner terms act through apply_operator's shifted views; the
     alpha and gamma terms add U3 @ M2."""
     s = custom_scheme((0, 0, 0, 0, 0, 1, 0, 0, 0))
     want = np.array([[5.0, 6.0, 0.0], [8.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
@@ -113,17 +113,16 @@ def test_apply_l_is_linear(seed, a, b):
 
 
 # the four catalogue schemes and one scheme with all nine coefficients
-GATHER_SCHEMES = (*BUILTIN_SCHEMES,
-                  (1.0, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02))
+STENCILS = (*BUILTIN_SCHEMES, (1.0, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02))
 
 
-def gather_cases():
+def stencil_cases():
     """(scheme, grid, known, fields) at 7x5, 5x9 and 20x20: exact node
     arrays and random fields, C-ordered, F-ordered and strided."""
     rng = np.random.default_rng(4)
     for nx, nt in ((7, 5), (5, 9), (20, 20)):
         d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
-        for scheme in GATHER_SCHEMES:
+        for scheme in STENCILS:
             s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
                  else custom_scheme(scheme))
             exact = nodes(d, lam=7.0)
@@ -133,28 +132,53 @@ def gather_cases():
                 yield s, d, known, (u, np.ascontiguousarray(u), np.asfortranarray(u))
 
 
-def test_gather_matches_ufunc_at_reference_byte_for_byte():
-    """build_m0 (both closures) and the causal apply_operator add the table
-    terms in the order np.subtract.at / np.add.at would, into an array of
-    the same memory order."""
-    for s, d, known, fields in gather_cases():
-        rows = d.nx - 1
+def cellwise_sums(s, d, variant, value, cold):
+    """The variant's per-equation sums from first principles: cell by cell,
+    in Python floats, over stencil_nodes in stencil order, skipping zero
+    coefficients and the nodes for which value(l, m) is None.  The causal
+    three-level closure's column 0 holds the cold start's term cold(i)."""
+    sums = [[0.0] * d.nt for _ in range(d.nx - 1)]
+    first = 1 if variant == "causal" and s.is_three_level else 0
+    for i in range(1, d.nx):
+        if first:
+            sums[i - 1][0] = 0.0 + cold(i)
+        for col in range(first, d.nt):
+            total = 0.0
+            for coef, l, m in stencil_nodes(s, i, col + (variant == "paper")):
+                v = value(l, m) if m <= d.nt else None  # beyond the horizon
+                if coef != 0.0 and v is not None:
+                    total += coef * v
+            sums[i - 1][col] = total
+    return sums
+
+
+def test_stencil_sums_match_cellwise_reference_byte_for_byte():
+    """build_m0 and apply_operator, both closures, add the stencil terms in
+    the cellwise reference's order, into an array of the same memory
+    order: M0 row-major, the action in the order of U."""
+    for s, d, known, fields in stencil_cases():
+        def interior(l, m):
+            return 1 <= l < d.nx and m >= 1
         for variant in assembly.VARIANTS:
-            eq, node, coef = assembly.stencil_table(s, d, variant)[0]
-            want = np.zeros((rows, d.nt))
-            np.subtract.at(want, (eq % rows, eq // rows),
-                           coef * known.ravel(order="F")[node])
+            want = np.zeros((d.nx - 1, d.nt))
+            sums = cellwise_sums(
+                s, d, variant, lambda l, m: None if interior(l, m) else float(known[l, m]),
+                lambda i: -1.0 * float(known[i, 1]))
+            want[...] = [[0.0 - v for v in row] for row in sums]
             got = assembly.build_m0(s, d, known, variant)
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes(), (s, d, variant)
-        eq, node, coef = assembly.stencil_table(s, d, "causal")[1]
-        for u in fields:
-            want = np.zeros_like(u)
-            np.add.at(want, (eq % rows, eq // rows),
-                      coef * u.ravel(order="F")[node])
-            got = assembly.apply_operator(s, d, u, "causal")
-            assert got.flags.f_contiguous == want.flags.f_contiguous
-            assert got.tobytes() == want.tobytes(), (s, d)
+            u = fields[0]
+            sums = cellwise_sums(
+                s, d, variant,
+                lambda l, m: float(u[l - 1, m - 1]) if interior(l, m) else None,
+                lambda i: 1.0 * float(u[i - 1, 0]))
+            for f in fields:
+                want = np.zeros_like(f)
+                want[...] = sums
+                got = assembly.apply_operator(s, d, f, variant)
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.tobytes() == want.tobytes(), (s, d, variant)
 
 
 def reference_l(s, u):
@@ -170,9 +194,9 @@ def reference_l(s, u):
 
 
 def test_paper_action_matches_matrix_form():
-    """The paper action gathered from the table is M1 U + U M2 + L(U) up to
-    the order of the additions."""
-    for s, d, _, (u, *_) in gather_cases():
+    """The paper action, summed from shifted views, is M1 U + U M2 + L(U) up
+    to the order of the additions."""
+    for s, d, _, (u, *_) in stencil_cases():
         want = (assembly.build_m1(s, d) @ u + u @ assembly.build_m2(s, d)
                 + reference_l(s, u))
         got = assembly.apply_operator(s, d, u, "paper")
@@ -357,12 +381,35 @@ def test_stencil_table_is_memoized_and_read_only():
                                   Discretization.from_cfl(nx=7, nt=5, h=1.0,
                                                           sigma=0.8, c=1.0),
                                   "causal") is t
-    for column in t[0] + t[1]:
+    assert len(t) == 3
+    for column in t:
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[1]
-    # the action, both global operators and sigma_min read this one copy
+    # both global operators and sigma_min read this one copy
     _, *entries = assembly.operator_entries(s, d, "causal")
-    assert len(entries) == 3 and all(a is b for a, b in zip(entries, t[1]))
+    assert len(entries) == 3 and all(a is b for a, b in zip(entries, t))
+
+
+def test_sums_never_build_the_stencil_table(monkeypatch):
+    """M0, the action and the residual, in both closures, and a leapfrog
+    paper Bartels-Stewart solve run without the stencil table."""
+    def forbidden(*args):
+        raise AssertionError("built the stencil table")
+    monkeypatch.setattr(assembly, "stencil_table", forbidden)
+    d = Discretization.from_cfl(nx=9, nt=7, h=1.0, sigma=0.8, c=1.0)
+    known = nodes(d, lam=4.3)
+    for scheme in STENCILS:
+        s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
+             else custom_scheme(scheme))
+        for variant in assembly.VARIANTS:
+            m0 = assembly.build_m0(s, d, known, variant)
+            action = assembly.apply_operator(s, d, known[1:-1, 1:], variant)
+            res = assembly.residual(s, d, known, known[1:-1, 1:], variant)
+            assert np.array_equal(res, action - m0), (scheme, variant)
+    solver = sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
+                                           variant="paper", method="bartels-stewart")
+    _, _, residual = solver.solve(SignalSpec.from_cells_per_wavelength(10.0, d))
+    assert math.isfinite(residual)
 
 
 def test_residual_of_zero_field_is_minus_m0():
@@ -418,30 +465,29 @@ def test_stencil_matrix_consistency_all_schemes_both_variants():
 def test_stencil_table_order_and_cold_start():
     d = Discretization.from_cfl(nx=5, nt=4, h=1.0, sigma=0.8, c=1.0)
     s = builtin_scheme("leapfrog", d)  # alpha, gamma, delta, epsilon
-    known, unknown = assembly.stencil_table(s, d, "causal")
+    known = nodes(d, lam=3.7)
+    eq, node, coef = assembly.stencil_table(s, d, "causal")
+    m0 = assembly.build_m0(s, d, known, "causal")
     rows = d.nx - 1
-    for eq, _, _ in (known, unknown):
-        assert np.all(np.diff(eq) >= 0)
+    assert np.all(np.diff(eq) >= 0)
     # cold start: equation i-1 is U[i-1, 0] - known[i, 1]
-    assert [a[0] for a in unknown] == [0, 0, 1.0]  # U[0, 0]
-    assert [a[0] for a in known] == [0, d.nx + 2, -1.0]  # known[1, 1]
+    assert [eq[0], node[0], coef[0]] == [0, 0, 1.0]  # U[0, 0]
+    assert m0[0, 0] == known[1, 1]
     # first centered equation (i=1, n=1) produces column 1, stencil order:
     # alpha U[0, 1], delta U[1, 0]; gamma known[1, 0], epsilon known[0, 1]
-    eq, node, coef = unknown
     first = eq == rows
     assert coef[first].tolist() == [s.alpha, s.delta]
     assert node[first].tolist() == [rows, 1]
-    eq, node, coef = known
-    first = eq == rows
-    assert coef[first].tolist() == [s.gamma, s.epsilon]
-    assert node[first].tolist() == [1, d.nx + 1]
+    assert m0[0, 1] == 0.0 - (s.gamma * known[1, 0] + s.epsilon * known[0, 1])
     # paper closure: the last column drops the beyond-horizon alpha term
-    known, unknown = assembly.stencil_table(s, d, "paper")
+    eq, node, coef = assembly.stencil_table(s, d, "paper")
+    m0 = assembly.build_m0(s, d, known, "paper")
     last = rows * d.nt - 1
-    assert max(known[0].max(), unknown[0].max()) == last
-    assert known[1].max() < (d.nx + 1) * (d.nt + 1)
-    assert unknown[1].max() < rows * d.nt
-    assert np.sum(known[0] == last) + np.sum(unknown[0] == last) == 3
+    assert eq.max() == last
+    assert node.max() < rows * d.nt
+    # gamma U[3, 2], epsilon U[2, 3]; delta known[5, 4]
+    assert node[eq == last].tolist() == [last - rows, last - 1]
+    assert m0[-1, -1] == 0.0 - s.delta * known[d.nx, d.nt]
 
 
 def test_stencil_matrix_consistency_against_stencil_residual_at():

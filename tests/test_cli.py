@@ -657,6 +657,34 @@ def test_sweep_svg_of_a_value_beyond_float_range_is_numerical_failure(tmp_path, 
     assert [row[column] for row in rows] == ["inf"] * 3
 
 
+def test_sweep_chart_refused_leaves_csv_and_iso(tmp_path, capsys):
+    """The isovalue grid is written before the chart: a chart refused with
+    exit 2 leaves the same CSV and iso files as a run without it."""
+    out, svg, iso = tmp_path / "s.csv", tmp_path / "chart.svg", tmp_path / "iso.csv"
+    code, stdout, err = run(capsys, *GROWING_SWEEP, "--out", str(out), "--svg", str(svg),
+                            "--iso", str(iso))
+    assert code == 2
+    assert err.startswith("numerical failure: err_sim_grid_l2_squared exceeds")
+    assert stdout == f"wrote {out} (3 rows)\n"
+    assert not svg.exists()
+    want_out, want_iso = tmp_path / "want.csv", tmp_path / "want_iso.csv"
+    assert run(capsys, *GROWING_SWEEP, "--out", str(want_out), "--iso", str(want_iso))[0] == 0
+    assert out.read_text() == want_out.read_text()
+    assert iso.read_text() == want_iso.read_text()
+
+
+def test_sweep_computes_isovalue_norms_only_for_iso(tmp_path):
+    argv = ["sweep", "--scheme", "leapfrog", "--nx", "6", "--nt", "6", "--nl-step", "4"]
+
+    def config(*extra):
+        return cli._resolve(cli.build_parser().parse_args([*argv, *extra]))
+    records, iso = cli.run_sweep(config())
+    assert iso == []
+    records_iso, iso = cli.run_sweep(config("--iso", str(tmp_path / "iso.csv")))
+    assert records_iso == records
+    assert [nl for nl, _ in iso] == [r.n_lambda for r in records]
+
+
 def test_error_csv_path_keeps_directory_dots(tmp_path, capsys):
     run_dir = tmp_path / "run.d"
     run_dir.mkdir()
@@ -809,6 +837,24 @@ def test_command_accepts_only_the_flags_it_reads(capsys, command, flag):
         code, out, err = run(capsys, command, flag, value)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+
+def test_usage_error_leaves_the_cached_parser_as_fresh(capsys):
+    """main builds its parser once per process; after a usage error the next
+    call prints what a freshly built parser's call prints."""
+    argv = ("sweep", "--scheme", "lax", "--nx", "6", "--nt", "6", "--nl-step", "4")
+
+    def fresh(*args):
+        cli.build_parser.cache_clear()
+        return run(capsys, *args)
+    assert cli.build_parser() is cli.build_parser()
+    for bad in (("diagnose", "--scheme", "lax", "--variant", "causal"),
+                ("sweep", "--scheme", "lax", "--nx", "x"),
+                ("solve-error", "--method", "lu"), ("bogus",), ()):
+        error = fresh(*bad)
+        assert error[0] == 1 and error[2].startswith("error: ")
+        assert run(capsys, *argv) == fresh(*argv)
+        assert run(capsys, *bad) == error
 
 
 def test_unrecognized_flag_prints_the_command_usage(capsys):
