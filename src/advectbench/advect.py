@@ -2,10 +2,11 @@
 
 This is the ground-truth side of the workbench: the advected sinusoid, a
 simulator that marches any solvable stencil (explicit or implicit), and the
-error statistics reported by the sweeps.  Sampling and the march take one
-signal or a stack of them: a sweep samples all of its signals into one
-k x (nx+1) x (nt+1) array and marches them together, level by level, each
-signal's field bit-identical to its own march.
+error statistics reported by the sweeps.  The simulator is causal kron's
+march (assembly.March), run on M0 of the known data.  Sampling and the
+march take one signal or a stack of them: a sweep samples all of its
+signals into one k x (nx+1) x (nt+1) array and marches them together,
+each signal's field bit-identical to its own march.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, linalg
-from .errors import NumericalFailureError, UsageError
+from .errors import UsageError
 from .schemes import Discretization, SignalSpec
 
 
@@ -74,48 +75,21 @@ def sample_exact(disc, signal):
 
 
 def time_step_simulate(s, disc, known):
-    """March the stencil causally and return the interior field.
+    """March the stencil causally and return the interior field: the
+    causal closure's solve (assembly.March) of M0 of ``known``.
 
     ``known`` is a node array as ``sample_nodes`` returns it, or a stack of
-    k of them, which are marched together; a node array is a stack of one.
-    Level n+1 solves the stencil centered at n for all interior i of all k
-    arrays at once, with the level matrix tridiag(theta, alpha, zeta),
-    factored once per march (a division by alpha when zeta = theta = 0),
-    whose solve takes the k right-hand sides as the columns of one matrix.
-    Every operation acts on each array as it would on that array alone, so
-    each field is bit-identical to its own march.  The march overwrites the
-    interior of a copy of ``known``, so only level 0, the boundaries and,
-    for three-level stencils, level 1 are read from it.  A level that
-    overflows in any array raises ``NumericalFailureError`` naming it.
-    Returns a FieldMatrix, or for a stack the list of the k fields in stack
-    order.
+    k of them, which are marched together, each field bit-identical to its
+    own march.  Only level 0, the boundaries and, for three-level stencils,
+    level 1 are read from it.  A singular level matrix raises
+    SingularSystemError, and a level that overflows in any array
+    NumericalFailureError naming it.  Returns a FieldMatrix, or for a stack
+    the list of the k fields in stack order.
     """
-    nx, nt = disc.nx, disc.nt
-    coef_scale = max(abs(v) for v in s.as_tuple())
-    if not s.is_implicit and abs(s.alpha) <= linalg.PIVOT_RTOL * coef_scale:
-        raise NumericalFailureError(
-            "explicit update is degenerate: |alpha| is negligible")
-
-    known = assembly.check_known(known, disc, stack=True)
-    u = np.array(known, ndmin=3)  # a copy; a node array is a stack of one
-    solve = linalg.tridiag_factor(np.full(nx - 2, s.theta), np.full(nx - 1, s.alpha),
-                                  np.full(nx - 2, s.zeta))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for n in range(1 if s.is_three_level else 0, nt):
-                rhs = -(s.beta * u[:, 1:nx, n] + s.delta * u[:, 2:, n]
-                        + s.epsilon * u[:, :nx - 1, n])
-                if s.is_three_level:
-                    rhs -= (s.gamma * u[:, 1:nx, n - 1] + s.eta * u[:, :nx - 1, n - 1]
-                            + s.vartheta * u[:, 2:, n - 1])
-                rhs[:, 0] -= s.theta * u[:, 0, n + 1]
-                rhs[:, -1] -= s.zeta * u[:, nx, n + 1]
-                u[:, 1:nx, n + 1] = solve(rhs.T).T
-    except (FloatingPointError, NumericalFailureError) as exc:
-        raise NumericalFailureError(
-            f"the march overflows at time level {n + 1}: {exc}") from exc
-    fields = [FieldMatrix(values=v, disc=disc) for v in u[:, 1:nx, 1:]]
-    return fields if known.ndim == 3 else fields[0]
+    m0 = assembly.build_m0(s, disc, known, "causal")
+    u = assembly.March(s, disc, "causal").solve(m0)
+    fields = [FieldMatrix(values=v, disc=disc) for v in u.reshape(-1, *u.shape[-2:])]
+    return fields if m0.ndim == 3 else fields[0]
 
 
 def error_matrix(u, u_exact):

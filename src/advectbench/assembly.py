@@ -22,7 +22,9 @@ zero-padded (nx+1) x (nt+2) node array, the stencil is at most nine shifted
 views, one per nonzero term.  The operator's action sums them over U, M0
 over the known nodes, and ``stencil_table`` reads the operator's entries
 off them over an array of vec indices; the dense global operator scatters
-those entries and linalg's band storage reads them.  M1 and M2 remain as
+those entries and linalg's band storage reads them.  ``March`` solves a
+closure that is block triangular in time on the same views: the simulator
+and kron's causal and two-level paper eliminations.  M1 and M2 remain as
 matrices for Bartels-Stewart and the spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
@@ -33,11 +35,12 @@ into M0 are read.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from . import linalg
-from .errors import UsageError
+from .errors import NumericalFailureError, UsageError
 from .schemes import stencil_nodes
 
 VARIANTS = ("paper", "causal")
@@ -64,21 +67,10 @@ def build_m2(s, disc):
             + np.diag(np.full(n - 1, s.alpha), -1))
 
 
-def check_known(known, disc, stack=False):
-    """The node array ``known`` as float64, checked to be (nx+1) x (nt+1)
-    and finite; with stack=True a k x (nx+1) x (nt+1) stack of node arrays
-    passes too."""
-    known = linalg.as_matrix(known, "known", stack=stack)
-    if known.shape[-2:] != (disc.nx + 1, disc.nt + 1):
-        raise UsageError(f"known node array shape {known.shape} does not match "
-                         f"grid nodes {(disc.nx + 1, disc.nt + 1)}")
-    return known
-
-
 def _shifted_terms(s, disc, variant, padded):
     """The closure's geometry over ``padded``: node (i, m) at [i, m] of a
-    zero-padded (nx+1) x (nt+2) array, level nt+1 the paper horizon.
-    Returns (first, terms), terms the (c, view) of each nonzero stencil term
+    zero-padded (nx+1) x (nt+2) array, level nt+1 the paper horizon (a
+    trailing axis of k stacked arrays rides along).  Returns (first, terms), terms the (c, view) of each nonzero stencil term
     in stencil order: equation column n >= first sums c * view[:, n - first];
     first = 1 leaves column 0 to the causal three-level cold start."""
     _check_variant(variant)
@@ -96,6 +88,67 @@ def _add_terms(out, terms):
         product = c * view
         with np.errstate(over="ignore", invalid="ignore"):
             out += product
+
+
+class March:
+    """Column-by-column solve of K vec(X) = vec(R), factored once, for the
+    closures whose K is block triangular in time: causal, first column to
+    last (a three-level stencil's column 0 is the cold start
+    X[:, 0] = R[:, 0], copied, not eliminated), and a two-level stencil's
+    paper closure, last to first.
+
+    Column n solves the level matrix, tridiag(theta, alpha, zeta) causal or
+    M1 paper, once the other terms, shifted slices of the columns already
+    solved, are subtracted from R's.  The level matrix is factored by
+    linalg._tridiag_lu under band LU's rule on K: a pivot is at most
+    PIVOT_RTOL * |K|_F, on K scaled to unit magnitude.  |K|_F comes from
+    the coefficients and the unknown nodes each term reads (its view of
+    ones at the unknowns), so no entry of K is built; a failure names K's
+    column first*(nx-1) + k."""
+
+    def __init__(self, s, disc, variant):
+        _check_variant(variant)
+        self._geometry = (s, disc, variant)
+        self._forward = variant == "causal"
+        rows = disc.nx - 1
+        ones = np.zeros((disc.nx + 1, disc.nt + 2))
+        ones[1:-1, 1:-1] = 1.0
+        first, terms = _shifted_terms(s, disc, variant, ones)
+        counts = [(1.0, first * rows)] + [(c, float(view.sum())) for c, view in terms]
+        e = math.frexp(max(abs(c) for c, count in counts if count))[1]
+        thresh = linalg.PIVOT_RTOL * math.sqrt(
+            sum(count * math.ldexp(c, -e) ** 2 for c, count in counts))
+        lead = int(self._forward)  # the time index of the level matrix's terms
+        self._off_level = [m != lead for c, _, m in stencil_nodes(s, 1, 0) if c != 0.0]
+        bands = np.zeros((3, rows))
+        bands[0, 1:], bands[1], bands[2, :-1] = (
+            (s.theta, s.alpha, s.zeta) if self._forward else (s.epsilon, s.beta, s.delta))
+        self._level = linalg._tridiag_lu(bands, e, thresh, first * rows)
+
+    def solve(self, rhs):
+        """X for one (nx-1) x nt R, or the stack of the k solutions of a
+        k x (nx-1) x nt stack of them, marched together on a trailing axis,
+        each layer bit-identical to its own march.  A column that overflows
+        raises NumericalFailureError naming its time level, n + 1."""
+        s, disc, variant = self._geometry
+        r = np.moveaxis(rhs, 0, -1) if rhs.ndim == 3 else rhs
+        padded = np.zeros((disc.nx + 1, disc.nt + 2) + r.shape[2:])
+        x = padded[1:-1, 1:-1]
+        first, terms = _shifted_terms(s, disc, variant, padded)
+        off = [term for term, o in zip(terms, self._off_level) if o]
+        x[:, :first] = r[:, :first]
+        columns = range(first, disc.nt) if self._forward else range(disc.nt - 1, -1, -1)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for n in columns:
+                    b = r[:, n]
+                    for c, view in off:
+                        b = b - c * view[:, n - first]
+                    x[:, n] = self._level(b)
+        except (FloatingPointError, NumericalFailureError) as exc:
+            raise NumericalFailureError(
+                f"the march overflows at time level {n + 1}: {exc}") from exc
+        return np.moveaxis(x, -1, 0) if rhs.ndim == 3 else x
 
 
 @functools.lru_cache(maxsize=8)
@@ -127,18 +180,24 @@ def stencil_table(s, disc, variant):
 
 def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
-    stencil sums over the node array with its unknowns zeroed."""
-    known = check_known(known, disc)
-    padded = np.zeros((disc.nx + 1, disc.nt + 2))
-    padded[:, :-1] = known
+    stencil sums over the node array with its unknowns zeroed.  A stack of
+    k node arrays gives the stack of their k M0s, each bit-identical to its
+    own, summed with the arrays on a trailing axis."""
+    known = linalg.as_matrix(known, "known", stack=True)
+    if known.shape[-2:] != (disc.nx + 1, disc.nt + 1):
+        raise UsageError(f"known node array shape {known.shape} does not match "
+                         f"grid nodes {(disc.nx + 1, disc.nt + 1)}")
+    nodes = np.moveaxis(known, 0, -1) if known.ndim == 3 else known
+    padded = np.zeros((disc.nx + 1, disc.nt + 2) + nodes.shape[2:])
+    padded[:, :-1] = nodes
     padded[1:-1, 1:-1] = 0.0
     first, terms = _shifted_terms(s, disc, variant, padded)
     # subtracting from fresh zeros makes M0 row-major (np.sum in the residual
     # follows memory order) and keeps -0.0 out of it
-    m0 = np.zeros((disc.nx - 1, disc.nt))
-    m0[:, :first] += known[1:-1, 1:first + 1]  # the cold start's level 1
+    m0 = np.zeros((disc.nx - 1, disc.nt) + nodes.shape[2:])
+    m0[:, :first] += nodes[1:-1, 1:first + 1]  # the cold start's level 1
     _add_terms(m0[:, first:], [(-c, view) for c, view in terms])
-    return m0
+    return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
 
 
 def apply_operator(s, disc, u, variant="paper"):

@@ -518,7 +518,7 @@ def _tridiag_lu(bands, e, thresh, column):
                         ri -= du2[i] * x[i + 2]
                     x[i] = ri / d[i]
             x = np.array(x)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalFailureError("the solution exceeds the floating-point range")
         return x
     return solve

@@ -9,12 +9,13 @@ Hessenberg-Schur form, A reduced to Hessenberg form and one real Schur form
 of B), Gaussian elimination on the vectorized operator (the oracle), and
 minimum-norm least squares through a complete orthogonal decomposition for
 singular or inconsistent systems.  The error-equation solver vectorizes
-every closure variant with the global operator.  kron reads it from the
-stencil table:
-when it is block triangular in time (every causal closure, and the paper
-closure of a two-level stencil) the elimination is block substitution,
-one diagonal or tridiagonal block per time column, and otherwise band LU
-on the operator in band storage.  The one-shot oracle for A X + X B = C
+every closure variant with the global operator.  kron's elimination on
+the causal closure and on the paper closure of a two-level stencil, both
+block triangular in time, is assembly.March, the march the simulator
+also runs: one factored tridiagonal level matrix per time column, the
+other stencil terms subtracted as shifted slices, no entries of the
+operator built.  The other closures take band LU on the operator in band
+storage, read from the stencil table.  The one-shot oracle for A X + X B = C
 eliminates on the Kronecker operator; its minimum-norm solution is
 linalg.cod_factor of that operator.  Unique
 solvability is diagnosed from the spectra of A and -B: the equation has one
@@ -200,60 +201,6 @@ class _KronLU:
         return linalg.unvec(x, *c.shape)
 
 
-class _BlockSubstitution:
-    """Block substitution on a vectorized operator K that is block
-    triangular in time, given by its (eq, node, coef) entries sorted by
-    equation.  Column j of U solves K's diagonal block D_j, which is
-    diagonal or tridiagonal, after the terms of the columns already solved
-    are subtracted: first column to last when K is block lower triangular
-    (forward), last to first when it is block upper triangular.  K is
-    singular, as for _KronLU, when a pivot of a D_j, on K scaled by a power
-    of two to unit magnitude, is at most K's pivot threshold
-    (linalg._pivot_scale).  Each distinct diagonal block is factored once,
-    by linalg._tridiag_lu, in column order."""
-
-    def __init__(self, terms, rows, nt, forward):
-        eq, node, coef = terms
-        e, thresh = linalg._pivot_scale(coef)
-        col, r = np.divmod(eq, rows)
-        c = node - col * rows  # node's row when it lies in column col
-        inside = (c >= 0) & (c < rows)
-        bands = np.zeros((nt, 3, rows))  # bands[j, 1 + c - r, r] = D_j[r, c]
-        bands[col[inside], 1 + c[inside] - r[inside], r[inside]] = coef[inside]
-        off = ~inside  # terms of the columns already solved
-        starts = np.searchsorted(col[off], np.arange(1, nt))
-        solved = zip(*(np.split(a[off], starts) for a in (r, node, coef)))
-        blocks, self._steps = {}, []
-        for j, (band, terms_j) in enumerate(zip(bands, solved)):
-            key = band.tobytes()
-            if key not in blocks:
-                blocks[key] = linalg._tridiag_lu(band, e, thresh, j * rows)
-            self._steps.append((slice(j * rows, (j + 1) * rows), *terms_j, blocks[key]))
-        if not forward:
-            self._steps.reverse()
-
-    def solve(self, c):
-        rhs = linalg.vec(c)
-        x = np.zeros(rhs.size)
-        for cols, eq, node, coef, block in self._steps:
-            r = rhs[cols]
-            x[cols] = block(r - np.bincount(eq, weights=coef * x[node], minlength=r.size))
-        return linalg.unvec(x, *c.shape)
-
-
-def _kron_factorization(scheme, disc, variant):
-    """kron's elimination on the variant's vectorized operator K: block
-    substitution when K is block triangular in time, read off the stencil
-    table, else band LU."""
-    terms = assembly.stencil_table(scheme, disc, variant)
-    rows = disc.nx - 1
-    eq_col, node_col = terms[0] // rows, terms[1] // rows
-    lower = bool(np.all(node_col <= eq_col))
-    if lower or np.all(node_col >= eq_col):
-        return _BlockSubstitution(terms, rows, disc.nt, forward=lower)
-    return _KronLU(*linalg.band_from_entries(*assembly.operator_entries(scheme, disc, variant)))
-
-
 class _MinNormCOD:
     """Complete orthogonal decomposition of a vectorized operator K; solve(C)
     is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is the
@@ -300,10 +247,10 @@ class ErrorEquationSolver:
     3 diagonals below and above.  kron eliminates on the variant's
     vectorized global operator.  The causal operator is block lower
     triangular in time, and the paper operator of a two-level stencil block
-    upper bidiagonal, so kron solves them by block substitution, with one
-    diagonal block (alpha*I, tridiag(theta, alpha, zeta) or M1) per time
-    column, and builds no band storage; it factors the other paper
-    operators by band LU (at most nx diagonals below and nx-1 above).
+    upper bidiagonal, so kron solves them by the march (assembly.March),
+    which factors one level matrix (tridiag(theta, alpha, zeta) or M1) and
+    builds neither the stencil table nor band storage; it factors the other
+    paper operators by band LU (at most nx diagonals below and nx-1 above).
     min-norm factors the dense operator by complete orthogonal
     decomposition (``factorization.rank`` is then the numerical rank).
     """
@@ -338,7 +285,11 @@ class ErrorEquationSolver:
         if method == "bartels-stewart":
             self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
         elif method == "kron":
-            self.factorization = _kron_factorization(scheme, disc, variant)
+            self.factorization = (
+                assembly.March(scheme, disc, variant)
+                if variant == "causal" or not scheme.is_three_level
+                else _KronLU(*linalg.band_from_entries(
+                    *assembly.operator_entries(scheme, disc, variant))))
         else:
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))

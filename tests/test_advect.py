@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advectbench import advect, assembly, linalg
-from advectbench.errors import NumericalFailureError, SingularSystemError, UsageError
+from advectbench import advect, assembly, linalg, sylvester
+from advectbench.errors import SingularSystemError, UsageError
 from advectbench.schemes import (Discretization, SignalSpec, builtin_scheme,
                                  custom_scheme)
 
@@ -161,17 +161,24 @@ def test_crank_nicolson_march_factors_its_level_matrix_once(monkeypatch):
 
 
 def test_simulate_degenerate_explicit_scheme():
+    """alpha = 1e-300 is a pivot of the level matrix alpha*I below K's
+    threshold: the march rejects it at column 3, the first of the level
+    matrix's after the cold start's (nx-1 = 3), as causal kron does."""
     s = custom_scheme((1e-300, 1.0, 1.0, 0, 0, 0, 0, 0, 0))
     d = disc(nx=4, nt=3)
-    with pytest.raises(NumericalFailureError):
+    message = r"^pivot 1\.000e-300 below \S+ at column 3$"
+    with pytest.raises(SingularSystemError, match=message):
         advect.time_step_simulate(s, d, np.ones((d.nx + 1, d.nt + 1)))
+    with pytest.raises(SingularSystemError, match=message):
+        sylvester.ErrorEquationSolver(s, d, variant="causal", method="kron")
 
 
 def test_explicit_degenerate_alpha_uses_the_tridiagonal_pivot_rtol(monkeypatch):
-    """The explicit update and the tridiagonal elimination share PIVOT_RTOL."""
+    """The march reads PIVOT_RTOL, band LU's rule, when it factors: at 2,
+    every pivot of Lax's level matrix alpha*I is below K's threshold."""
     monkeypatch.setattr(linalg, "PIVOT_RTOL", 2.0)
     d = disc(nx=6, nt=6)
-    with pytest.raises(NumericalFailureError, match="degenerate"):
+    with pytest.raises(SingularSystemError, match=r"^pivot \S+ below \S+ at column 0$"):
         advect.time_step_simulate(builtin_scheme("lax", d), d,
                                   np.ones((d.nx + 1, d.nt + 1)))
 
@@ -277,9 +284,9 @@ def test_bad_node_stack_rejected_by_simulator_and_build_m0():
                          (good[None], "must be 2-D or 3-D, got ndim=4")):
         with pytest.raises(UsageError, match=message):
             advect.time_step_simulate(s, d, bad)
-    for variant in assembly.VARIANTS:  # M0 takes one node array only
-        with pytest.raises(UsageError, match="must be 2-D, got ndim=3"):
-            assembly.build_m0(s, d, good, variant)
+        for variant in assembly.VARIANTS:
+            with pytest.raises(UsageError, match=message):
+                assembly.build_m0(s, d, bad, variant)
 
 
 # --------------------------------------------------- error matrix / summary

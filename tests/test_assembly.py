@@ -275,6 +275,22 @@ def test_build_m0_ignores_unknown_nodes(name):
             assert np.array_equal(got, want), (name, variant, fill)
 
 
+@pytest.mark.parametrize("scheme", STENCILS)
+def test_stacked_build_m0_is_bit_identical_to_single_calls(scheme):
+    """A k x (nx+1) x (nt+1) stack of node arrays gives the stack of their
+    M0s, each layer byte for byte the M0 of its array alone."""
+    d = Discretization.from_cfl(nx=9, nt=7, h=1.0, sigma=0.8, c=1.0)
+    s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
+         else custom_scheme(scheme))
+    stack = np.array([nodes(d, lam) for lam in (2.0, 4.3, 9.7)])
+    for variant in assembly.VARIANTS:
+        m0 = assembly.build_m0(s, d, stack, variant)
+        assert m0.shape == (3, d.nx - 1, d.nt)
+        for layer, known in zip(m0, stack):
+            want = assembly.build_m0(s, d, known, variant)
+            assert layer.tobytes() == want.tobytes(), (scheme, variant)
+
+
 def test_global_operator_paper_equals_kron_when_l_zero():
     for nx, nt in ((6, 5), (7, 5), (5, 9)):
         d = Discretization(nx=nx, nt=nt, h=1.0, tau=0.5, c=1.0)

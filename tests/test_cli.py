@@ -129,11 +129,47 @@ def test_unusable_derived_time_step_names_sigma_h_and_c(capsys, argv):
 
 
 def test_implicit_march_overflow_names_its_level(capsys):
-    """alpha = zeta = 1e-300: level 1 reaches 1e300 and level 2 overflows."""
-    code, out, err = run(capsys, "simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0",
-                         "--nx", "6", "--nt", "6")
-    assert (code, out) == (2, "")
-    assert err.startswith("numerical failure: the march overflows at time level 2")
+    """alpha = 1, beta = zeta = 1e10 at nx = 31: the level matrix
+    tridiag(0, 1, 1e10) passes K's pivot rule, but its solve grows 1e10 a
+    row, so level 1 reaches about 1e300 and level 2 overflows.  Causal kron
+    marches the same recurrence and names the same level."""
+    stencil = ("--coeffs", "1,1e10,0,0,0,1e10,0,0,0", "--nx", "31", "--nt", "6")
+    for argv in (("simulate",), ("solve-error", "--variant", "causal", "--method", "kron")):
+        code, out, err = run(capsys, argv[0], *stencil, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: the march overflows at time level 2: "
+                       "overflow encountered in multiply\n")
+
+
+@pytest.mark.parametrize("coeffs, column", [
+    ("1e-300,1,1,0,0,0,0,0,0", 5),         # explicit, three-level: after the cold start
+    ("1e-300,1,0,0,0,1e-300,0,0,0", 0)])   # implicit, two-level
+def test_simulate_and_causal_kron_give_one_verdict(capsys, coeffs, column):
+    """The simulator is causal kron's march: a level matrix whose pivot is
+    below K's threshold is one singular verdict, at one column of K."""
+    stencil = ("--coeffs", coeffs, "--nx", "6", "--nt", "6")
+    errs = []
+    for argv in (("simulate",), ("solve-error", "--variant", "causal", "--method", "kron")):
+        code, out, err = run(capsys, argv[0], *stencil, *argv[1:])
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"singular system: pivot \S+ below \S+ at column {column}\n", err)
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+def test_scaled_three_level_stencil_marches_in_simulate_and_causal_kron(capsys):
+    """A leapfrog-like stencil at about 1e14 scale: the cold start's unit
+    rows of K are copied, not eliminated, so they take no pivot, and causal
+    kron agrees with simulate as at unit scale."""
+    stencil = ("--coeffs", "5e13,0,-5e13,4e13,-4e13,0,0,0,0", "--nx", "8", "--nt", "8")
+    code, sim_out, err = run(capsys, "simulate", *stencil)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "solve-error", *stencil, "--variant", "causal",
+                         "--method", "kron")
+    assert (code, err) == (0, "")
+    sim = float(sim_out.split("frob=")[1].split()[0])
+    mtx = float(out.split("frob=")[1].split()[0])
+    assert abs(sim - mtx) <= 1e-14 * sim
 
 
 def test_sweep_fails_in_order_set_up_march_solves(capsys, monkeypatch):
@@ -197,8 +233,8 @@ def test_singular_level_matrix_gets_band_lus_verdict(capsys):
 
 def test_causal_kron_runs_past_the_operator_size_guard(capsys):
     """N = 22350 exceeds MAX_VEC_SIZE, which guards band and dense storage;
-    block substitution builds neither, so causal kron solves and matches the
-    march to criterion 5's tolerance, while paper kron still stops."""
+    the march builds neither, so causal kron solves and matches the
+    simulator to criterion 5's tolerance, while paper kron still stops."""
     stencil = ("--scheme", "leapfrog", "--nx", "150", "--nt", "150")
     code, sim_out, err = run(capsys, "simulate", *stencil)
     assert (code, err) == (0, "")
@@ -216,8 +252,8 @@ def test_causal_kron_runs_past_the_operator_size_guard(capsys):
 def test_causal_kron_follows_the_march_where_band_lu_pivots_across_time(capsys):
     """alpha = 0.05 makes the march amplify fast (|E| is about 7e17 at 9^2).
     Band LU with partial pivoting took its pivots from later time columns
-    and met one below PIVOT_RTOL at column 70; block substitution pivots
-    only within each time column, as the march does, and agrees with it."""
+    and met one below PIVOT_RTOL at column 70; causal kron is the march,
+    which pivots only within each time column, and agrees with simulate."""
     stencil = ("--coeffs", "0.05,0.5,0,0.1,-0.8,0,0,0.4,0", "--nx", "9", "--nt", "9")
     code, sim_out, err = run(capsys, "simulate", *stencil)
     assert (code, err) == (0, "")

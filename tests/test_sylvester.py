@@ -490,7 +490,7 @@ def test_shape_validation():
 
 @pytest.mark.parametrize("name", ["leapfrog", "lax"])
 def test_error_equation_causal_kron_at_60_matches_simulator(name):
-    """N = 3540: block substitution makes kron on the causal closure a
+    """N = 3540: the march makes kron on the causal closure a
     routine solve at refinement-study sizes; criterion 5's tolerance holds
     there."""
     d = disc(nx=60, nt=60, sigma=0.8)
@@ -514,13 +514,14 @@ CORNER = (1, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02)
 def test_block_substitution_matches_band_lu(variant, name, n, rtol):
     """The causal closure is block lower triangular in time and a two-level
     paper closure block upper bidiagonal: kron solves both by block
-    substitution, which agrees with band LU on the same right-hand side."""
+    substitution, the march, which agrees with band LU on the same
+    right-hand side."""
     d = disc(nx=n, nt=n)
     s = (schemes.custom_scheme(CORNER) if name == "corner"
          else builtin_scheme(name, d))
     fac = sylvester.ErrorEquationSolver(s, d, variant=variant,
                                         method="kron").factorization
-    assert isinstance(fac, sylvester._BlockSubstitution)
+    assert isinstance(fac, assembly.March)
     c = rng(n).uniform(-1, 1, (n - 1, n))
     want = sylvester._KronLU(*linalg.band_from_entries(
         *assembly.operator_entries(s, d, variant))).solve(c)
@@ -528,28 +529,64 @@ def test_block_substitution_matches_band_lu(variant, name, n, rtol):
 
 
 def test_block_substitution_rejects_singular_diagonal_block():
-    """Lax at even nx: M1, the diagonal block of the paper closure, has odd
-    order and a zero diagonal, so the verdict is band LU's."""
+    """Lax at even nx: M1, the diagonal block (the march's level matrix) of
+    the paper closure, has odd order and a zero diagonal, so the verdict is
+    band LU's."""
     d = disc(nx=10, nt=10)
     with pytest.raises(SingularSystemError, match=r"^pivot .* below .* at column \d+$"):
         sylvester.ErrorEquationSolver(builtin_scheme("lax", d), d,
                                       variant="paper", method="kron")
 
 
+@pytest.mark.parametrize("nx, nt", [(7, 5), (12, 12)])
+@pytest.mark.parametrize("variant", assembly.VARIANTS)
+@pytest.mark.parametrize("name", [*ALL_SCHEMES, "corner"])
+def test_kron_factorization_matches_a_dense_solve(name, variant, nx, nt):
+    """An oracle that shares no code with the march or band LU: LAPACK's
+    dense solve of the global operator.  Where Lax's paper K is singular
+    (even nx), kron raises band LU's verdict on K, message for message."""
+    d = disc(nx=nx, nt=nt)
+    s = (schemes.custom_scheme(CORNER) if name == "corner"
+         else builtin_scheme(name, d))
+    c = rng(nx).uniform(-1, 1, (nx - 1, nt))
+    if name == "lax" and variant == "paper" and nx % 2 == 0:
+        with pytest.raises(SingularSystemError) as band_lu:
+            sylvester._KronLU(*linalg.band_from_entries(
+                *assembly.operator_entries(s, d, variant)))
+        with pytest.raises(SingularSystemError) as kron:
+            sylvester.ErrorEquationSolver(s, d, variant=variant, method="kron")
+        assert str(kron.value) == str(band_lu.value)
+        return
+    want = np.linalg.solve(assembly.global_operator(s, d, variant), c.reshape(-1, order="F"))
+    got = sylvester.ErrorEquationSolver(s, d, variant=variant,
+                                        method="kron").factorization.solve(c)
+    assert (np.linalg.norm(got.reshape(-1, order="F") - want)
+            <= 1e-12 * np.linalg.norm(want)), (name, variant)
+
+
 def test_causal_kron_builds_no_band_storage(monkeypatch):
-    """Block substitution reads the stencil table; only the three-level
-    paper closures still take band LU."""
+    """The march reads neither band storage nor the stencil table: causal
+    kron, two-level paper kron and a stacked simulation run without either;
+    only the three-level paper closures still read the table for band LU."""
     def band(*args):
         raise AssertionError("band storage built")
+
+    def table(*args):
+        raise AssertionError("built the stencil table")
     monkeypatch.setattr(linalg, "band_from_entries", band)
     monkeypatch.setattr(linalg, "_lu_factor", band)
+    monkeypatch.setattr(assembly, "stencil_table", table)
     d = disc()
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    stack = advect.sample_nodes(d, [signal, SignalSpec.from_cells_per_wavelength(7.5, d)])
     for s in (*(builtin_scheme(name, d) for name in ALL_SCHEMES),
               schemes.custom_scheme(CORNER)):
         sylvester.ErrorEquationSolver(s, d, variant="causal",
                                       method="kron").solve(signal)
-    with pytest.raises(AssertionError, match="band storage built"):
+        advect.time_step_simulate(s, d, stack)
+    sylvester.ErrorEquationSolver(builtin_scheme("lax-wendroff", d), d, variant="paper",
+                                  method="kron").solve(signal)
+    with pytest.raises(AssertionError, match="built the stencil table"):
         sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
                                       variant="paper", method="kron")
 

@@ -98,7 +98,7 @@ def matrix():
     # an implicit stencil whose level matrix tridiag(1, 0, 1) needs row
     # exchanges at even order and is singular at odd order; coefficients near
     # the float limits; Crank-Nicolson in units 1e-150 times the usual; an
-    # implicit march that overflows at level 2
+    # implicit level matrix whose pivots 1e-300 are below the threshold
     for nx in ("21", "20"):
         pivoting = ["--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", nx, "--nt", "10"]
         runs += [["simulate", *pivoting, "--out", "field.csv"],
@@ -111,6 +111,15 @@ def matrix():
               "--nx", "6", "--nt", "6"],
              ["simulate", "--coeffs", "1e-300,1,0,0,0,1e-300,0,0,0", "--nx", "6",
               "--nt", "6", "--out", "field.csv"]]
+    # an implicit level matrix tridiag(0, 1, 1e10) whose solve grows 1e10 a
+    # row, so the march overflows at level 1, in simulate and causal kron alike
+    overflowing = ["--coeffs", "1,1e10,0,0,0,1e10,0,0,0", "--nx", "32", "--nt", "6"]
+    # a leapfrog-like stencil at about 1e14 scale: the cold start's unit
+    # rows are copied, not eliminated, so they take no pivot
+    scaled = ["--coeffs", "5e13,0,-5e13,4e13,-4e13,0,0,0,0", "--nx", "8", "--nt", "8"]
+    runs += [[command, *stencil, *flags] for stencil in (overflowing, scaled)
+             for command, *flags in (("simulate",),
+                                     ("solve-error", "--variant", "causal", "--method", "kron"))]
     # phases 2*pi/wavelength*(x - c*t) that overflow; an M2 with real
     # eigenvalues (alpha*gamma > 0) for Bartels-Stewart; sigma_min at 40^2,
     # just above the LU pivot threshold, and at 60^2, below it
