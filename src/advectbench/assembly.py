@@ -70,21 +70,23 @@ def build_m2(s, disc):
 def _shifted_terms(s, disc, variant, padded):
     """The closure's geometry over ``padded``: node (i, m) at [i, m] of a
     zero-padded (nx+1) x (nt+2) array, level nt+1 the paper horizon (a
-    trailing axis of k stacked arrays rides along).  Returns (first, terms), terms the (c, view) of each nonzero stencil term
-    in stencil order: equation column n >= first sums c * view[:, n - first];
-    first = 1 leaves column 0 to the causal three-level cold start."""
+    trailing axis of k stacked arrays rides along).  Returns (first, terms),
+    terms the (c, m, view) of each nonzero stencil term in stencil order, m
+    its time offset (-1, 0 or 1) from the stencil's center: equation column
+    n >= first sums c * view[:, n - first]; first = 1 leaves column 0 to
+    the causal three-level cold start."""
     _check_variant(variant)
     first = int(variant == "causal" and s.is_three_level)
     # equation column n is centered at level n + 1 (paper) or n (causal)
     a = first + (variant == "paper")
-    return first, [(c, padded[i:i + disc.nx - 1, a + m:a + m + disc.nt - first])
+    return first, [(c, m, padded[i:i + disc.nx - 1, a + m:a + m + disc.nt - first])
                    for c, i, m in stencil_nodes(s, 1, 0) if c != 0.0]
 
 
 def _add_terms(out, terms):
     """out += c * view over the terms, in order.  Only the products answer to
     the caller's errstate; a sum that overflows is the caller's to judge."""
-    for c, view in terms:
+    for c, _, view in terms:
         product = c * view
         with np.errstate(over="ignore", invalid="ignore"):
             out += product
@@ -100,55 +102,66 @@ class March:
     Column n solves the level matrix, tridiag(theta, alpha, zeta) causal or
     M1 paper, once the other terms, shifted slices of the columns already
     solved, are subtracted from R's.  The level matrix is factored by
-    linalg._tridiag_lu under band LU's rule on K: a pivot is at most
-    PIVOT_RTOL * |K|_F, on K scaled to unit magnitude.  |K|_F comes from
-    the coefficients and the unknown nodes each term reads (its view of
-    ones at the unknowns), so no entry of K is built; a failure names K's
-    column first*(nx-1) + k."""
+    linalg._tridiag_lu under band LU's rule on the stencil's rows of K: a
+    pivot is at most PIVOT_RTOL * |K|_F, on K scaled to unit magnitude.
+    |K|_F comes from the coefficients and the unknown nodes each term reads
+    (its view of ones at the unknowns), so no entry of K is built.  The cold
+    start's unit rows take no part: they are copied, not eliminated, and
+    without them the rule does not change when the stencil is scaled.  A
+    failure names K's column first*(nx-1) + k."""
 
     def __init__(self, s, disc, variant):
-        _check_variant(variant)
         self._geometry = (s, disc, variant)
-        self._forward = variant == "causal"
+        self._lead = int(variant == "causal")  # the level matrix's time offset
         rows = disc.nx - 1
         ones = np.zeros((disc.nx + 1, disc.nt + 2))
         ones[1:-1, 1:-1] = 1.0
         first, terms = _shifted_terms(s, disc, variant, ones)
-        counts = [(1.0, first * rows)] + [(c, float(view.sum())) for c, view in terms]
+        counts = [(c, float(view.sum())) for c, _, view in terms]
         e = math.frexp(max(abs(c) for c, count in counts if count))[1]
         thresh = linalg.PIVOT_RTOL * math.sqrt(
             sum(count * math.ldexp(c, -e) ** 2 for c, count in counts))
-        lead = int(self._forward)  # the time index of the level matrix's terms
-        self._off_level = [m != lead for c, _, m in stencil_nodes(s, 1, 0) if c != 0.0]
         bands = np.zeros((3, rows))
         bands[0, 1:], bands[1], bands[2, :-1] = (
-            (s.theta, s.alpha, s.zeta) if self._forward else (s.epsilon, s.beta, s.delta))
+            (s.theta, s.alpha, s.zeta) if self._lead else (s.epsilon, s.beta, s.delta))
         self._level = linalg._tridiag_lu(bands, e, thresh, first * rows)
+        self._steps = None
+
+    def _march(self, shape):
+        """(shape, first, x, steps) for R's trailing shape: x the interior of
+        a zero-padded node array, and steps, per column n in march order, n
+        and the (c, slice of the array) of its off-level terms.  Kept for
+        the last shape, so a sweep of solves slices the array once; solves
+        share it, one at a time."""
+        if self._steps is None or self._steps[0] != shape:
+            s, disc, variant = self._geometry
+            padded = np.zeros((disc.nx + 1, disc.nt + 2) + shape)
+            first, terms = _shifted_terms(s, disc, variant, padded)
+            off = [(c, view) for c, m, view in terms if m != self._lead]
+            columns = range(first, disc.nt) if self._lead else range(disc.nt - 1, -1, -1)
+            self._steps = (shape, first, padded[1:-1, 1:-1],
+                           [(n, [(c, view[:, n - first]) for c, view in off]) for n in columns])
+        return self._steps
 
     def solve(self, rhs):
         """X for one (nx-1) x nt R, or the stack of the k solutions of a
         k x (nx-1) x nt stack of them, marched together on a trailing axis,
         each layer bit-identical to its own march.  A column that overflows
         raises NumericalFailureError naming its time level, n + 1."""
-        s, disc, variant = self._geometry
         r = np.moveaxis(rhs, 0, -1) if rhs.ndim == 3 else rhs
-        padded = np.zeros((disc.nx + 1, disc.nt + 2) + r.shape[2:])
-        x = padded[1:-1, 1:-1]
-        first, terms = _shifted_terms(s, disc, variant, padded)
-        off = [term for term, o in zip(terms, self._off_level) if o]
+        _, first, x, steps = self._march(r.shape[2:])
         x[:, :first] = r[:, :first]
-        columns = range(first, disc.nt) if self._forward else range(disc.nt - 1, -1, -1)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for n in columns:
+                for n, off in steps:
                     b = r[:, n]
-                    for c, view in off:
-                        b = b - c * view[:, n - first]
+                    for c, column in off:
+                        b = b - c * column
                     x[:, n] = self._level(b)
         except (FloatingPointError, NumericalFailureError) as exc:
             raise NumericalFailureError(
                 f"the march overflows at time level {n + 1}: {exc}") from exc
-        return np.moveaxis(x, -1, 0) if rhs.ndim == 3 else x
+        return np.moveaxis(x, -1, 0).copy() if rhs.ndim == 3 else x.copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -166,9 +179,9 @@ def stencil_table(s, disc, variant):
     index[1:-1, 1:-1] = np.arange(rows * nt).reshape(nt, rows).T
     first, terms = _shifted_terms(s, disc, variant, index)
     # equations in column-major order, one term per entry of the last axis
-    node = np.stack([view.T for _, view in terms], axis=-1)
+    node = np.stack([view.T for _, _, view in terms], axis=-1)
     eq = np.broadcast_to(index[1:-1, 1 + first:-1].T[..., None], node.shape)
-    coef = np.broadcast_to([c for c, _ in terms], node.shape)
+    coef = np.broadcast_to([c for c, _, _ in terms], node.shape)
     unknown = node >= 0
     cold = np.arange(first * rows)  # cold start: U[i-1, 0] - known[i, 1] = 0
     table = (np.concatenate([cold, eq[unknown]]), np.concatenate([cold, node[unknown]]),
@@ -196,7 +209,7 @@ def build_m0(s, disc, known, variant="paper"):
     # follows memory order) and keeps -0.0 out of it
     m0 = np.zeros((disc.nx - 1, disc.nt) + nodes.shape[2:])
     m0[:, :first] += nodes[1:-1, 1:first + 1]  # the cold start's level 1
-    _add_terms(m0[:, first:], [(-c, view) for c, view in terms])
+    _add_terms(m0[:, first:], [(-c, m, view) for c, m, view in terms])
     return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
 
 

@@ -517,6 +517,9 @@ def _tridiag_lu(bands, e, thresh, column):
                     if du2[i]:
                         ri -= du2[i] * x[i + 2]
                     x[i] = ri / d[i]
+            # a vector's Python floats check faster than their array does
+            if r.ndim == 1 and all(map(math.isfinite, x)):
+                return np.array(x)
             x = np.array(x)
         if not np.isfinite(x).all():
             raise NumericalFailureError("the solution exceeds the floating-point range")

@@ -61,11 +61,6 @@ class SchemeCoefficients:
         return self.gamma != 0.0 or self.eta != 0.0 or self.vartheta != 0.0
 
     @property
-    def is_implicit(self):
-        """True when the new level couples spatially (zeta or theta nonzero)."""
-        return self.zeta != 0.0 or self.theta != 0.0
-
-    @property
     def has_corner_terms(self):
         """True when the diagonal-shift operator L is nonzero."""
         return (self.zeta != 0.0 or self.eta != 0.0

@@ -157,11 +157,17 @@ def test_simulate_and_causal_kron_give_one_verdict(capsys, coeffs, column):
     assert errs[0] == errs[1]
 
 
-def test_scaled_three_level_stencil_marches_in_simulate_and_causal_kron(capsys):
-    """A leapfrog-like stencil at about 1e14 scale: the cold start's unit
-    rows of K are copied, not eliminated, so they take no pivot, and causal
-    kron agrees with simulate as at unit scale."""
-    stencil = ("--coeffs", "5e13,0,-5e13,4e13,-4e13,0,0,0,0", "--nx", "8", "--nt", "8")
+@pytest.mark.parametrize("stencil", [
+    ("--coeffs", "5e13,0,-5e13,4e13,-4e13,0,0,0,0", "--nx", "8", "--nt", "8"),
+    ("--coeffs", "5e-15,0,-5e-15,4e-15,-4e-15,0,0,0,0", "--nx", "8", "--nt", "8"),
+    ("--scheme", "leapfrog", "--nx", "100", "--nt", "100", "--h", "1e12"),
+    ("--scheme", "crank-nicolson", "--nx", "100", "--nt", "100", "--h", "1e12"),
+])
+def test_scaled_three_level_stencil_marches_in_simulate_and_causal_kron(capsys, stencil):
+    """Three-level stencils far above and below unit scale: the cold
+    start's unit rows of K are copied, not eliminated, so they take no
+    pivot and no part in the pivot rule, and causal kron agrees with
+    simulate as at unit scale."""
     code, sim_out, err = run(capsys, "simulate", *stencil)
     assert (code, err) == (0, "")
     code, out, err = run(capsys, "solve-error", *stencil, "--variant", "causal",

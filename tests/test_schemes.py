@@ -46,7 +46,7 @@ def test_crank_nicolson_as_catalogued():
     assert s.alpha == 1.0 / d.tau + w
     assert s.beta == -1.0 / d.tau + w
     assert s.delta == s.epsilon == s.eta == s.theta == -w
-    assert s.is_three_level and s.is_implicit and s.has_corner_terms
+    assert s.is_three_level and s.has_corner_terms
 
 
 def test_scheme_name_case_insensitive():

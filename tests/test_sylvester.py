@@ -538,6 +538,28 @@ def test_block_substitution_rejects_singular_diagonal_block():
                                       variant="paper", method="kron")
 
 
+@pytest.mark.parametrize("variant, name", [
+    ("causal", "leapfrog"), ("causal", "crank-nicolson"), ("paper", "lax-wendroff")])
+def test_march_reuses_its_array_without_aliasing(variant, name):
+    """A March keeps its padded array for the last right-hand-side shape:
+    a returned X stays the caller's through the next solve of that shape,
+    and solves of one R and of a stack, in turn, each equal a fresh
+    March's."""
+    d = disc(nx=9, nt=8)
+    s = builtin_scheme(name, d)
+    march = assembly.March(s, d, variant)
+    cs = rng(3).uniform(-1, 1, (3, 8, 8))
+    first = march.solve(cs[0])
+    kept = first.copy()
+    second = march.solve(cs[1])
+    stacked = march.solve(cs)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, stacked[1])
+    assert np.array_equal(march.solve(cs[2]), stacked[2])
+    for c, x in zip(cs, stacked):
+        assert np.array_equal(x, assembly.March(s, d, variant).solve(c))
+
+
 @pytest.mark.parametrize("nx, nt", [(7, 5), (12, 12)])
 @pytest.mark.parametrize("variant", assembly.VARIANTS)
 @pytest.mark.parametrize("name", [*ALL_SCHEMES, "corner"])

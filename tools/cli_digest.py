@@ -114,10 +114,12 @@ def matrix():
     # an implicit level matrix tridiag(0, 1, 1e10) whose solve grows 1e10 a
     # row, so the march overflows at level 1, in simulate and causal kron alike
     overflowing = ["--coeffs", "1,1e10,0,0,0,1e10,0,0,0", "--nx", "32", "--nt", "6"]
-    # a leapfrog-like stencil at about 1e14 scale: the cold start's unit
-    # rows are copied, not eliminated, so they take no pivot
-    scaled = ["--coeffs", "5e13,0,-5e13,4e13,-4e13,0,0,0,0", "--nx", "8", "--nt", "8"]
-    runs += [[command, *stencil, *flags] for stencil in (overflowing, scaled)
+    # a leapfrog-like stencil at about 1e14 and 1e-14 scale: the cold start's
+    # unit rows are copied, not eliminated, so they take no part in the
+    # pivot rule
+    scaled = [["--coeffs", f"5e{p},0,-5e{p},4e{p},-4e{p},0,0,0,0", "--nx", "8", "--nt", "8"]
+              for p in (13, -15)]
+    runs += [[command, *stencil, *flags] for stencil in (overflowing, *scaled)
              for command, *flags in (("simulate",),
                                      ("solve-error", "--variant", "causal", "--method", "kron"))]
     # phases 2*pi/wavelength*(x - c*t) that overflow; an M2 with real
