@@ -24,8 +24,9 @@ over the known nodes, and ``stencil_table`` reads the operator's entries
 off them over an array of vec indices; the dense global operator scatters
 those entries and linalg's band storage reads them.  ``March`` solves a
 closure that is block triangular in time on the same views: the simulator
-and kron's causal and two-level paper eliminations.  M1 and M2 remain as
-matrices for Bartels-Stewart and the spectral diagnosis.
+and the causal and two-level paper eliminations of kron and
+Bartels-Stewart.  M1 and M2 remain as matrices for Bartels-Stewart and the
+spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -34,7 +35,6 @@ into M0 are read.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -164,15 +164,11 @@ class March:
         return np.moveaxis(x, -1, 0).copy() if rhs.ndim == 3 else x.copy()
 
 
-@functools.lru_cache(maxsize=8)
 def stencil_table(s, disc, variant):
     """The operator's entries as one (eq, node, coef) triple, read off the
     stencil's views of an array of vec indices: equation eq is U's entry
     (eq % (nx-1), eq // (nx-1)) and node the vec index of the unknown its
-    term reads.  Sorted by equation, in stencil order within one equation.
-
-    Memoized on (scheme, grid, variant): every solve of a sweep reads the
-    same entries.  The arrays are shared, so they are read-only."""
+    term reads.  Sorted by equation, in stencil order within one equation."""
     nx, nt = disc.nx, disc.nt
     rows = nx - 1
     index = np.full((nx + 1, nt + 2), -1)  # -1: a known or absent node
@@ -184,11 +180,8 @@ def stencil_table(s, disc, variant):
     coef = np.broadcast_to([c for c, _, _ in terms], node.shape)
     unknown = node >= 0
     cold = np.arange(first * rows)  # cold start: U[i-1, 0] - known[i, 1] = 0
-    table = (np.concatenate([cold, eq[unknown]]), np.concatenate([cold, node[unknown]]),
-             np.concatenate([np.ones(cold.size), coef[unknown]]))
-    for column in table:
-        column.flags.writeable = False
-    return table
+    return (np.concatenate([cold, eq[unknown]]), np.concatenate([cold, node[unknown]]),
+            np.concatenate([np.ones(cold.size), coef[unknown]]))
 
 
 def build_m0(s, disc, known, variant="paper"):

@@ -9,18 +9,21 @@ Hessenberg-Schur form, A reduced to Hessenberg form and one real Schur form
 of B), Gaussian elimination on the vectorized operator (the oracle), and
 minimum-norm least squares through a complete orthogonal decomposition for
 singular or inconsistent systems.  The error-equation solver vectorizes
-every closure variant with the global operator.  kron's elimination on
-the causal closure and on the paper closure of a two-level stencil, both
-block triangular in time, is assembly.March, the march the simulator
-also runs: one factored tridiagonal level matrix per time column, the
-other stencil terms subtracted as shifted slices, no entries of the
-operator built.  The other closures take band LU on the operator in band
-storage, read from the stencil table.  The one-shot oracle for A X + X B = C
-eliminates on the Kronecker operator; its minimum-norm solution is
-linalg.cod_factor of that operator.  Unique
-solvability is diagnosed from the spectra of A and -B: the equation has one
-solution iff they are disjoint, to the relative distance SEP_TOL.  Like the
-linalg thresholds, SEP_TOL is a module constant, not an argument.
+every closure variant with the global operator.  The causal closure and
+the paper closure of a two-level stencil are block triangular in time, and
+kron and Bartels-Stewart alike solve them by assembly.March, the march the
+simulator also runs: one factored tridiagonal level matrix per time
+column, the other stencil terms subtracted as shifted slices, no entries
+of the operator built.  That is Bartels-Stewart exactly: a two-level M2
+is strictly lower triangular, its Schur form T = J M2 J (J the reversal),
+and the block systems M1 y_j = r_j - sum_i t_ij y_i, last column first,
+are the backward march.  The other closures take band LU on the operator
+in band storage, read from the stencil table.  The one-shot oracle for
+A X + X B = C eliminates on the Kronecker operator; its minimum-norm
+solution is linalg.cod_factor of that operator.  Unique solvability is
+diagnosed from the spectra of A and -B: the equation has one solution iff
+they are disjoint, to the relative distance SEP_TOL.  Like the linalg
+thresholds, SEP_TOL is a module constant, not an argument.
 """
 
 from __future__ import annotations
@@ -235,24 +238,25 @@ class ErrorEquationSolver:
     and closure variant.
 
     The factorization is computed once, so sweeping many signals is cheap.
-    Bartels-Stewart is only legal for the paper variant with L = 0 (no
-    corner coefficients).  When |alpha| = |gamma| and |delta| = |epsilon|,
-    as for leapfrog, M1 and M2 are normal tridiagonal Toeplitz, and it
-    diagonalizes both in closed form: set-up forms two DST-I matrices and
-    the divisors lam_i + mu_j, and a solve is four dense products and one
-    division per entry, with no Schur form and no block factorization.
-    Otherwise M1, tridiagonal and hence already Hessenberg, is kept, and it
-    computes one real Schur form, of M2, and factors one band system of
-    nx-1 or 2(nx-1) unknowns per 1x1/2x2 diagonal block of it, with at most
-    3 diagonals below and above.  kron eliminates on the variant's
-    vectorized global operator.  The causal operator is block lower
-    triangular in time, and the paper operator of a two-level stencil block
-    upper bidiagonal, so kron solves them by the march (assembly.March),
-    which factors one level matrix (tridiag(theta, alpha, zeta) or M1) and
-    builds neither the stencil table nor band storage; it factors the other
-    paper operators by band LU (at most nx diagonals below and nx-1 above).
-    min-norm factors the dense operator by complete orthogonal
-    decomposition (``factorization.rank`` is then the numerical rank).
+    The kernel is read from the method and K's structure.  min-norm
+    factors the dense operator by complete orthogonal decomposition
+    (``factorization.rank`` is then the numerical rank).  Bartels-Stewart
+    is only legal for the paper variant with L = 0 (no corner
+    coefficients), and only when diagnose finds A and -B disjoint.  The
+    causal operator is block lower triangular in time, and the paper
+    operator of a two-level stencil block upper bidiagonal, so kron and
+    Bartels-Stewart solve them by the march (assembly.March), which factors
+    one level matrix (tridiag(theta, alpha, zeta) or M1) and builds neither
+    the stencil table, nor band storage, nor a Schur form.  On the other
+    (three-level) paper operators kron takes band LU (at most nx diagonals
+    below and nx-1 above), and Bartels-Stewart, when |alpha| = |gamma| and
+    |delta| = |epsilon| as for leapfrog, diagonalizes the normal
+    tridiagonal Toeplitz M1 and M2 in closed form: set-up forms two DST-I
+    matrices and the divisors lam_i + mu_j, and a solve is four dense
+    products and one division per entry.  Otherwise M1, tridiagonal and
+    hence already Hessenberg, is kept, and it computes one real Schur form,
+    of M2, and factors one band system of nx-1 or 2(nx-1) unknowns per
+    1x1/2x2 diagonal block of it, with at most 3 diagonals below and above.
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm"):
@@ -282,17 +286,18 @@ class ErrorEquationSolver:
         probe = SylvesterProblem(self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt)))
         self.report = replace(diagnose(probe), notes="; ".join(notes))
 
-        if method == "bartels-stewart":
-            self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
-        elif method == "kron":
-            self.factorization = (
-                assembly.March(scheme, disc, variant)
-                if variant == "causal" or not scheme.is_three_level
-                else _KronLU(*linalg.band_from_entries(
-                    *assembly.operator_entries(scheme, disc, variant))))
-        else:
+        if method == "min-norm":
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))
+        elif method == "bartels-stewart" and (scheme.is_three_level
+                                              or not self.report.unique):
+            # a two-level K whose spectra meet gets Bartels-Stewart's refusal
+            self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
+        elif variant == "causal" or not scheme.is_three_level:
+            self.factorization = assembly.March(scheme, disc, variant)
+        else:
+            self.factorization = _KronLU(*linalg.band_from_entries(
+                *assembly.operator_entries(scheme, disc, variant)))
 
     def solve(self, signal):
         """Solve for the error field of one signal.

@@ -455,6 +455,18 @@ def test_solve_error_paper_lax_bartels_stewart_exits_3(capsys):
     assert "eigenvalue" in err
 
 
+def test_solve_error_paper_lax_wendroff_one_verdict_for_both_eliminations(capsys):
+    """Lax-Wendroff's paper K at 100^2 is singular to the pivot threshold;
+    Bartels-Stewart on its nilpotent M2 is kron's march, so both refuse it
+    with the same message."""
+    results = [run(capsys, "solve-error", "--scheme", "lax-wendroff", "--nx", "100",
+                   "--nt", "100", "--method", method)
+               for method in ("bartels-stewart", "kron")]
+    assert results[0] == results[1]
+    code, _, err = results[0]
+    assert code == 3 and "at column 98" in err
+
+
 def test_solve_error_writes_field_csv(tmp_path, capsys):
     out_csv = tmp_path / "e.csv"
     code, out, _ = run(capsys, "solve-error", "--scheme", "leapfrog", "--method",

@@ -505,6 +505,8 @@ def test_error_equation_causal_kron_at_60_matches_simulator(name):
 
 
 CORNER = (1, 0.5, -0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02)
+# custom stencils by name; "two-level" has gamma = 0 and L = 0 (Sylvester form)
+CUSTOM = {"corner": CORNER, "two-level": (1, 0.6, 0, 0.2, -0.3, 0, 0, 0, 0)}
 
 
 @pytest.mark.parametrize("variant, name, n, rtol", [
@@ -562,13 +564,15 @@ def test_march_reuses_its_array_without_aliasing(variant, name):
 
 @pytest.mark.parametrize("nx, nt", [(7, 5), (12, 12)])
 @pytest.mark.parametrize("variant", assembly.VARIANTS)
-@pytest.mark.parametrize("name", [*ALL_SCHEMES, "corner"])
+@pytest.mark.parametrize("name", [*ALL_SCHEMES, *CUSTOM])
 def test_kron_factorization_matches_a_dense_solve(name, variant, nx, nt):
     """An oracle that shares no code with the march or band LU: LAPACK's
     dense solve of the global operator.  Where Lax's paper K is singular
-    (even nx), kron raises band LU's verdict on K, message for message."""
+    (even nx), kron raises band LU's verdict on K, message for message.
+    On a two-level paper closure of Sylvester form Bartels-Stewart is the
+    march, so its field is kron's, bit for bit."""
     d = disc(nx=nx, nt=nt)
-    s = (schemes.custom_scheme(CORNER) if name == "corner"
+    s = (schemes.custom_scheme(CUSTOM[name]) if name in CUSTOM
          else builtin_scheme(name, d))
     c = rng(nx).uniform(-1, 1, (nx - 1, nt))
     if name == "lax" and variant == "paper" and nx % 2 == 0:
@@ -580,16 +584,21 @@ def test_kron_factorization_matches_a_dense_solve(name, variant, nx, nt):
         assert str(kron.value) == str(band_lu.value)
         return
     want = np.linalg.solve(assembly.global_operator(s, d, variant), c.reshape(-1, order="F"))
-    got = sylvester.ErrorEquationSolver(s, d, variant=variant,
-                                        method="kron").factorization.solve(c)
+    methods = ["kron"]
+    if variant == "paper" and not (s.is_three_level or s.has_corner_terms):
+        methods.append("bartels-stewart")
+    got, *others = (sylvester.ErrorEquationSolver(s, d, variant=variant, method=method)
+                    .factorization.solve(c) for method in methods)
+    assert all(np.array_equal(other, got) for other in others), (name, variant)
     assert (np.linalg.norm(got.reshape(-1, order="F") - want)
             <= 1e-12 * np.linalg.norm(want)), (name, variant)
 
 
 def test_causal_kron_builds_no_band_storage(monkeypatch):
     """The march reads neither band storage nor the stencil table: causal
-    kron, two-level paper kron and a stacked simulation run without either;
-    only the three-level paper closures still read the table for band LU."""
+    kron, two-level paper kron and Bartels-Stewart and a stacked simulation
+    run without either; only the three-level paper closures still read the
+    table for band LU."""
     def band(*args):
         raise AssertionError("band storage built")
 
@@ -606,8 +615,9 @@ def test_causal_kron_builds_no_band_storage(monkeypatch):
         sylvester.ErrorEquationSolver(s, d, variant="causal",
                                       method="kron").solve(signal)
         advect.time_step_simulate(s, d, stack)
-    sylvester.ErrorEquationSolver(builtin_scheme("lax-wendroff", d), d, variant="paper",
-                                  method="kron").solve(signal)
+    for method in ("kron", "bartels-stewart"):
+        sylvester.ErrorEquationSolver(builtin_scheme("lax-wendroff", d), d,
+                                      variant="paper", method=method).solve(signal)
     with pytest.raises(AssertionError, match="built the stencil table"):
         sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
                                       variant="paper", method="kron")
@@ -643,8 +653,8 @@ def test_error_equation_bartels_stewart_closed_form_matches_kron(name, n):
 
 
 def test_bartels_stewart_closed_form_runs_no_schur_and_no_block_lu(monkeypatch):
-    """Leapfrog's paper closure takes the closed form; Lax-Wendroff's
-    (nilpotent M2, |epsilon/delta| = 9) and a dense pair keep the
+    """Leapfrog's paper closure takes the closed form and Lax-Wendroff's
+    (nilpotent M2, |epsilon/delta| = 9) the march; a dense pair keeps the
     Hessenberg-Schur path."""
     schur = linalg.schur_decompose
     calls = []
@@ -660,16 +670,14 @@ def test_bartels_stewart_closed_form_runs_no_schur_and_no_block_lu(monkeypatch):
     monkeypatch.setattr(linalg, "_lu_factor", forbidden)
     d = disc()
     signal = SignalSpec.from_cells_per_wavelength(10.0, d)
-    sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d, variant="paper",
-                                  method="bartels-stewart").solve(signal)
+    for name in ("leapfrog", "lax-wendroff"):
+        sylvester.ErrorEquationSolver(builtin_scheme(name, d), d, variant="paper",
+                                      method="bartels-stewart").solve(signal)
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "schur_decompose", counted)
-    d = disc(nx=10, nt=10)
-    sylvester.ErrorEquationSolver(builtin_scheme("lax-wendroff", d), d, variant="paper",
-                                  method="bartels-stewart")
     sylvester.solve_bartels_stewart(unique_instance(5))
-    # Lax-Wendroff's M2; then the dense A and B for diagnose, and B again
-    assert calls == [(10, 10), (6, 6), (5, 5), (5, 5)]
+    # the dense A and B for diagnose, and B again
+    assert calls == [(6, 6), (5, 5), (5, 5)]
 
 
 def test_leapfrog_separation_is_the_smallest_singular_value():

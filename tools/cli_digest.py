@@ -133,6 +133,13 @@ def matrix():
               "--nt", "20", "--method", "bartels-stewart", "--out", "error.csv"],
              ["diagnose", "--scheme", "crank-nicolson", "--nx", "40", "--nt", "40"],
              ["diagnose", "--scheme", "crank-nicolson", "--nx", "60", "--nt", "60"]]
+    # Lax-Wendroff's paper K, singular to the pivot threshold at 100^2, under
+    # both of its eliminations; the three-level, non-normal pair that is
+    # the command line's route into Hessenberg-Schur, at 11^2
+    runs += [["solve-error", "--scheme", "lax-wendroff", "--nx", "100", "--nt", "100",
+              "--method", method] for method in ("bartels-stewart", "kron")]
+    runs.append(["solve-error", "--coeffs", "1,0.5,0.3,0.2,0.1,0,0,0,0", "--nx", "11",
+                 "--nt", "11", "--method", "bartels-stewart"])
     # causal kron past MAX_VEC_SIZE, which guards only band and dense storage
     runs.append(["solve-error", "--scheme", "leapfrog", "--nx", "150", "--nt", "150",
                  "--variant", "causal", "--method", "kron"])
