@@ -9,9 +9,14 @@ form), Gaussian elimination with partial pivoting on band storage (dense
 input is stored with the bandwidth of its nonzeros) and on tridiagonal
 systems, minimum-norm least squares through a complete orthogonal
 decomposition, and the Kronecker-vectorization operator used as an oracle
-for matrix equations.  The COD's Q is formed from its stored
-reflectors in panels by the compact WY form, and its solve back-substitutes
-in blocks of rows; both block sizes are _BLOCK.
+for matrix equations.  The COD's column-pivoted QR works in panels of
+_PANEL reflectors, as LAPACK's xGEQP3 does: inside a panel only the pivot
+column and row are brought up to date, the trailing block takes one matrix
+product per panel, and the column norms that choose the pivots are
+downdated, with a norm that loses its digits recomputed (_TOL3Z).  Q is
+formed from the stored reflectors, and Z from the right reflections that
+compress the rank rows, in panels of _PANEL by the compact WY form (_wy_t);
+the solve back-substitutes in blocks of _BLOCK rows.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -48,7 +53,11 @@ SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
 PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative to |A|_F
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
-_BLOCK = 8  # reflectors per panel of the COD's Q, rows per block of its back-substitution
+_BLOCK = 8  # rows per block of the COD's back-substitution
+# reflectors per panel of the COD's pivoted loop, of its Q and of its Z: on the sweep's
+# 380 x 380 operators 16 to 64 factor within 10% of each other, 8 is 20% slower
+_PANEL = 32
+_TOL3Z = math.sqrt(np.finfo(float).eps)  # cod_factor: lost digits of a downdated norm squared
 
 
 def _as_float_array(a, name):
@@ -625,25 +634,43 @@ class CODFactorization:
         return ns
 
 
+def _wy_t(v):
+    """The upper-triangular T with H_1 ... H_b = I - V T V^T for the unit
+    reflectors H_j = I - 2 v_j v_j^T, v_j column j of v (xLARFT's forward
+    recurrence)."""
+    b = v.shape[1]
+    g = v.T @ v
+    t = np.zeros((b, b))
+    for j in range(b):
+        t[:j, j] = -2.0 * (t[:j, :j] @ g[:j, j])
+        t[j, j] = 2.0
+    return t
+
+
 def _form_q(q, p):
     """Overwrite the unit reflectors v_0..v_{p-1}, v_k stored in rows k: of
     column k of q (every other column an identity column), with
     Q = H_0 ... H_{p-1}, H_k = I - 2 v_k v_k^T, as LAPACK's xORGQR does:
-    from the last panel of at most _BLOCK reflectors to the first, each
-    panel applied as I - V T V^T with T from xLARFT's recurrence."""
-    for i in reversed(range(0, p, _BLOCK)):
-        b = min(_BLOCK, p - i)
+    from the last panel of at most _PANEL reflectors to the first, each
+    panel applied as I - V T V^T (_wy_t)."""
+    for i in reversed(range(0, p, _PANEL)):
+        b = min(_PANEL, p - i)
         v = q[i:, i:i + b].copy()
-        g = v.T @ v
-        t = np.zeros((b, b))
-        for j in range(b):
-            t[:j, j] = -2.0 * (t[:j, :j] @ g[:j, j])
-            t[j, j] = 2.0
+        t = _wy_t(v)
         trailing = q[i:, i + b:]
         trailing -= v @ (t @ (v.T @ trailing))
         # the panel's own columns: (I - V T V^T) applied to identity columns
         q[i:, i:i + b] = -(v @ (t @ v[:b].T))
         q[i:i + b, i:i + b] += np.eye(b)
+
+
+def _reflection(alpha, sigma):
+    """(beta, scale) of the unit reflector v = scale * (x - beta e_1) with
+    (I - 2 v v^T) x = beta e_1, for x with first entry alpha and the sum of
+    its other entries' squares sigma > 0; beta has the sign opposite to
+    alpha, as _householder_unit's and LAPACK's."""
+    beta = -math.copysign(math.sqrt(alpha * alpha + sigma), alpha)
+    return beta, 1.0 / math.sqrt((alpha - beta) ** 2 + sigma)
 
 
 def cod_factor(a):
@@ -652,11 +679,23 @@ def cod_factor(a):
     Column-pivoted Householder QR followed by right Householder reflections
     that compress the leading rank rows into an upper-triangular core.  The
     numerical rank counts leading diagonal entries above RANK_RTOL times the
-    largest revealed diagonal.  The pivoted loop only stores its left
-    reflectors; Q is formed from them afterwards in panels of _BLOCK by
-    the compact WY form (_form_q), at matrix-matrix cost.  t is a view of
-    the factored copy of a: a copy would add a rank x rank array to the
-    peak memory.
+    largest revealed diagonal.
+
+    The pivoted loop is LAPACK's xGEQP3 with xLAQPS's panels of at most
+    _PANEL reflectors.  Inside a panel, with V its reflectors and F the
+    accumulator that makes the block A_j = A_0 - V F^T, only the pivot
+    column and the pivot row are brought up to date; the trailing block is
+    updated once per panel, by one matrix product.  The squared partial
+    norms of the columns, which choose the pivots, are downdated by the
+    pivot row's squares, not recomputed.  A downdated norm squared below
+    _TOL3Z times its last recomputed value has lost its digits: it ends the
+    panel and is recomputed from the updated block.  The loop only stores
+    its left reflectors; Q is formed from them afterwards in panels of
+    _PANEL by the compact WY form (_form_q).  The right reflections update
+    R's columns in place and a contiguous copy of its trailing columns,
+    and reach Z once per panel of _PANEL rows, in the compact WY form too.
+    t is a view of the factored copy of a: a copy would add a rank x rank
+    array to the peak memory.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
@@ -665,20 +704,49 @@ def cod_factor(a):
     q = np.eye(m)
     perm = np.arange(n)
     kmax = min(m, n)
-    for k in range(kmax):
-        rk = r[k:, k:]
-        norms = np.sqrt(np.einsum("ij,ij->j", rk, rk))
-        j = k + int(np.argmax(norms))
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        v = _householder_unit(r[k:, k])
-        if v is None:  # H_k = I
-            q[k, k] = 0.0
-        else:
-            rk -= np.multiply.outer(v, 2.0 * (v @ rk))
-            q[k:, k] = v
-        r[k + 1:, k] = 0.0
+    norms = np.einsum("ij,ij->j", r, r)
+    guard = _TOL3Z * norms
+    k = 0
+    while k < kmax:
+        k0, stop = k, min(kmax, k + _PANEL)
+        # row j of ft is F's column j, 2 A_0^T v_j - F (2 V^T v_j), over the
+        # columns k0: of r
+        ft = np.zeros((stop - k0, n - k0))
+        lost = False
+        while k < stop and not lost:
+            j = k - k0
+            p = k + int(np.argmax(norms[k:]))
+            if p != k:
+                r[:, [k, p]] = r[:, [p, k]]
+                ft[:, [j, p - k0]] = ft[:, [p - k0, j]]
+                for swapped in perm, norms, guard:
+                    swapped[k], swapped[p] = swapped[p], swapped[k]
+            v_done = q[k:, k0:k]
+            x = r[k:, k] - v_done @ ft[:j, j]
+            alpha, sigma = float(x[0]), float(x[1:] @ x[1:])
+            if sigma == 0.0:  # x lies along e_1: H_k = I
+                q[k, k] = 0.0
+                r[k, k] = alpha
+            else:
+                r[k, k], scale = _reflection(alpha, sigma)
+                x[0] = alpha - r[k, k]
+                np.multiply(x, scale, out=q[k:, k])
+            r[k + 1:, k] = 0.0
+            u = 2.0 * q[k:, k]
+            row = ft[j, j + 1:]
+            np.matmul(u, r[k:, k + 1:], out=row)
+            row -= (u @ v_done) @ ft[:j, j + 1:]
+            # the pivot row up to date, and its squares off the partial norms
+            pivot_row = r[k, k + 1:]
+            pivot_row -= q[k, k0:k + 1] @ ft[:j + 1, j + 1:]
+            rest = norms[k + 1:]
+            rest -= pivot_row * pivot_row
+            lost = bool((rest < guard[k + 1:]).any())
+            k += 1
+        r[k:, k:] -= q[k:, k0:k] @ ft[:k - k0, k - k0:]
+        redo = k + np.flatnonzero(norms[k:] < guard[k:])
+        norms[redo] = np.einsum("ij,ij->j", r[k:, redo], r[k:, redo])
+        guard[redo] = _TOL3Z * norms[redo]
     _form_q(q, kmax)
     diag = np.abs(np.diag(r[:kmax, :kmax])) if kmax else np.zeros(0)
     rank = 0
@@ -686,26 +754,32 @@ def cod_factor(a):
         thresh = RANK_RTOL * diag[0]
         while rank < kmax and diag[rank] > thresh:
             rank += 1
-    r[rank:, :] = 0.0
-    z = np.eye(n)
-    for i in range(rank - 1, -1, -1):
-        if not np.any(r[i, rank:]):
-            continue
-        w = np.concatenate(([r[i, i]], r[i, rank:]))
-        v = _householder_unit(w)
-        if v is None:
-            continue
-        cols = np.concatenate(([i], np.arange(rank, n)))
-        block = r[:i + 1][:, cols]
-        block = block - 2.0 * np.outer(block @ v, v)
-        r[:i + 1, i] = block[:, 0]
-        r[:i + 1, rank:] = block[:, 1:]
-        zb = z[:, cols]
-        zb = zb - 2.0 * np.outer(zb @ v, v)
-        z[:, i] = zb[:, 0]
-        z[:, rank:] = zb[:, 1:]
-        r[i, rank:] = 0.0
-    t = _scaled_back(r[:rank, :rank], e, "the COD exceeds the floating-point range",
+    t, z = r[:rank, :rank], np.eye(n)
+    if rank < n:
+        # the right reflector P_i of row i folds R[i, rank:] into R[i, i],
+        # last row first, in panels of _PANEL rows; column j of u holds the
+        # panel's j-th reflector on the panel's columns, then on columns
+        # rank:, and z takes each panel at once in the compact WY form
+        tail = r[:rank, rank:].copy()
+        for i1 in range(rank, 0, -_PANEL):
+            i0 = max(0, i1 - _PANEL)
+            b = i1 - i0
+            u = np.zeros((b + n - rank, b))
+            for j, i in enumerate(range(i1 - 1, i0 - 1, -1)):
+                sigma = float(tail[i] @ tail[i])
+                if sigma == 0.0:  # P_i = I
+                    continue
+                alpha = float(r[i, i])
+                r[i, i], scale = _reflection(alpha, sigma)
+                v0, v1 = (alpha - r[i, i]) * scale, tail[i] * scale
+                s = v0 * r[:i, i] + tail[:i] @ v1
+                r[:i, i] -= (2.0 * v0) * s
+                tail[:i] -= np.multiply.outer(s, 2.0 * v1)
+                u[i - i0, j], u[b:, j] = v0, v1
+            zu = (z[:, i0:i1] @ u[:b] + z[:, rank:] @ u[b:]) @ _wy_t(u)
+            z[:, i0:i1] -= zu @ u[:b].T
+            z[:, rank:] -= zu @ u[b:].T
+    t = _scaled_back(t, e, "the COD exceeds the floating-point range",
                      pivots=np.diag_indices(rank))
     return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n))
 

@@ -730,6 +730,15 @@ def low_rank(seed, m, n, r):
     return g.uniform(-1, 1, (m, r)) @ g.uniform(-1, 1, (r, n))
 
 
+def near_rank_one(seed, m, n, noise_rank=None):
+    """u 1^T + 1e-9 N, N uniform or of rank noise_rank."""
+    g = rng(seed)
+    u = g.uniform(-1, 1, m)
+    noise = (g.uniform(-1, 1, (m, n)) if noise_rank is None
+             else low_rank(seed + 1, m, n, noise_rank))
+    return np.outer(u, np.ones(n)) + 1e-9 * noise
+
+
 COD_CASES = {
     "tall 7x5": (rng(21).uniform(-1, 1, (7, 5)), 5),
     "tall 40x30": (rng(22).uniform(-1, 1, (40, 30)), 30),
@@ -743,6 +752,14 @@ COD_CASES = {
     "zero 4x3": (np.zeros((4, 3)), 0),
     # the trailing column block is exactly zero after the first step
     "rank 1 of 3x2, zero column": (np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), 1),
+    # several panels of the pivoted loop, ranks on and off a panel's edge
+    "tall 100x80": (rng(29).uniform(-1, 1, (100, 80)), 80),
+    "wide 70x100": (rng(30).uniform(-1, 1, (70, 100)), 70),
+    "rank 37 of 90x70": (low_rank(31, 90, 70, 37), 37),
+    f"rank {linalg._PANEL} of 64x64": (low_rank(32, 64, 64, linalg._PANEL), linalg._PANEL),
+    # u 1^T plus 1e-9 times a rank-3 matrix: after the first step every
+    # downdated norm cancels and is recomputed
+    "near rank 1, rank 4 of 60x40": (near_rank_one(33, 60, 40, noise_rank=3), 4),
 }
 
 
@@ -772,6 +789,44 @@ def test_cod_q_is_the_product_of_the_pivoted_reflectors(name):
     f = linalg.cod_factor(a)
     want = np.linalg.qr(a[:, f.perm], mode="complete")[0]
     assert np.max(np.abs(f.q - want)) <= 1e-13
+
+
+def test_cod_recomputes_the_norms_that_downdating_cancels():
+    """After the first step of u 1^T + 1e-9 N every column's partial norm is
+    about 1e-9 of its full norm, so downdating the squares cancels all their
+    digits, and pivots chosen from what is left break the order of R's
+    diagonal.  Recomputed, the norms keep |R[k, k]| non-increasing (T = R at
+    full rank)."""
+    a = near_rank_one(34, 60, 40)
+    f = linalg.cod_factor(a)
+    assert f.rank == 40
+    d = np.abs(np.diag(f.t))
+    assert np.all(d[1:] <= d[:-1] * (1.0 + 1e-6))
+    back = f.q[:, :40] @ f.t @ f.z.T
+    assert np.linalg.norm(a[:, f.perm] - back) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_min_norm_matches_numpy_lstsq_over_several_panels():
+    g = rng(35)
+    a = low_rank(36, 100, 90, 45)
+    b = g.uniform(-1, 1, 100)
+    f = linalg.cod_factor(a)
+    assert f.rank == 45
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.allclose(f.solve_min_norm(b), want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, rank", [((0, 3), 0), ((3, 0), 0), ((0, 0), 0),
+                                         ((1, 5), 1), ((5, 1), 1)])
+def test_cod_of_an_empty_or_single_line_matrix(shape, rank):
+    a = rng(37).uniform(-1, 1, shape)
+    f = linalg.cod_factor(a)
+    assert f.rank == rank
+    b = rng(38).uniform(-1, 1, shape[0])
+    x = f.solve_min_norm(b)
+    assert x.shape == (shape[1],)
+    want = np.linalg.lstsq(a, b, rcond=None)[0] if a.size else np.zeros(shape[1])
+    assert np.allclose(x, want, rtol=1e-13, atol=1e-15)
 
 
 def plain_min_norm(f, b):

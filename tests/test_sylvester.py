@@ -336,6 +336,28 @@ def test_min_norm_ranks_of_the_paper_closures_at_20(name, rank):
     assert (solver.factorization.rank, solver.factorization.size) == (rank, 380)
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_min_norm_fields_of_the_sweep_operators_are_least_squares_optimal(name):
+    """The sweep's four operators (paper closure, 20^2, whose ranks the test
+    above pins): the normwise optimality |K^T (K x - r)| / (|K|_F^2 |x| +
+    |K|_F |r|) of the min-norm field, the benchmark oracle's measure,
+    recomputed here.  Leapfrog's K is nonsingular, so its field is kron's."""
+    d = disc()
+    s = builtin_scheme(name, d)
+    signal = SignalSpec.from_cells_per_wavelength(9.8, d)
+    e, _, _ = sylvester.ErrorEquationSolver(s, d, method="min-norm").solve(signal)
+    known = advect.sample_nodes(d, signal)
+    r = linalg.vec(-assembly.residual(s, d, known, known[1:-1, 1:], "paper"))
+    k = assembly.global_operator(s, d)
+    x = linalg.vec(e.values)
+    k_norm = np.linalg.norm(k)
+    scale = k_norm * k_norm * np.linalg.norm(x) + k_norm * np.linalg.norm(r)
+    assert np.linalg.norm(k.T @ (k @ x - r)) <= 1e-10 * scale
+    if name == "leapfrog":
+        want, _, _ = sylvester.ErrorEquationSolver(s, d, method="kron").solve(signal)
+        assert np.linalg.norm(e.values - want.values) <= 1e-12 * np.linalg.norm(want.values)
+
+
 def test_min_norm_singular_consistent_null_perturbations():
     d = disc(nx=4, nt=4)
     s = builtin_scheme("lax", d)
