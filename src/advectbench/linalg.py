@@ -13,10 +13,11 @@ for matrix equations.  The COD's column-pivoted QR works in panels of
 _PANEL reflectors, as LAPACK's xGEQP3 does: inside a panel only the pivot
 column and row are brought up to date, the trailing block takes one matrix
 product per panel, and the column norms that choose the pivots are
-downdated, with a norm that loses its digits recomputed (_TOL3Z).  Q is
-formed from the stored reflectors, and Z from the right reflections that
-compress the rank rows, in panels of _PANEL by the compact WY form (_wy_t);
-the solve back-substitutes in blocks of _BLOCK rows.
+downdated, with a norm that loses its digits recomputed (_TOL3Z).  Every
+Householder reflector is _reflection's.  Q, the COD's or Hessenberg's, is
+formed from the stored reflectors (_form_q), and the COD's Z from the right
+reflections that compress the rank rows, in panels of _PANEL by the compact
+WY form (_wy_t); the COD's solve back-substitutes in blocks of _BLOCK rows.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -138,35 +139,32 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
-def _householder_unit(x):
-    """Unit Householder vector v with (I - 2 v v^T) x = +-|x| e1, or None if
-    x already lies along e1."""
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0 or np.linalg.norm(x[1:]) == 0.0:
-        return None
-    v = np.array(x, dtype=float)
-    v[0] += math.copysign(nrm, v[0])
-    return v / np.linalg.norm(v)
-
-
 def hessenberg(a):
     """Householder reduction A = Q H Q^T with H upper Hessenberg, on A
-    scaled to unit magnitude.
+    scaled to unit magnitude: the reflectors are _reflection's, and Q is
+    formed from them afterwards by _form_q, as the COD's Q is.
 
-    Returns (q, h); entries of h below the first subdiagonal are exactly zero.
+    Returns (q, h); entries of h below the first subdiagonal are exactly zero
+    (a tridiagonal A returns q = I and h = A).
     Raises NumericalFailureError when h exceeds the floating-point range.
     """
     h, e = _unit_scaled(as_matrix(a, "a", square=True))
     n = h.shape[0]
+    # column k+1 of q holds the unit reflector v_k in rows k+1: until _form_q
     q = np.eye(n)
     for k in range(n - 2):
-        v = _householder_unit(h[k + 1:, k])
-        if v is None:
+        x, v = h[k + 1:, k], q[k + 1:, k + 1]
+        alpha, sigma = float(x[0]), float(x[1:] @ x[1:])
+        if sigma == 0.0:  # x lies along e_1: H_k = I
+            v[0] = 0.0
             continue
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
-        h[k + 2:, k] = 0.0
+        beta, scale = _reflection(alpha, sigma)
+        np.multiply(x, scale, out=v)
+        v[0] = (alpha - beta) * scale
+        h[k + 1, k], h[k + 2:, k] = beta, 0.0
+        h[k + 1:, k + 1:] -= np.outer(v, 2.0 * (v @ h[k + 1:, k + 1:]))
+        h[:, k + 1:] -= np.outer(2.0 * (h[:, k + 1:] @ v), v)
+    _form_q(q[1:, 1:], n - 2)
     return q, _scaled_back(h, e, "the Hessenberg form exceeds the floating-point range")
 
 
@@ -190,21 +188,20 @@ def _francis_step(h, q, lo, hi, s, t):
     z = h[lo + 1, lo] * h[lo + 2, lo + 1] if lo + 2 <= hi else 0.0
     for k in range(lo, hi):
         size = 3 if k + 2 <= hi else 2
-        v = _householder_unit(np.array([x, y, z][:size]))
-        if v is not None:
-            c0 = max(lo, k - 1)
-            block = h[k:k + size, c0:]
-            block -= 2.0 * np.outer(v, v @ block)
-            r1 = min(hi, k + size) + 1
-            block = h[:r1, k:k + size]
-            block -= 2.0 * np.outer(block @ v, v)
+        sigma = y * y + z * z
+        if sigma != 0.0:  # else (x, y, z) lies along e_1: H = I
+            beta, scale = _reflection(x, sigma)
+            v = np.array([(x - beta) * scale, y * scale, z * scale][:size])
+            block = h[k:k + size, max(lo, k - 1):]
+            block -= np.outer(v, 2.0 * (v @ block))
+            block = h[:min(hi, k + size) + 1, k:k + size]
+            block -= np.outer(2.0 * (block @ v), v)
             block = q[:, k:k + size]
-            block -= 2.0 * np.outer(block @ v, v)
+            block -= np.outer(2.0 * (block @ v), v)
         if k > lo:
             h[k + 1:k + size, k - 1] = 0.0
         if k < hi - 1:
-            x = h[k + 1, k]
-            y = h[k + 2, k]
+            x, y = h[k + 1, k], h[k + 2, k]
             z = h[k + 3, k] if k + 3 <= hi else 0.0
 
 
@@ -649,10 +646,11 @@ def _wy_t(v):
 
 def _form_q(q, p):
     """Overwrite the unit reflectors v_0..v_{p-1}, v_k stored in rows k: of
-    column k of q (every other column an identity column), with
-    Q = H_0 ... H_{p-1}, H_k = I - 2 v_k v_k^T, as LAPACK's xORGQR does:
-    from the last panel of at most _PANEL reflectors to the first, each
-    panel applied as I - V T V^T (_wy_t)."""
+    column k of q (every other column an identity column; v_k = 0 for
+    H_k = I), with Q = H_0 ... H_{p-1}, H_k = I - 2 v_k v_k^T, as LAPACK's
+    xORGQR does: from the last panel of at most _PANEL reflectors to the
+    first, each panel applied as I - V T V^T (_wy_t).  q is the COD's Q, or
+    the view of Hessenberg's Q without its first row and column."""
     for i in reversed(range(0, p, _PANEL)):
         b = min(_PANEL, p - i)
         v = q[i:, i:i + b].copy()
@@ -668,7 +666,7 @@ def _reflection(alpha, sigma):
     """(beta, scale) of the unit reflector v = scale * (x - beta e_1) with
     (I - 2 v v^T) x = beta e_1, for x with first entry alpha and the sum of
     its other entries' squares sigma > 0; beta has the sign opposite to
-    alpha, as _householder_unit's and LAPACK's."""
+    alpha, as LAPACK's.  Every reflector of this module comes from it."""
     beta = -math.copysign(math.sqrt(alpha * alpha + sigma), alpha)
     return beta, 1.0 / math.sqrt((alpha - beta) ** 2 + sigma)
 

@@ -8,9 +8,9 @@ closed-form unitary diagonalizations, a division per entry; otherwise in
 Hessenberg-Schur form, A reduced to Hessenberg form and one real Schur form
 of B), Gaussian elimination on the vectorized operator (the oracle), and
 minimum-norm least squares through a complete orthogonal decomposition for
-singular or inconsistent systems.  The error-equation solver vectorizes
-every closure variant with the global operator.  The causal closure and
-the paper closure of a two-level stencil are block triangular in time, and
+singular or inconsistent systems.  Only min-norm and kron on a three-level
+paper closure build the global operator.  The causal closure and the
+paper closure of a two-level stencil are block triangular in time, and
 kron and Bartels-Stewart alike solve them by assembly.March, the march the
 simulator also runs: one factored tridiagonal level matrix per time
 column, the other stencil terms subtracted as shifted slices, no entries

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advectbench import linalg
+from advectbench import assembly, linalg, schemes
 from advectbench.errors import NumericalFailureError, SingularSystemError, UsageError
 
 
@@ -110,6 +110,50 @@ def test_hessenberg_beyond_float_range_is_numerical_failure():
             linalg.hessenberg(np.full((3, 3), 1.7e308))
 
 
+# the custom stencil of the command line's Hessenberg-Schur route: its M1
+# and M2 are tridiagonal, M2 not normal
+CUSTOM = (1.0, 0.5, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0)
+
+
+def custom_disc(n):
+    return schemes.Discretization.from_cfl(nx=n, nt=n, h=1.0, sigma=0.8, c=1.0)
+
+
+def _assert_hessenberg_factors(a, q, h):
+    n = a.shape[0]
+    assert np.all(np.tril(h, -2) == 0.0)
+    assert np.linalg.norm(q @ h @ q.T - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
+    assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-12 * math.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [33, 34, 70, 100])
+def test_hessenberg_forms_q_over_several_panels(n):
+    """Q is formed from the stored reflectors in panels of _PANEL: one full
+    panel and a short one (n = 33, 34), and several (70, 100)."""
+    a = rng(n).uniform(-1, 1, (n, n))
+    _assert_hessenberg_factors(a, *linalg.hessenberg(a))
+
+
+def test_hessenberg_of_tridiagonal_input_is_the_identity_reduction():
+    """Every column of a tridiagonal A already lies along the subdiagonal,
+    so every reflector is H_k = I: Bartels-Stewart keeps M1 as it is."""
+    m1 = assembly.build_m1(schemes.custom_scheme(CUSTOM), custom_disc(40))
+    q, h = linalg.hessenberg(m1)
+    assert np.array_equal(q, np.eye(39))
+    assert np.array_equal(h, m1)
+
+
+def test_hessenberg_of_block_diagonal_input_skips_the_reduced_column():
+    """The last column of the leading block is reduced before its step
+    (H_19 = I, a zero reflector between nonzero ones in Q's first panel),
+    and the trailing block is reduced after it."""
+    a = rng(3).uniform(-1, 1, (40, 40))
+    a[20:, :20] = a[:20, 20:] = 0.0
+    q, h = linalg.hessenberg(a)
+    _assert_hessenberg_factors(a, q, h)
+    assert h[20, 19] == 0.0
+
+
 # --------------------------------------------------------- schur_decompose
 
 
@@ -191,6 +235,23 @@ def test_schur_beyond_float_range_is_numerical_failure():
     a = np.array([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
     with pytest.raises(NumericalFailureError, match="floating-point range"):
         linalg.schur_decompose(a)
+
+
+@pytest.mark.parametrize("a", [
+    rng(40).uniform(-1, 1, (40, 40)), rng(70).uniform(-1, 1, (70, 70)),
+    assembly.build_m2(schemes.custom_scheme(CUSTOM), custom_disc(60)),
+], ids=["random 40x40", "random 70x70", "custom M2, nt = 60"])
+def test_schur_reconstructs_beyond_one_panel(a):
+    """The Hessenberg reduction's Q spans more than one _PANEL, and every
+    Francis reflector is _reflection's: A = Q T Q^T with Q orthogonal, and
+    the spectrum sums to the trace."""
+    n = a.shape[0]
+    f = linalg.schur_decompose(a)
+    _assert_quasi_triangular(f.t)
+    scale = max(1.0, np.linalg.norm(a))
+    assert np.linalg.norm(f.q @ f.t @ f.q.T - a) <= 1e-12 * scale
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(n)) <= 1e-12 * math.sqrt(n)
+    assert abs(sum(f.eigenvalues) - np.trace(a)) <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- eigenvalues
