@@ -5,8 +5,9 @@ Three methods are provided, each a private object that factors once and
 solves many right-hand sides: Bartels-Stewart (when A and B are both
 normal tridiagonal Toeplitz matrices, as leapfrog's M1 and M2 are, by their
 closed-form unitary diagonalizations, a division per entry; otherwise in
-Hessenberg-Schur form, A reduced to Hessenberg form and one real Schur form
-of B), Gaussian elimination on the vectorized operator (the oracle), and
+Hessenberg-Schur form, one real Schur form of B, with A its own Hessenberg
+factor as the tridiagonal M1 is, or reduced by solve_bartels_stewart),
+Gaussian elimination on the vectorized operator (the oracle), and
 minimum-norm least squares through a complete orthogonal decomposition for
 singular or inconsistent systems.  Only min-norm and kron on a three-level
 paper closure build the global operator.  The causal closure and the
@@ -103,8 +104,8 @@ def diagnose(p):
 
 
 class _BartelsStewart:
-    """Bartels-Stewart factorization of A X + X B = C; requires unique
-    solvability.
+    """Bartels-Stewart factorization of A X + X B = C for an upper
+    Hessenberg A; requires unique solvability.
 
     When A and B are both normal tridiagonal Toeplitz matrices (|sub| =
     |super|; a diagonal or 1x1 matrix is one), their Schur forms are
@@ -115,48 +116,31 @@ class _BartelsStewart:
     V2 and the divisors lam_i + mu_j, the eigenvalues of the vectorized
     operator K, on A and B scaled by one power of two to unit magnitude; a
     solve is X = Re(V1 ((V1^H C V2) / (lam_i + mu_j)) V2^H), scaled back.
-    K is unitarily similar to the diagonal of the divisors, so a divisor
-    is a pivot of K and fails, as a block pivot does, when it is at most
-    PIVOT_RTOL times their Frobenius norm (linalg._pivot_scale).
+    The verdict bounds every divisor below by SEP_TOL (|A|_F + |B|_F), over
+    PIVOT_RTOL times their Frobenius norm for normal factors below order 5e5.
 
-    Otherwise Hessenberg-Schur: A = QA H QA^T with H upper Hessenberg (a
-    tridiagonal A is kept as it is, QA = I) and one real Schur form
-    B = QB T QB^T.  For each 1x1/2x2 diagonal block S of T the system
-    H Y + Y S = R is factored once by band LU, in the row-interleaved order
-    S^T Y^T + Y^T H^T = R^T, which has at most 3 subdiagonals.  A solve
-    transforms C, takes one band solve per column block of T, left to
-    right, and transforms back."""
+    Otherwise Hessenberg-Schur: one real Schur form B = QB T QB^T.  For each
+    1x1/2x2 diagonal block S of T the system A Y + Y S = R is factored once
+    by band LU, in the row-interleaved order S^T Y^T + Y^T A^T = R^T, which
+    has at most 3 subdiagonals.  A solve transforms C by QB, takes one band
+    solve per column block of T, left to right, and transforms back."""
 
     def __init__(self, a, b, report):
-        if not report.unique:
-            raise SingularSystemError(
-                "A and -B share eigenvalues (min separation "
-                f"{report.min_separation:.3e}); use min-norm")
+        _require_unique(report)
         a_unit, b_unit, e = linalg._unit_scaled(a, b)
         fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True)
                   for m in (a_unit, b_unit))
         self._diagonal = None
         if fa is not None and fb is not None:
             (lam, phase_a, ua), (mu, phase_b, ub) = fa, fb
-            d = np.add.outer(lam, mu)
-            mag = np.abs(d)
-            ed, thresh = linalg._pivot_scale(mag)
-            small = np.argwhere(np.ldexp(mag, -ed).T <= thresh)
-            if small.size:
-                j, i = small[0]
-                exc = linalg._pivot_failure(math.ldexp(mag[i, j], -ed), thresh,
-                                            ed + e, i)
-                raise NumericalFailureError(
-                    f"pivot failure in the block system of column {j}: {exc}")
-            self._diagonal = (ua, phase_a, ub, phase_b, d, e)
+            self._diagonal = (ua, phase_a, ub, phase_b, np.add.outer(lam, mu), e)
             return
-        self._qa, h = linalg.hessenberg(a)
         fb = linalg.schur_decompose(b)
         self._qb, self._t = fb.q, fb.t
         self._blocks = []
         for j0, jw in linalg.schur_blocks(fb.t):
             js = slice(j0, j0 + jw)
-            k = linalg.kron_vec_operator(fb.t[js, js].T, h.T)
+            k = linalg.kron_vec_operator(fb.t[js, js].T, a.T)
             try:
                 self._blocks.append((js, _KronLU(*linalg.to_band(k))))
             except SingularSystemError as exc:
@@ -167,13 +151,12 @@ class _BartelsStewart:
     def solve(self, c):
         if self._diagonal is not None:
             return self._solve_diagonal(c)
-        t = self._t
-        d = self._qa.T @ c @ self._qb
+        d = c @ self._qb
         y = np.zeros_like(d)
         for js, block in self._blocks:
-            r = d[:, js] - y[:, :js.start] @ t[:js.start, js]
+            r = d[:, js] - y[:, :js.start] @ self._t[:js.start, js]
             y[:, js] = block.solve(r.T).T
-        return self._qa @ y @ self._qb.T
+        return y @ self._qb.T
 
     def _solve_diagonal(self, c):
         ua, phase_a, ub, phase_b, d, e = self._diagonal
@@ -183,6 +166,13 @@ class _BartelsStewart:
             y = (phase_a[:, None] * _dst_both_sides(ua, f, ub) * phase_b.conj()).real
         return linalg._scaled_back(np.ascontiguousarray(y), -e,
                                    "the solution exceeds the floating-point range")
+
+
+def _require_unique(report):
+    """Bartels-Stewart's refusal: SingularSystemError unless report.unique."""
+    if not report.unique:
+        raise SingularSystemError("A and -B share eigenvalues (min separation "
+                                  f"{report.min_separation:.3e}); use min-norm")
 
 
 def _dst_both_sides(ua, x, ub):
@@ -220,10 +210,19 @@ class _MinNormCOD:
 
 
 def solve_bartels_stewart(p):
-    """Bartels-Stewart, by closed-form diagonalization or in
-    Hessenberg-Schur form (see _BartelsStewart).  Requires unique
-    solvability."""
-    return _BartelsStewart(p.a, p.b, diagnose(p)).solve(p.c)
+    """Bartels-Stewart (see _BartelsStewart) on the Hessenberg form
+    H = Q^T A Q, once the problem is found uniquely solvable.  An overflow
+    of the transforms or the block solves is a NumericalFailureError."""
+    report = diagnose(p)
+    _require_unique(report)
+    q, h = linalg.hessenberg(p.a)
+    factorization = _BartelsStewart(h, p.b, report)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return q @ factorization.solve(q.T @ p.c)
+    except FloatingPointError as exc:
+        raise NumericalFailureError(
+            f"the solution exceeds the floating-point range ({exc})") from exc
 
 
 def solve_kron_oracle(p):

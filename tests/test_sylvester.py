@@ -232,11 +232,14 @@ def test_bartels_stewart_identity_pair():
 
 
 def test_bartels_stewart_vs_kron_8x6():
-    p = unique_instance(1, m=8, n=6)
-    x1 = sylvester.solve_bartels_stewart(p)
-    x2 = sylvester.solve_kron_oracle(p)
-    assert (np.linalg.norm(x1 - x2)
-            <= 1e-10 * max(1.0, np.linalg.norm(x2)))
+    """Also at 40x35, where the Hessenberg reduction of the dense A takes two
+    panels of reflectors (linalg._PANEL)."""
+    for m, n in ((8, 6), (40, 35)):
+        p = unique_instance(1, m=m, n=n)
+        x1 = sylvester.solve_bartels_stewart(p)
+        x2 = sylvester.solve_kron_oracle(p)
+        assert (np.linalg.norm(x1 - x2)
+                <= 1e-10 * max(1.0, np.linalg.norm(x2)))
 
 
 def test_bartels_stewart_refuses_singular():
@@ -246,13 +249,16 @@ def test_bartels_stewart_refuses_singular():
 
 
 def test_bartels_stewart_block_pivot_failure_is_numerical_failure():
-    """A report that wrongly claims uniqueness lets the block factorization
-    meet the zero pivot of 1 + (-1); that is a numerical failure (exit 2)."""
-    a, b = np.array([[1.0]]), np.array([[-1.0]])
+    """A report that wrongly claims uniqueness lets the Hessenberg-Schur
+    block factorization (A is not normal, so no closed form) meet the zero
+    pivot of 1 + (-1); that is a numerical failure (exit 2)."""
+    a, b = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[-1.0]])
     report = sylvester.SolvabilityReport(
-        spectrum_a=[1.0], spectrum_neg_b=[1.0], min_separation=1.0,
+        spectrum_a=[1.0, 1.0], spectrum_neg_b=[1.0], min_separation=1.0,
         unique=True, sep_tol=1e-10)
-    with pytest.raises(NumericalFailureError, match="pivot"):
+    with pytest.raises(NumericalFailureError,
+                       match=r"^pivot failure in the block system of column 0: "
+                             r"pivot 0\.000e\+00 below 2\.000e-13 at column 0$"):
         sylvester._BartelsStewart(a, b, report)
 
 
@@ -287,15 +293,24 @@ def test_kron_oracle_construct_then_recover():
 
 
 def test_overflowing_one_shot_solves_are_numerical_failures():
-    """The band solve divides 1e300 by 1e-10: the overflow is reported as a
-    numerical failure, not leaked as warnings and a non-finite solution."""
-    p = sylvester.SylvesterProblem(1e-10 * np.eye(3), np.zeros((2, 2)),
-                                   np.full((3, 2), 1e300))
+    """The band solve divides 1e300 by 1e-10, and a dense pair's transforms
+    and block solves sum entries of 1e308: the overflow is reported as a
+    numerical failure, not leaked as warnings, a non-finite solution or a
+    usage error."""
+    g = rng(0)
+    a = g.uniform(-1, 1, (4, 4)) + 3.0 * np.eye(4)
+    b = g.uniform(-1, 1, (3, 3))
+    problems = (sylvester.SylvesterProblem(1e-10 * np.eye(3), np.zeros((2, 2)),
+                                           np.full((3, 2), 1e300)),
+                sylvester.SylvesterProblem(a, b, np.full((4, 3), 1e308)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in (sylvester.solve_kron_oracle, sylvester.solve_bartels_stewart):
-            with pytest.raises(NumericalFailureError, match="floating-point range"):
-                solve(p)
+        for p in problems:
+            for solve in (sylvester.solve_kron_oracle,
+                          sylvester.solve_bartels_stewart):
+                with pytest.raises(NumericalFailureError,
+                                   match="floating-point range"):
+                    solve(p)
 
 
 # ----------------------------------------------------------------- min-norm
@@ -712,6 +727,63 @@ def test_leapfrog_separation_is_the_smallest_singular_value():
     assert abs(sep - sigma) <= 1e-12 * sigma
 
 
+def closed_form_divisor_margin(a, b):
+    """For a pair diagnose finds unique, the least closed-form divisor
+    |lam_i + mu_j| of the unit-scaled pair over PIVOT_RTOL times the
+    divisors' Frobenius norm (band LU's singular-pivot rule), and the
+    verdict's own margin, the separation over SEP_TOL (|A|_F + |B|_F);
+    None for a pair it finds not unique."""
+    report = sylvester.diagnose(
+        sylvester.SylvesterProblem(a, b, np.zeros((len(a), len(b)))))
+    if not report.unique:
+        return None
+    a_unit, b_unit, _ = linalg._unit_scaled(a, b)
+    lam, mu = (linalg.tridiagonal_toeplitz_eig(m) for m in (a_unit, b_unit))
+    mag = np.abs(np.add.outer(lam, mu))
+    e, thresh = linalg._pivot_scale(mag)
+    bound = sylvester.SEP_TOL * (np.linalg.norm(a) + np.linalg.norm(b))
+    return float(np.min(np.ldexp(mag, -e))) / thresh, report.min_separation / bound
+
+
+def test_unique_verdict_keeps_every_closed_form_divisor_above_the_pivot_rule():
+    """The closed form tests no divisor: SEP_TOL (|A|_F + |B|_F) bounds each
+    from below, and for normal factors |D|_F <= sqrt(2 max(m, n)) times that
+    sum, so each divisor exceeds PIVOT_RTOL |D|_F below order 5e5.  Checked on
+    the leapfrog paper ladder and on random normal tridiagonal Toeplitz pairs
+    whose least |lam_i + mu_j| is placed 0.5-30 times the verdict's bound."""
+    margins = []
+    for n in (20, 40, 60, 100, 200):
+        for sigma in (0.2, 0.8, 1.0):
+            d = disc(nx=n, nt=n, sigma=sigma)
+            p = scheme_problem(builtin_scheme("leapfrog", d), d)
+            margins.append(closed_form_divisor_margin(p.a, p.b))
+    g = rng(11)
+
+    def normal_toeplitz(n):
+        """Off-diagonals of one magnitude; opposite signs (an imaginary
+        spectrum) only at odd n, whose middle eigenvalue is then real."""
+        off = g.uniform(0.1, 2.0)
+        sub = off * g.choice((-1.0, 1.0) if n % 2 else (1.0,))
+        return np.diag(np.full(n - 1, off), 1) + np.diag(np.full(n - 1, sub), -1)
+
+    near = 0
+    for _ in range(300):
+        m, n = g.integers(1, 150, 2)
+        a, b = normal_toeplitz(m), normal_toeplitz(n)
+        s = np.add.outer(*(linalg.tridiagonal_toeplitz_eig(x) for x in (a, b)))
+        i, j = np.unravel_index(np.argmin(np.abs(s.imag)), s.shape)
+        # shift A so that the pair (i, j) lies k times the verdict's bound from 0
+        k = 10.0 ** g.uniform(np.log10(0.5), np.log10(30.0))
+        target = k * sylvester.SEP_TOL * (np.linalg.norm(a) + np.linalg.norm(b))
+        shift = -s[i, j].real + math.sqrt(max(target ** 2 - s[i, j].imag ** 2, 0.0))
+        margin = closed_form_divisor_margin(a + shift * np.eye(m), b)
+        near += margin is not None and margin[1] < 2.0
+        margins.append(margin)
+    unique = [m for m in margins if m is not None]
+    assert near >= 30 and len(unique) < len(margins)
+    assert min(pivot for pivot, _ in unique) > 1.0
+
+
 def test_bartels_stewart_closed_form_at_300_beyond_the_vectorized_limit():
     """N = 89700 exceeds MAX_VEC_SIZE, so kron's band LU cannot run; the
     closed form still solves to a small operator residual."""
@@ -724,6 +796,28 @@ def test_bartels_stewart_closed_form_at_300_beyond_the_vectorized_limit():
     known = advect.sample_nodes(d, signal)
     rhs = assembly.residual(s, d, known, known[1:-1, 1:], "paper")
     assert residual <= 1e-10 * linalg.frobenius_norm(rhs)
+
+
+def test_error_equation_bartels_stewart_reduces_no_m1(monkeypatch):
+    """M1 is tridiagonal, hence its own Hessenberg factor: Hessenberg-Schur
+    reduces only M2, inside its Schur form, and still matches kron."""
+    d = disc(nx=20, nt=20)
+    hessenberg = linalg.hessenberg
+
+    def m2_only(a):
+        if a.shape[0] == d.nx - 1:
+            raise AssertionError("M1 reduced to Hessenberg form")
+        return hessenberg(a)
+
+    monkeypatch.setattr(linalg, "hessenberg", m2_only)
+    signal = SignalSpec.from_cells_per_wavelength(10.0, d)
+    s = schemes.custom_scheme([1, 0.5, 0.3, 0.2, 0.1, 0, 0, 0, 0])
+    e, _ = sylvester.solve_error_equation(s, d, signal, variant="paper",
+                                          method="bartels-stewart")
+    want, _ = sylvester.solve_error_equation(s, d, signal, variant="paper",
+                                             method="kron")
+    assert (np.linalg.norm(e.values - want.values)
+            <= 1e-10 * np.linalg.norm(want.values))
 
 
 def test_error_equation_bartels_stewart_real_m2_spectrum_matches_kron():
