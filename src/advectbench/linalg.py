@@ -17,7 +17,9 @@ downdated, with a norm that loses its digits recomputed (_TOL3Z).  Every
 Householder reflector is _reflection's.  Q, the COD's or Hessenberg's, is
 formed from the stored reflectors (_form_q), and the COD's Z from the right
 reflections that compress the rank rows, in panels of _PANEL by the compact
-WY form (_wy_t); the COD's solve back-substitutes in blocks of _BLOCK rows.
+WY form (_wy_t).  The COD's solve back-substitutes in blocks of _PANEL
+rows, each by a product with the inverse of its diagonal block scaled to
+unit magnitude, inverted once per factorization at its first solve.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -54,9 +56,9 @@ SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
 PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative to |A|_F
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
-_BLOCK = 8  # rows per block of the COD's back-substitution
-# reflectors per panel of the COD's pivoted loop, of its Q and of its Z: on the sweep's
-# 380 x 380 operators 16 to 64 factor within 10% of each other, 8 is 20% slower
+# reflectors per panel of the COD's pivoted loop, of its Q and of its Z, and rows per
+# block of its back-substitution: on the sweep's 380 x 380 operators 16 to 64 factor
+# within 10% of each other, 8 is 20% slower
 _PANEL = 32
 _TOL3Z = math.sqrt(np.finfo(float).eps)  # cod_factor: lost digits of a downdated norm squared
 
@@ -581,43 +583,41 @@ class CODFactorization:
 
     @cached_property
     def _diagonal_blocks(self):
-        """(start, diagonal, columns above the diagonal) of each diagonal
-        block of T of at most _BLOCK rows, as Python floats, the last block
-        first."""
+        """(start, stop, inverse, e) of each diagonal block of T of at most
+        _PANEL rows, the last block first: inverse is the inverse of the
+        block scaled to unit magnitude by _unit_scaled, and e its exponent.
+        A block is never singular: its diagonal entries are T's, each above
+        RANK_RTOL times the largest and none underflowed to zero."""
         blocks = []
-        for i in reversed(range(0, self.rank, _BLOCK)):
-            d = self.t[i:i + _BLOCK, i:i + _BLOCK]
-            blocks.append((i, d.diagonal().tolist(),
-                           [d[:k, k].tolist() for k in range(d.shape[0])]))
+        for i in reversed(range(0, self.rank, _PANEL)):
+            stop = min(i + _PANEL, self.rank)
+            d, e = _unit_scaled(self.t[i:stop, i:stop])
+            blocks.append((i, stop, np.linalg.inv(d), e))
         return blocks
 
     def solve_min_norm(self, b):
         """Minimum-norm least-squares solution of A x ~ b.
 
-        T w = (Q^T b)[:rank] is back-substituted in blocks of _BLOCK rows:
-        one product with the part of w already solved, then the block's
-        rows from the last, on Python floats.  Raises NumericalFailureError
-        when the solution exceeds the floating-point range.
+        T w = (Q^T b)[:rank] is back-substituted in blocks of _PANEL rows,
+        the last block first, each by one product with the part of w already
+        solved and one with the inverse of the block scaled to unit
+        magnitude (_diagonal_blocks).  The block's right-hand side is scaled
+        by the same power of two before that product, not the product after
+        it, so an intermediate overflows only where the block's part of w
+        does.  Raises NumericalFailureError when the solution exceeds the
+        floating-point range.
         """
         b = as_vector(b, "b")
         m, n = self.shape
         if b.size != m:
             raise UsageError(f"rhs length {b.size} does not match {self.shape}")
-        r = self.rank
+        r, t = self.rank, self.t
         x = np.zeros(n)
-        # an overflow, numpy's or the Python floats' (which is silent), is
-        # caught by the check of x below
+        # an overflow is caught by the check of x below
         with np.errstate(over="ignore", invalid="ignore"):
             w = self.q[:, :r].T @ b
-            for i, diagonal, columns in self._diagonal_blocks:
-                stop = i + len(diagonal)
-                c = (w[i:stop] - self.t[i:stop, stop:] @ w[stop:]).tolist()
-                for k in range(len(c) - 1, -1, -1):
-                    ck = c[k] = c[k] / diagonal[k]
-                    column = columns[k]
-                    for j in range(k):
-                        c[j] -= column[j] * ck
-                w[i:stop] = c
+            for i, stop, inverse, e in self._diagonal_blocks:
+                w[i:stop] = inverse @ np.ldexp(w[i:stop] - t[i:stop, stop:] @ w[stop:], -e)
             x[self.perm] = self.z[:, :r] @ w
         if not np.isfinite(x).all():
             raise NumericalFailureError("the solution exceeds the floating-point range")

@@ -20,11 +20,12 @@ is strictly lower triangular, its Schur form T = J M2 J (J the reversal),
 and the block systems M1 y_j = r_j - sum_i t_ij y_i, last column first,
 are the backward march.  The other closures take band LU on the operator
 in band storage, read from the stencil table.  The one-shot oracle for
-A X + X B = C eliminates on the Kronecker operator; its minimum-norm
-solution is linalg.cod_factor of that operator.  Unique solvability is
-diagnosed from the spectra of A and -B: the equation has one solution iff
-they are disjoint, to the relative distance SEP_TOL.  Like the linalg
-thresholds, SEP_TOL is a module constant, not an argument.
+A X + X B = C eliminates on the Kronecker operator, and it and the
+one-shot Bartels-Stewart solve on C scaled to unit magnitude; its
+minimum-norm solution is linalg.cod_factor of that operator.  Unique
+solvability is diagnosed from the spectra of A and -B: the equation has
+one solution iff they are disjoint, to the relative distance SEP_TOL.
+Like the linalg thresholds, SEP_TOL is a module constant, not an argument.
 """
 
 from __future__ import annotations
@@ -211,25 +212,33 @@ class _MinNormCOD:
 
 def solve_bartels_stewart(p):
     """Bartels-Stewart (see _BartelsStewart) on the Hessenberg form
-    H = Q^T A Q, once the problem is found uniquely solvable.  An overflow
-    of the transforms or the block solves is a NumericalFailureError."""
+    H = Q^T A Q, once the problem is found uniquely solvable.  It solves on
+    C scaled to unit magnitude (the equation is linear, and scaling by a
+    power of two is exact), so only a solution beyond the floating-point
+    range, or an overflow of the transforms or the block solves, is a
+    NumericalFailureError."""
     report = diagnose(p)
     _require_unique(report)
     q, h = linalg.hessenberg(p.a)
     factorization = _BartelsStewart(h, p.b, report)
+    c, e = linalg._unit_scaled(p.c)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return q @ factorization.solve(q.T @ p.c)
+            x = q @ factorization.solve(q.T @ c)
     except FloatingPointError as exc:
         raise NumericalFailureError(
             f"the solution exceeds the floating-point range ({exc})") from exc
+    return linalg._scaled_back(x, e, "the solution exceeds the floating-point range")
 
 
 def solve_kron_oracle(p):
     """Independent oracle: Gaussian elimination on the vectorized operator
-    (I (x) A + B^T (x) I) vec(X) = vec(C), factored in band storage."""
+    (I (x) A + B^T (x) I) vec(X) = vec(C), factored in band storage, on C
+    scaled to unit magnitude and X scaled back, as solve_bartels_stewart."""
     k = linalg.kron_vec_operator(p.a, p.b)
-    return _KronLU(*linalg.to_band(k)).solve(p.c)
+    c, e = linalg._unit_scaled(p.c)
+    x = _KronLU(*linalg.to_band(k)).solve(c)
+    return linalg._scaled_back(x, e, "the solution exceeds the floating-point range")
 
 
 class ErrorEquationSolver:

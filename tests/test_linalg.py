@@ -902,9 +902,15 @@ def plain_min_norm(f, b):
     return x
 
 
+P = linalg._PANEL
+
+
 @pytest.mark.parametrize("m, n, rank", [(7, 7, 7), (8, 8, 8), (9, 9, 9), (16, 16, 16),
                                         (17, 17, 17), (24, 24, 24), (30, 30, 16),
-                                        (30, 30, 17), (40, 35, 23), (35, 40, 24)])
+                                        (30, 30, 17), (40, 35, 23), (35, 40, 24),
+                                        (P - 1, P - 1, P - 1), (P, P, P),
+                                        (P + 8, P + 4, P + 1), (2 * P, 2 * P, 2 * P),
+                                        (2 * P + 3, 2 * P + 5, 2 * P + 1)])
 def test_blocked_substitution_matches_plain_substitution(m, n, rank):
     """Ranks on and off the edges of the blocks of back-substitution."""
     f = linalg.cod_factor(low_rank(40 + rank, m, n, rank))
@@ -912,6 +918,32 @@ def test_blocked_substitution_matches_plain_substitution(m, n, rank):
     b = rng(rank).uniform(-1, 1, m)
     want = plain_min_norm(f, b)
     assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_blocked_substitution_on_the_lax_paper_operator():
+    """The 20^2 Lax paper operator is singular, rank 373 of 380: twelve
+    blocks, the last one short, over the spread of T's diagonal."""
+    disc = schemes.Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
+    k = assembly.global_operator(schemes.builtin_scheme("lax", disc), disc, "paper")
+    f = linalg.cod_factor(k)
+    assert f.rank == 373
+    b = rng(43).uniform(-1, 1, k.shape[0])
+    want = plain_min_norm(f, b)
+    assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p", [-1000, 1000])
+def test_min_norm_of_power_of_two_multiple_is_exact(p):
+    """cod_factor works on A scaled to unit magnitude and each diagonal
+    block of T is inverted scaled to unit magnitude, so 2**p A x ~ 2**p b
+    gives the same x bit for bit."""
+    a = low_rank(44, 2 * P + 6, 2 * P, 2 * P - 10)
+    b = rng(45).uniform(-1, 1, a.shape[0])
+    want = linalg.cod_factor(a).solve_min_norm(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.cod_factor(np.ldexp(a, p)).solve_min_norm(np.ldexp(b, p))
+    assert np.array_equal(got, want)
 
 
 def test_min_norm_solution_beyond_float_range_is_numerical_failure():

@@ -233,13 +233,18 @@ def test_bartels_stewart_identity_pair():
 
 def test_bartels_stewart_vs_kron_8x6():
     """Also at 40x35, where the Hessenberg reduction of the dense A takes two
-    panels of reflectors (linalg._PANEL)."""
-    for m, n in ((8, 6), (40, 35)):
-        p = unique_instance(1, m=m, n=n)
-        x1 = sylvester.solve_bartels_stewart(p)
-        x2 = sylvester.solve_kron_oracle(p)
-        assert (np.linalg.norm(x1 - x2)
-                <= 1e-10 * max(1.0, np.linalg.norm(x2)))
+    panels of reflectors (linalg._PANEL); there the oracle is LAPACK's dense
+    LU of the vectorized operator, as band LU on its full bandwidth would
+    take seconds."""
+    p = unique_instance(1, m=8, n=6)
+    x1 = sylvester.solve_bartels_stewart(p)
+    x2 = sylvester.solve_kron_oracle(p)
+    assert np.linalg.norm(x1 - x2) <= 1e-10 * max(1.0, np.linalg.norm(x2))
+    p = unique_instance(1, m=40, n=35)
+    x1 = sylvester.solve_bartels_stewart(p)
+    x2 = linalg.unvec(np.linalg.solve(linalg.kron_vec_operator(p.a, p.b), linalg.vec(p.c)),
+                      *p.c.shape)
+    assert np.linalg.norm(x1 - x2) <= 1e-10 * max(1.0, np.linalg.norm(x2))
 
 
 def test_bartels_stewart_refuses_singular():
@@ -293,24 +298,37 @@ def test_kron_oracle_construct_then_recover():
 
 
 def test_overflowing_one_shot_solves_are_numerical_failures():
-    """The band solve divides 1e300 by 1e-10, and a dense pair's transforms
-    and block solves sum entries of 1e308: the overflow is reported as a
+    """The band solve divides 1e300 by 1e-10: the overflow is reported as a
     numerical failure, not leaked as warnings, a non-finite solution or a
     usage error."""
+    p = sylvester.SylvesterProblem(1e-10 * np.eye(3), np.zeros((2, 2)),
+                                   np.full((3, 2), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (sylvester.solve_kron_oracle,
+                      sylvester.solve_bartels_stewart):
+            with pytest.raises(NumericalFailureError,
+                               match="floating-point range"):
+                solve(p)
+
+
+def test_one_shot_solves_of_a_representable_solution_near_the_range():
+    """At C = 1e308 a dense pair's solution is representable (max|X| about
+    6.6e307) although sums of C's entries are not: both one-shot solves
+    work on C scaled to unit magnitude, so X is finite and is exactly 2**k
+    times the solution for C * 2**-k."""
     g = rng(0)
     a = g.uniform(-1, 1, (4, 4)) + 3.0 * np.eye(4)
     b = g.uniform(-1, 1, (3, 3))
-    problems = (sylvester.SylvesterProblem(1e-10 * np.eye(3), np.zeros((2, 2)),
-                                           np.full((3, 2), 1e300)),
-                sylvester.SylvesterProblem(a, b, np.full((4, 3), 1e308)))
+    c, k = np.full((4, 3), 1e308), 1000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in problems:
-            for solve in (sylvester.solve_kron_oracle,
-                          sylvester.solve_bartels_stewart):
-                with pytest.raises(NumericalFailureError,
-                                   match="floating-point range"):
-                    solve(p)
+        for solve in (sylvester.solve_kron_oracle,
+                      sylvester.solve_bartels_stewart):
+            x = solve(sylvester.SylvesterProblem(a, b, c))
+            assert np.isfinite(x).all()
+            small = solve(sylvester.SylvesterProblem(a, b, np.ldexp(c, -k)))
+            assert np.array_equal(x, np.ldexp(small, k))
 
 
 # ----------------------------------------------------------------- min-norm
