@@ -17,9 +17,11 @@ downdated, with a norm that loses its digits recomputed (_TOL3Z).  Every
 Householder reflector is _reflection's.  Q, the COD's or Hessenberg's, is
 formed from the stored reflectors (_form_q), and the COD's Z from the right
 reflections that compress the rank rows, in panels of _PANEL by the compact
-WY form (_wy_t).  The COD's solve back-substitutes in blocks of _PANEL
-rows, each by a product with the inverse of its diagonal block scaled to
-unit magnitude, inverted once per factorization at its first solve.
+WY form (_wy_t).  The COD also forms its minimum-norm solution operator
+Z_1 T^-1 Q_1^T once, back-substituting Q_1^T in blocks of _PANEL rows,
+each by a product with the inverse of its diagonal block scaled to unit
+magnitude, and applying Z's panels to the result in place, so that a
+solve is one product with it.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,8 @@ PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
 # reflectors per panel of the COD's pivoted loop, of its Q and of its Z, and rows per
-# block of its back-substitution: on the sweep's 380 x 380 operators 16 to 64 factor
-# within 10% of each other, 8 is 20% slower
+# block of the back-substitution that forms its solution operator: on the sweep's
+# 380 x 380 operators 16 to 64 factor within 10% of each other, 8 is 20% slower
 _PANEL = 32
 _TOL3Z = math.sqrt(np.finfo(float).eps)  # cod_factor: lost digits of a downdated norm squared
 
@@ -571,7 +572,10 @@ class CODFactorization:
     """Complete orthogonal decomposition A P = Q [T 0; 0 0] Z^T.
 
     q (m x m) and z (n x n) are orthogonal, perm the column permutation,
-    t the rank x rank upper-triangular core.
+    t the rank x rank upper-triangular core.  pinv (n x m) is the
+    minimum-norm solution operator Z_1 T^-1 Q_1^T of A scaled to unit
+    magnitude, A * 2**-e, its rows in Z's order, not permuted
+    (_min_norm_operator).
     """
 
     q: np.ndarray
@@ -580,45 +584,29 @@ class CODFactorization:
     t: np.ndarray
     rank: int
     shape: tuple
-
-    @cached_property
-    def _diagonal_blocks(self):
-        """(start, stop, inverse, e) of each diagonal block of T of at most
-        _PANEL rows, the last block first: inverse is the inverse of the
-        block scaled to unit magnitude by _unit_scaled, and e its exponent.
-        A block is never singular: its diagonal entries are T's, each above
-        RANK_RTOL times the largest and none underflowed to zero."""
-        blocks = []
-        for i in reversed(range(0, self.rank, _PANEL)):
-            stop = min(i + _PANEL, self.rank)
-            d, e = _unit_scaled(self.t[i:stop, i:stop])
-            blocks.append((i, stop, np.linalg.inv(d), e))
-        return blocks
+    pinv: np.ndarray
+    e: int
 
     def solve_min_norm(self, b):
         """Minimum-norm least-squares solution of A x ~ b.
 
-        T w = (Q^T b)[:rank] is back-substituted in blocks of _PANEL rows,
-        the last block first, each by one product with the part of w already
-        solved and one with the inverse of the block scaled to unit
-        magnitude (_diagonal_blocks).  The block's right-hand side is scaled
-        by the same power of two before that product, not the product after
-        it, so an intermediate overflows only where the block's part of w
-        does.  Raises NumericalFailureError when the solution exceeds the
-        floating-point range.
+        One product of pinv with b scaled by the same power of two as A,
+        x[perm] = pinv (b * 2**-e).  b is scaled before the product, not x
+        after it, so an intermediate overflows only where x does, and a
+        power-of-two multiple of A and b gives the same x bit for bit.
+        Raises NumericalFailureError when the solution exceeds the
+        floating-point range.  Known limit: an entry of pinv overflows when
+        T's inverse exceeds that range (a Kahan-type T of order about 1000
+        or more), and every solve on that factorization then raises it.
         """
         b = as_vector(b, "b")
         m, n = self.shape
         if b.size != m:
             raise UsageError(f"rhs length {b.size} does not match {self.shape}")
-        r, t = self.rank, self.t
         x = np.zeros(n)
         # an overflow is caught by the check of x below
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self.q[:, :r].T @ b
-            for i, stop, inverse, e in self._diagonal_blocks:
-                w[i:stop] = inverse @ np.ldexp(w[i:stop] - t[i:stop, stop:] @ w[stop:], -e)
-            x[self.perm] = self.z[:, :r] @ w
+            x[self.perm] = self.pinv @ np.ldexp(b, -self.e)
         if not np.isfinite(x).all():
             raise NumericalFailureError("the solution exceeds the floating-point range")
         return x
@@ -693,7 +681,9 @@ def cod_factor(a):
     R's columns in place and a contiguous copy of its trailing columns,
     and reach Z once per panel of _PANEL rows, in the compact WY form too.
     t is a view of the factored copy of a: a copy would add a rank x rank
-    array to the peak memory.
+    array to the peak memory.  Before t is scaled back, the minimum-norm
+    solution operator is formed from the unit-scaled factors
+    (_min_norm_operator), so set-up, not the first solve, pays for it.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
@@ -715,8 +705,8 @@ def cod_factor(a):
             j = k - k0
             p = k + int(np.argmax(norms[k:]))
             if p != k:
-                r[:, [k, p]] = r[:, [p, k]]
-                ft[:, [j, p - k0]] = ft[:, [p - k0, j]]
+                r[:, k], r[:, p] = r[:, p], r[:, k].copy()
+                ft[:, j], ft[:, p - k0] = ft[:, p - k0], ft[:, j].copy()
                 for swapped in perm, norms, guard:
                     swapped[k], swapped[p] = swapped[p], swapped[k]
             v_done = q[k:, k0:k]
@@ -753,11 +743,13 @@ def cod_factor(a):
         while rank < kmax and diag[rank] > thresh:
             rank += 1
     t, z = r[:rank, :rank], np.eye(n)
+    panels = []
     if rank < n:
         # the right reflector P_i of row i folds R[i, rank:] into R[i, i],
         # last row first, in panels of _PANEL rows; column j of u holds the
         # panel's j-th reflector on the panel's columns, then on columns
-        # rank:, and z takes each panel at once in the compact WY form
+        # rank:, and z takes each panel at once in the compact WY form;
+        # panels keeps each (i0, i1, u, wt) for the solution operator
         tail = r[:rank, rank:].copy()
         for i1 in range(rank, 0, -_PANEL):
             i0 = max(0, i1 - _PANEL)
@@ -774,12 +766,48 @@ def cod_factor(a):
                 r[:i, i] -= (2.0 * v0) * s
                 tail[:i] -= np.multiply.outer(s, 2.0 * v1)
                 u[i - i0, j], u[b:, j] = v0, v1
-            zu = (z[:, i0:i1] @ u[:b] + z[:, rank:] @ u[b:]) @ _wy_t(u)
+            wt = _wy_t(u)
+            zu = (z[:, i0:i1] @ u[:b] + z[:, rank:] @ u[b:]) @ wt
             z[:, i0:i1] -= zu @ u[:b].T
             z[:, rank:] -= zu @ u[b:].T
+            panels.append((i0, i1, u, wt))
+    pinv = _min_norm_operator(q, t, panels, n)
     t = _scaled_back(t, e, "the COD exceeds the floating-point range",
                      pivots=np.diag_indices(rank))
-    return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n))
+    return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n),
+                            pinv=pinv, e=e)
+
+
+def _min_norm_operator(q, t, panels, n):
+    """Z_1 T^-1 Q_1^T (n x m) for the unit-scaled rank x rank core t.
+
+    Its first rank rows take W = T^-1 Q_1^T: Q_1^T back-substituted in
+    blocks of _PANEL rows, the last block first, each by one product with
+    the rows of W already solved and one with the inverse of the diagonal
+    block scaled to unit magnitude by _unit_scaled, the block's right-hand
+    side scaled by the same power of two before that product.  A block is
+    never singular: its diagonal entries are T's, each above RANK_RTOL
+    times the largest.  Then Z_1 W = Z [W; 0] is formed in place from Z's
+    panels (i0, i1, u, wt), each I - U wt U^T on rows i0:i1 and rank:,
+    applied in the reverse of the order in which Z took them, so no second
+    n x m array is made; at full rank there is no panel, as Z = I.  An entry that overflows is left to
+    the solve's check.
+    """
+    rank = t.shape[0]
+    x = np.zeros((n, q.shape[0]))
+    w = x[:rank]
+    w[:] = q[:, :rank].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(0, rank, _PANEL)):
+            stop = min(i + _PANEL, rank)
+            d, e = _unit_scaled(t[i:stop, i:stop])
+            w[i:stop] = np.linalg.inv(d) @ np.ldexp(w[i:stop] - t[i:stop, stop:] @ w[stop:], -e)
+        for i0, i1, u, wt in reversed(panels):
+            b = i1 - i0
+            y = wt @ (u[:b].T @ x[i0:i1] + u[b:].T @ x[rank:])
+            x[i0:i1] -= u[:b] @ y
+            x[rank:] -= u[b:] @ y
+    return x
 
 
 def kron_vec_operator(a, b):

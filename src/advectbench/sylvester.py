@@ -196,9 +196,10 @@ class _KronLU:
 
 
 class _MinNormCOD:
-    """Complete orthogonal decomposition of a vectorized operator K; solve(C)
-    is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is the
-    numerical rank of K, size its number of rows."""
+    """Complete orthogonal decomposition of a vectorized operator K, which
+    forms K's minimum-norm solution operator; solve(C), one product with
+    it, is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is
+    the numerical rank of K, size its number of rows."""
 
     def __init__(self, op):
         self._cod = linalg.cod_factor(op)
@@ -248,9 +249,10 @@ class ErrorEquationSolver:
     The factorization is computed once, so sweeping many signals is cheap.
     The kernel is read from the method and K's structure.  min-norm
     factors the dense operator by complete orthogonal decomposition
-    (``factorization.rank`` is then the numerical rank).  Bartels-Stewart
-    is only legal for the paper variant with L = 0 (no corner
-    coefficients), and only when diagnose finds A and -B disjoint.  The
+    (``factorization.rank`` is then the numerical rank), which forms its
+    minimum-norm solution operator once, so a solve is one dense product.
+    Bartels-Stewart is only legal for the paper variant with L = 0 (no
+    corner coefficients), and only when diagnose finds A and -B disjoint.  The
     causal operator is block lower triangular in time, and the paper
     operator of a two-level stencil block upper bidiagonal, so kron and
     Bartels-Stewart solve them by the march (assembly.March), which factors

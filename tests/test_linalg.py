@@ -920,13 +920,17 @@ def test_blocked_substitution_matches_plain_substitution(m, n, rank):
     assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_blocked_substitution_on_the_lax_paper_operator():
-    """The 20^2 Lax paper operator is singular, rank 373 of 380: twelve
-    blocks, the last one short, over the spread of T's diagonal."""
+@pytest.mark.parametrize("name, rank", [("leapfrog", 380), ("lax", 373),
+                                        ("lax-wendroff", 375), ("crank-nicolson", 380)])
+def test_blocked_substitution_on_the_paper_operators(name, rank):
+    """The 20^2 catalogue paper operators, 380 x 380: twelve blocks, the
+    last one short, over the spread of T's diagonal.  Leapfrog and
+    Crank-Nicolson are full rank, so the operator skips Z = I; Lax and
+    Lax-Wendroff are singular, so Z is applied."""
     disc = schemes.Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
-    k = assembly.global_operator(schemes.builtin_scheme("lax", disc), disc, "paper")
+    k = assembly.global_operator(schemes.builtin_scheme(name, disc), disc, "paper")
     f = linalg.cod_factor(k)
-    assert f.rank == 373
+    assert f.rank == rank
     b = rng(43).uniform(-1, 1, k.shape[0])
     want = plain_min_norm(f, b)
     assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
@@ -955,6 +959,24 @@ def test_min_norm_solution_beyond_float_range_is_numerical_failure():
         with pytest.raises(NumericalFailureError,
                            match="^the solution exceeds the floating-point range$"):
             f.solve_min_norm(np.array([0.0, 1e300]))
+
+
+def test_min_norm_operator_beyond_float_range_fails_every_solve():
+    """The known limit: T = I - 4 N, N the strictly upper ones, of order 460
+    has inverse entries up to 5**458, beyond the float range.  The operator
+    overflows without a warning, and every solve on it, b = 0 included,
+    raises the named error."""
+    n = 460
+    t = np.eye(n) - 4.0 * np.triu(np.ones((n, n)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pinv = linalg._min_norm_operator(np.eye(n), t, [], n)
+        f = linalg.CODFactorization(q=np.eye(n), z=np.eye(n), perm=np.arange(n), t=t,
+                                    rank=n, shape=(n, n), pinv=pinv, e=0)
+        for b in (np.zeros(n), np.ones(n)):
+            with pytest.raises(NumericalFailureError,
+                               match="^the solution exceeds the floating-point range$"):
+                f.solve_min_norm(b)
 
 
 # -------------------------------------------------------- kron_vec_operator
