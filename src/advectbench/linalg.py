@@ -15,13 +15,13 @@ column and row are brought up to date, the trailing block takes one matrix
 product per panel, and the column norms that choose the pivots are
 downdated, with a norm that loses its digits recomputed (_TOL3Z).  Every
 Householder reflector is _reflection's.  Q, the COD's or Hessenberg's, is
-formed from the stored reflectors (_form_q), and the COD's Z from the right
-reflections that compress the rank rows, in panels of _PANEL by the compact
-WY form (_wy_t).  The COD also forms its minimum-norm solution operator
-Z_1 T^-1 Q_1^T once, back-substituting Q_1^T in blocks of _PANEL rows,
-each by a product with the inverse of its diagonal block scaled to unit
-magnitude, and applying Z's panels to the result in place, so that a
-solve is one product with it.
+formed from the stored reflectors (_form_q).  The COD keeps the right
+reflections that compress the rank rows in panels of _PANEL in the compact
+WY form (_wy_t) and never forms Z, as LAPACK's xGELSY.  It forms once its
+minimum-norm solution operator Z_1 T^-1 Q_1^T, back-substituting Q_1^T in
+blocks of _PANEL rows, each by a product with the inverse of its diagonal
+block scaled to unit magnitude, and its null basis Z_2, applying the
+panels to both in place; a solve is one product with the operator.
 
 All functions are pure; matrices passed in are never modified.  The
 numerical thresholds and iteration caps are module constants, so every
@@ -57,9 +57,9 @@ SCHUR_SWEEPS_PER_ORDER = 40  # schur_decompose: bulge chases per order of A
 PIVOT_RTOL = 1e-13           # _lu_factor, _tridiag_lu: singular pivot, relative to |A|_F
 RANK_RTOL = 1e-11            # cod_factor: numerical rank cut, relative
 SIGMA_MIN_ITERATIONS = 80    # smallest_singular_value_from_entries: inverse power steps
-# reflectors per panel of the COD's pivoted loop, of its Q and of its Z, and rows per
-# block of the back-substitution that forms its solution operator: on the sweep's
-# 380 x 380 operators 16 to 64 factor within 10% of each other, 8 is 20% slower
+# reflectors per panel of the COD's pivoted loop, its Q and its right reflections, and
+# rows per block of the back-substitution that forms its solution operator: on the
+# sweep's 380 x 380 operators 16 to 64 factor within 10% of each other, 8 is 20% slower
 _PANEL = 32
 _TOL3Z = math.sqrt(np.finfo(float).eps)  # cod_factor: lost digits of a downdated norm squared
 
@@ -569,22 +569,20 @@ def tridiag_solve(sub, diag, sup, rhs):
 
 @dataclass(frozen=True)
 class CODFactorization:
-    """Complete orthogonal decomposition A P = Q [T 0; 0 0] Z^T.
+    """The complete orthogonal decomposition A P = Q [T 0; 0 0] Z^T, as
+    much of it as a solve and the null space read.
 
-    q (m x m) and z (n x n) are orthogonal, perm the column permutation,
-    t the rank x rank upper-triangular core.  pinv (n x m) is the
-    minimum-norm solution operator Z_1 T^-1 Q_1^T of A scaled to unit
-    magnitude, A * 2**-e, its rows in Z's order, not permuted
-    (_min_norm_operator).
+    perm is P.  pinv (n x m) is the minimum-norm solution operator
+    Z_1 T^-1 Q_1^T of A scaled to unit magnitude, A * 2**-e, and null
+    (n x (n-rank)) is Z's trailing columns Z_2, the rows of both in Z's
+    order, not permuted (_min_norm_operator).
     """
 
-    q: np.ndarray
-    z: np.ndarray
     perm: np.ndarray
-    t: np.ndarray
     rank: int
     shape: tuple
     pinv: np.ndarray
+    null: np.ndarray
     e: int
 
     def solve_min_norm(self, b):
@@ -615,7 +613,7 @@ class CODFactorization:
         """Orthonormal basis of the numerical null space of A (n x (n-rank))."""
         n = self.shape[1]
         ns = np.zeros((n, n - self.rank))
-        ns[self.perm, :] = self.z[:, self.rank:]
+        ns[self.perm, :] = self.null
         return ns
 
 
@@ -678,12 +676,12 @@ def cod_factor(a):
     panel and is recomputed from the updated block.  The loop only stores
     its left reflectors; Q is formed from them afterwards in panels of
     _PANEL by the compact WY form (_form_q).  The right reflections update
-    R's columns in place and a contiguous copy of its trailing columns,
-    and reach Z once per panel of _PANEL rows, in the compact WY form too.
-    t is a view of the factored copy of a: a copy would add a rank x rank
-    array to the peak memory.  Before t is scaled back, the minimum-norm
-    solution operator is formed from the unit-scaled factors
-    (_min_norm_operator), so set-up, not the first solve, pays for it.
+    R's columns in place and a contiguous copy of its trailing columns, and
+    are kept in panels of _PANEL rows in the compact WY form; Z is never
+    formed.  The minimum-norm solution operator and the null basis are
+    formed from the unit-scaled factors (_min_norm_operator), so set-up,
+    not the first solve, pays for them.  T is then scaled back only to
+    check its range; it is not kept, and neither are Q and the panels.
     """
     a = as_matrix(a, "a")
     m, n = a.shape
@@ -742,14 +740,14 @@ def cod_factor(a):
         thresh = RANK_RTOL * diag[0]
         while rank < kmax and diag[rank] > thresh:
             rank += 1
-    t, z = r[:rank, :rank], np.eye(n)
+    t = r[:rank, :rank]
     panels = []
     if rank < n:
         # the right reflector P_i of row i folds R[i, rank:] into R[i, i],
         # last row first, in panels of _PANEL rows; column j of u holds the
         # panel's j-th reflector on the panel's columns, then on columns
-        # rank:, and z takes each panel at once in the compact WY form;
-        # panels keeps each (i0, i1, u, wt) for the solution operator
+        # rank:; panels keeps each (i0, i1, u, wt), and Z is their product
+        # (_min_norm_operator)
         tail = r[:rank, rank:].copy()
         for i1 in range(rank, 0, -_PANEL):
             i0 = max(0, i1 - _PANEL)
@@ -766,35 +764,32 @@ def cod_factor(a):
                 r[:i, i] -= (2.0 * v0) * s
                 tail[:i] -= np.multiply.outer(s, 2.0 * v1)
                 u[i - i0, j], u[b:, j] = v0, v1
-            wt = _wy_t(u)
-            zu = (z[:, i0:i1] @ u[:b] + z[:, rank:] @ u[b:]) @ wt
-            z[:, i0:i1] -= zu @ u[:b].T
-            z[:, rank:] -= zu @ u[b:].T
-            panels.append((i0, i1, u, wt))
-    pinv = _min_norm_operator(q, t, panels, n)
-    t = _scaled_back(t, e, "the COD exceeds the floating-point range",
-                     pivots=np.diag_indices(rank))
-    return CODFactorization(q=q, z=z, perm=perm, t=t, rank=rank, shape=(m, n),
-                            pinv=pinv, e=e)
+            panels.append((i0, i1, u, _wy_t(u)))
+    pinv, null = _min_norm_operator(q, t, panels, n)
+    _scaled_back(t, e, "the COD exceeds the floating-point range",
+                 pivots=np.diag_indices(rank))
+    return CODFactorization(perm=perm, rank=rank, shape=(m, n), pinv=pinv, null=null, e=e)
 
 
 def _min_norm_operator(q, t, panels, n):
-    """Z_1 T^-1 Q_1^T (n x m) for the unit-scaled rank x rank core t.
+    """(Z_1 T^-1 Q_1^T (n x m), Z_2 (n x (n-rank))) for the unit-scaled
+    rank x rank core t, and Z = H_1 ... H_k, H_p = I - U wt U^T on rows
+    i0:i1 and rank: for the p-th of panels (i0, i1, u, wt).
 
-    Its first rank rows take W = T^-1 Q_1^T: Q_1^T back-substituted in
-    blocks of _PANEL rows, the last block first, each by one product with
-    the rows of W already solved and one with the inverse of the diagonal
-    block scaled to unit magnitude by _unit_scaled, the block's right-hand
-    side scaled by the same power of two before that product.  A block is
-    never singular: its diagonal entries are T's, each above RANK_RTOL
-    times the largest.  Then Z_1 W = Z [W; 0] is formed in place from Z's
-    panels (i0, i1, u, wt), each I - U wt U^T on rows i0:i1 and rank:,
-    applied in the reverse of the order in which Z took them, so no second
-    n x m array is made; at full rank there is no panel, as Z = I.  An entry that overflows is left to
-    the solve's check.
+    The operator's first rank rows take W = T^-1 Q_1^T: Q_1^T
+    back-substituted in blocks of _PANEL rows, the last block first, each
+    by one product with the rows of W already solved and one with the
+    inverse of the diagonal block scaled to unit magnitude by _unit_scaled,
+    the block's right-hand side scaled by the same power of two before that
+    product.  A block is never singular: its diagonal entries are T's, each
+    above RANK_RTOL times the largest.  Then Z [W; 0] and Z [0; I] are
+    formed in place, the panels applied from the last to the first, so no
+    second n x m array is made; at full rank there is no panel, as Z = I.
+    An entry that overflows is left to the solve's check.
     """
     rank = t.shape[0]
     x = np.zeros((n, q.shape[0]))
+    null = np.eye(n, n - rank, -rank)
     w = x[:rank]
     w[:] = q[:, :rank].T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -802,12 +797,13 @@ def _min_norm_operator(q, t, panels, n):
             stop = min(i + _PANEL, rank)
             d, e = _unit_scaled(t[i:stop, i:stop])
             w[i:stop] = np.linalg.inv(d) @ np.ldexp(w[i:stop] - t[i:stop, stop:] @ w[stop:], -e)
-        for i0, i1, u, wt in reversed(panels):
-            b = i1 - i0
-            y = wt @ (u[:b].T @ x[i0:i1] + u[b:].T @ x[rank:])
-            x[i0:i1] -= u[:b] @ y
-            x[rank:] -= u[b:] @ y
-    return x
+        for y in x, null:
+            for i0, i1, u, wt in reversed(panels):
+                b = i1 - i0
+                c = wt @ (u[:b].T @ y[i0:i1] + u[b:].T @ y[rank:])
+                y[i0:i1] -= u[:b] @ c
+                y[rank:] -= u[b:] @ c
+    return x, null
 
 
 def kron_vec_operator(a, b):

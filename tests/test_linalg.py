@@ -1,6 +1,7 @@
 """Dense linear-algebra kernel tests against numpy and first-principles
 oracles."""
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -756,12 +757,15 @@ def test_min_norm_agrees_with_gauss_on_full_rank():
     assert np.linalg.norm(x1 - x2) <= 1e-9 * max(1.0, np.linalg.norm(x2))
 
 
-def test_cod_of_huge_matrix_is_the_scaled_factorization():
+def test_cod_of_huge_matrix_is_the_scaled_factorization(monkeypatch):
     a = rng(9).uniform(-1, 1, (7, 3)) @ rng(10).uniform(-1, 1, (3, 5))
-    f, g = linalg.cod_factor(a), linalg.cod_factor(np.ldexp(a, 1000))
+    f, fq, ft, fz = cod_parts(monkeypatch, a)
+    g, gq, gt, gz = cod_parts(monkeypatch, np.ldexp(a, 1000))
     assert (g.rank, f.rank) == (3, 3)
-    assert np.array_equal(g.q, f.q) and np.array_equal(g.z, f.z)
-    assert np.array_equal(g.t, np.ldexp(f.t, 1000))
+    assert np.array_equal(gq, fq) and np.array_equal(gz, fz)
+    assert np.array_equal(gt, np.ldexp(ft, 1000))
+    assert np.array_equal(g.pinv, f.pinv) and np.array_equal(g.null, f.null)
+    assert g.e == f.e + 1000
 
 
 def test_cod_beyond_float_range_is_numerical_failure():
@@ -784,6 +788,34 @@ def test_rank_cut_is_the_module_constant(monkeypatch):
     assert linalg.cod_factor(a).rank == 2
     monkeypatch.setattr(linalg, "RANK_RTOL", 1e-2)
     assert linalg.cod_factor(a).rank == 1
+
+
+def form_z(panels, rank, n):
+    """Z = H_1 ... H_k of the COD's panels (i0, i1, u, wt), H_p = I - U wt U^T
+    on columns i0:i1 and rank:, accumulated one panel at a time."""
+    z = np.eye(n)
+    for i0, i1, u, wt in panels:
+        b = i1 - i0
+        zu = (z[:, i0:i1] @ u[:b] + z[:, rank:] @ u[b:]) @ wt
+        z[:, i0:i1] -= zu @ u[:b].T
+        z[:, rank:] -= zu @ u[b:].T
+    return z
+
+
+def cod_parts(monkeypatch, a):
+    """(cod_factor(a), Q, T, Z): the factors it does not keep, Q and T as
+    _min_norm_operator receives them (T, a view, is scaled back in place
+    after the call) and Z formed from the panels it receives."""
+    form, seen = linalg._min_norm_operator, {}
+
+    def spy(q, t, panels, n):
+        seen.update(q=q, t=t, panels=panels)
+        return form(q, t, panels, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_min_norm_operator", spy)
+        f = linalg.cod_factor(a)
+    return f, seen["q"], seen["t"], form_z(seen["panels"], f.rank, f.shape[1])
 
 
 def low_rank(seed, m, n, r):
@@ -825,45 +857,45 @@ COD_CASES = {
 
 
 @pytest.mark.parametrize("name", COD_CASES)
-def test_cod_factors_reconstruct_a_with_orthogonal_q_and_z(name):
+def test_cod_factors_reconstruct_a_with_orthogonal_q_and_z(name, monkeypatch):
     """A P = Q [T 0; 0 0] Z^T with Q, Z orthogonal and T upper triangular,
     Q's trailing columns (never multiplied by T) included."""
     a, rank = COD_CASES[name]
-    f = linalg.cod_factor(a)
+    f, q, t, z = cod_parts(monkeypatch, a)
     m, n = a.shape
-    assert f.rank == rank and f.t.shape == (rank, rank)
-    assert np.array_equal(f.t, np.triu(f.t))
+    assert f.rank == rank and t.shape == (rank, rank)
+    assert np.array_equal(t, np.triu(t))
     assert np.array_equal(np.sort(f.perm), np.arange(n))
-    back = f.q[:, :rank] @ f.t @ f.z[:, :rank].T
+    back = q[:, :rank] @ t @ z[:, :rank].T
     assert np.linalg.norm(a[:, f.perm] - back) <= 1e-13 * np.linalg.norm(a)
-    assert np.max(np.abs(f.q.T @ f.q - np.eye(m))) <= 1e-13
-    assert np.max(np.abs(f.z.T @ f.z - np.eye(n))) <= 1e-13
+    assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-13
+    assert np.max(np.abs(z.T @ z - np.eye(n))) <= 1e-13
 
 
 @pytest.mark.parametrize("name", [name for name, (a, rank) in COD_CASES.items()
                                   if rank in (0, min(a.shape))])
-def test_cod_q_is_the_product_of_the_pivoted_reflectors(name):
+def test_cod_q_is_the_product_of_the_pivoted_reflectors(name, monkeypatch):
     """On full rank (or none), Q is H_0 ... H_{k-1} of the Householder QR of
     A P; LAPACK's complete QR of A P (numpy's, the same sign convention)
     forms that product, trailing columns included."""
     a, _ = COD_CASES[name]
-    f = linalg.cod_factor(a)
+    f, q, _, _ = cod_parts(monkeypatch, a)
     want = np.linalg.qr(a[:, f.perm], mode="complete")[0]
-    assert np.max(np.abs(f.q - want)) <= 1e-13
+    assert np.max(np.abs(q - want)) <= 1e-13
 
 
-def test_cod_recomputes_the_norms_that_downdating_cancels():
+def test_cod_recomputes_the_norms_that_downdating_cancels(monkeypatch):
     """After the first step of u 1^T + 1e-9 N every column's partial norm is
     about 1e-9 of its full norm, so downdating the squares cancels all their
     digits, and pivots chosen from what is left break the order of R's
     diagonal.  Recomputed, the norms keep |R[k, k]| non-increasing (T = R at
     full rank)."""
     a = near_rank_one(34, 60, 40)
-    f = linalg.cod_factor(a)
+    f, q, t, z = cod_parts(monkeypatch, a)
     assert f.rank == 40
-    d = np.abs(np.diag(f.t))
+    d = np.abs(np.diag(t))
     assert np.all(d[1:] <= d[:-1] * (1.0 + 1e-6))
-    back = f.q[:, :40] @ f.t @ f.z.T
+    back = q[:, :40] @ t @ z.T
     assert np.linalg.norm(a[:, f.perm] - back) <= 1e-13 * np.linalg.norm(a)
 
 
@@ -888,17 +920,22 @@ def test_cod_of_an_empty_or_single_line_matrix(shape, rank):
     assert x.shape == (shape[1],)
     want = np.linalg.lstsq(a, b, rcond=None)[0] if a.size else np.zeros(shape[1])
     assert np.allclose(x, want, rtol=1e-13, atol=1e-15)
+    # rank 0 applies no panel to the null basis, 1 x 5 one panel
+    ns = f.null_space()
+    assert ns.shape == (shape[1], shape[1] - rank)
+    assert np.max(np.abs(ns.T @ ns - np.eye(ns.shape[1])), initial=0.0) <= 1e-13
+    assert np.linalg.norm(a @ ns) <= 1e-13 * max(1.0, np.linalg.norm(a))
 
 
-def plain_min_norm(f, b):
+def plain_min_norm(f, q, t, z, b):
     """Reference: T w = (Q^T b)[:rank] back-substituted one row at a time."""
     r = f.rank
-    c = (f.q.T @ b)[:r]
+    c = (q.T @ b)[:r]
     w = np.zeros(r)
     for i in range(r - 1, -1, -1):
-        w[i] = (c[i] - f.t[i, i + 1:] @ w[i + 1:]) / f.t[i, i]
+        w[i] = (c[i] - t[i, i + 1:] @ w[i + 1:]) / t[i, i]
     x = np.zeros(f.shape[1])
-    x[f.perm] = f.z[:, :r] @ w
+    x[f.perm] = z[:, :r] @ w
     return x
 
 
@@ -911,29 +948,47 @@ P = linalg._PANEL
                                         (P - 1, P - 1, P - 1), (P, P, P),
                                         (P + 8, P + 4, P + 1), (2 * P, 2 * P, 2 * P),
                                         (2 * P + 3, 2 * P + 5, 2 * P + 1)])
-def test_blocked_substitution_matches_plain_substitution(m, n, rank):
+def test_blocked_substitution_matches_plain_substitution(m, n, rank, monkeypatch):
     """Ranks on and off the edges of the blocks of back-substitution."""
-    f = linalg.cod_factor(low_rank(40 + rank, m, n, rank))
+    f, q, t, z = cod_parts(monkeypatch, low_rank(40 + rank, m, n, rank))
     assert f.rank == rank
     b = rng(rank).uniform(-1, 1, m)
-    want = plain_min_norm(f, b)
+    want = plain_min_norm(f, q, t, z, b)
     assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name, rank", [("leapfrog", 380), ("lax", 373),
                                         ("lax-wendroff", 375), ("crank-nicolson", 380)])
-def test_blocked_substitution_on_the_paper_operators(name, rank):
+def test_blocked_substitution_on_the_paper_operators(name, rank, monkeypatch):
     """The 20^2 catalogue paper operators, 380 x 380: twelve blocks, the
     last one short, over the spread of T's diagonal.  Leapfrog and
     Crank-Nicolson are full rank, so the operator skips Z = I; Lax and
     Lax-Wendroff are singular, so Z is applied."""
     disc = schemes.Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
     k = assembly.global_operator(schemes.builtin_scheme(name, disc), disc, "paper")
-    f = linalg.cod_factor(k)
+    f, q, t, z = cod_parts(monkeypatch, k)
     assert f.rank == rank
     b = rng(43).uniform(-1, 1, k.shape[0])
-    want = plain_min_norm(f, b)
+    want = plain_min_norm(f, q, t, z, b)
     assert np.linalg.norm(f.solve_min_norm(b) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_cod_keeps_only_its_operator_and_null_basis():
+    """One factorization of the 20^2 Lax paper operator (380 x 380, rank
+    373) retains its solution operator and null basis, not Q, Z or the
+    factored copy of A that T was a view of, each another 1.16 MB."""
+    disc = schemes.Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
+    k = assembly.global_operator(schemes.builtin_scheme("lax", disc), disc, "paper")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = linalg.cod_factor(k)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f.rank == 373
+    assert kept <= f.pinv.nbytes + f.null.nbytes + 64 * 2**10
 
 
 @pytest.mark.parametrize("p", [-1000, 1000])
@@ -970,9 +1025,9 @@ def test_min_norm_operator_beyond_float_range_fails_every_solve():
     t = np.eye(n) - 4.0 * np.triu(np.ones((n, n)), 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pinv = linalg._min_norm_operator(np.eye(n), t, [], n)
-        f = linalg.CODFactorization(q=np.eye(n), z=np.eye(n), perm=np.arange(n), t=t,
-                                    rank=n, shape=(n, n), pinv=pinv, e=0)
+        pinv, null = linalg._min_norm_operator(np.eye(n), t, [], n)
+        f = linalg.CODFactorization(perm=np.arange(n), rank=n, shape=(n, n), pinv=pinv,
+                                    null=null, e=0)
         for b in (np.zeros(n), np.ones(n)):
             with pytest.raises(NumericalFailureError,
                                match="^the solution exceeds the floating-point range$"):
