@@ -40,6 +40,7 @@ a solution that overflows.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 
@@ -392,9 +393,12 @@ def _dense_view(ab, kl):
 
 def _pivot_failure(pivot, thresh, e, column):
     """The SingularSystemError of a pivot at most thresh, both in units
-    2**e."""
-    return SingularSystemError(f"pivot {math.ldexp(abs(pivot), e):.3e} below "
-                               f"{math.ldexp(thresh, e):.3e} at column {column}")
+    2**e, each scaled back in decimal where it falls below the normal floats."""
+    def text(x):
+        v = math.ldexp(abs(x), e)
+        v = decimal.Decimal(abs(x)) * decimal.Decimal(2) ** e if x and v < _TINY else v
+        return f"{v:.3e}"
+    return SingularSystemError(f"pivot {text(pivot)} below {text(thresh)} at column {column}")
 
 
 def _lu_factor(ab, kl):
@@ -536,12 +540,14 @@ def _tridiag_lu(bands, e, thresh, column):
     return solve
 
 
-def tridiag_factor(sub, diag, sup):
-    """Factor the tridiagonal matrix A with bands sub, diag, sup once (see
-    _tridiag_lu) and return its solve rhs -> x; sub and sup have length n-1
-    (below / above the main diagonal).  A is singular, as for band LU, when
-    a pivot of A scaled by a power of two to unit magnitude is at most
-    PIVOT_RTOL * |A|_F."""
+def tridiag_solve(sub, diag, sup, rhs):
+    """Solve the tridiagonal system A x = rhs once (see _tridiag_lu), A with
+    bands sub, diag, sup; sub and sup have length n-1 (below / above the main
+    diagonal).  A is singular, as for band LU, when a pivot of A scaled by a
+    power of two to unit magnitude is at most PIVOT_RTOL * |A|_F.  Raises
+    NumericalFailureError when the solution leaves the floating-point
+    range."""
+    rhs = as_vector(rhs, "rhs")
     sub = as_vector(sub, "sub")
     diag = as_vector(diag, "diag")
     sup = as_vector(sup, "super")
@@ -552,16 +558,8 @@ def tridiag_factor(sub, diag, sup):
         raise UsageError("tridiagonal band lengths do not match")
     bands = np.zeros((3, n))
     bands[0, 1:], bands[1], bands[2, :-1] = sub, diag, sup
-    return _tridiag_lu(bands, *_pivot_scale(bands), 0)
-
-
-def tridiag_solve(sub, diag, sup, rhs):
-    """Solve the tridiagonal system with bands sub, diag, sup once (see
-    tridiag_factor).  Raises NumericalFailureError when the solution leaves
-    the floating-point range."""
-    rhs = as_vector(rhs, "rhs")
-    solve = tridiag_factor(sub, diag, sup)
-    if rhs.size != np.size(diag):
+    solve = _tridiag_lu(bands, *_pivot_scale(bands), 0)
+    if rhs.size != n:
         raise UsageError("tridiagonal band lengths do not match")
     with np.errstate(over="ignore"):
         return solve(rhs)

@@ -106,7 +106,7 @@ def diagnose(p):
 
 class _BartelsStewart:
     """Bartels-Stewart factorization of A X + X B = C for an upper
-    Hessenberg A; requires unique solvability.
+    Hessenberg A, built only on a pair its callers found uniquely solvable.
 
     When A and B are both normal tridiagonal Toeplitz matrices (|sub| =
     |super|; a diagonal or 1x1 matrix is one), their Schur forms are
@@ -117,8 +117,9 @@ class _BartelsStewart:
     V2 and the divisors lam_i + mu_j, the eigenvalues of the vectorized
     operator K, on A and B scaled by one power of two to unit magnitude; a
     solve is X = Re(V1 ((V1^H C V2) / (lam_i + mu_j)) V2^H), scaled back.
-    The verdict bounds every divisor below by SEP_TOL (|A|_F + |B|_F), over
-    PIVOT_RTOL times their Frobenius norm for normal factors below order 5e5.
+    The callers' verdict bounds every divisor below by SEP_TOL (|A|_F +
+    |B|_F), over PIVOT_RTOL times their Frobenius norm for normal factors
+    below order 5e5, so the closed form divides without a test.
 
     Otherwise Hessenberg-Schur: one real Schur form B = QB T QB^T.  For each
     1x1/2x2 diagonal block S of T the system A Y + Y S = R is factored once
@@ -126,8 +127,7 @@ class _BartelsStewart:
     has at most 3 subdiagonals.  A solve transforms C by QB, takes one band
     solve per column block of T, left to right, and transforms back."""
 
-    def __init__(self, a, b, report):
-        _require_unique(report)
+    def __init__(self, a, b):
         a_unit, b_unit, e = linalg._unit_scaled(a, b)
         fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True)
                   for m in (a_unit, b_unit))
@@ -218,10 +218,9 @@ def solve_bartels_stewart(p):
     power of two is exact), so only a solution beyond the floating-point
     range, or an overflow of the transforms or the block solves, is a
     NumericalFailureError."""
-    report = diagnose(p)
-    _require_unique(report)
+    _require_unique(diagnose(p))
     q, h = linalg.hessenberg(p.a)
-    factorization = _BartelsStewart(h, p.b, report)
+    factorization = _BartelsStewart(h, p.b)
     c, e = linalg._unit_scaled(p.c)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -247,13 +246,14 @@ class ErrorEquationSolver:
     and closure variant.
 
     The factorization is computed once, so sweeping many signals is cheap.
-    The kernel is read from the method and K's structure.  min-norm
+    Bartels-Stewart is only legal for the paper variant with L = 0 (no
+    corner coefficients), and only when diagnose finds A and -B disjoint:
+    set-up refuses any other request before it builds a factorization.
+    The kernel is then read from the method and K's structure.  min-norm
     factors the dense operator by complete orthogonal decomposition
     (``factorization.rank`` is then the numerical rank), which forms its
     minimum-norm solution operator once, so a solve is one dense product.
-    Bartels-Stewart is only legal for the paper variant with L = 0 (no
-    corner coefficients), and only when diagnose finds A and -B disjoint.  The
-    causal operator is block lower triangular in time, and the paper
+    The causal operator is block lower triangular in time, and the paper
     operator of a two-level stencil block upper bidiagonal, so kron and
     Bartels-Stewart solve them by the march (assembly.March), which factors
     one level matrix (tridiag(theta, alpha, zeta) or M1) and builds neither
@@ -296,15 +296,15 @@ class ErrorEquationSolver:
         probe = SylvesterProblem(self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt)))
         self.report = replace(diagnose(probe), notes="; ".join(notes))
 
+        if method == "bartels-stewart":
+            _require_unique(self.report)
         if method == "min-norm":
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))
-        elif method == "bartels-stewart" and (scheme.is_three_level
-                                              or not self.report.unique):
-            # a two-level K whose spectra meet gets Bartels-Stewart's refusal
-            self.factorization = _BartelsStewart(self.m1, self.m2, self.report)
         elif variant == "causal" or not scheme.is_three_level:
             self.factorization = assembly.March(scheme, disc, variant)
+        elif method == "bartels-stewart":
+            self.factorization = _BartelsStewart(self.m1, self.m2)
         else:
             self.factorization = _KronLU(*linalg.band_from_entries(
                 *assembly.operator_entries(scheme, disc, variant)))

@@ -567,6 +567,13 @@ def test_tridiag_matches_dense_solve():
     assert np.allclose(x, linalg.gauss_solve(a, b), rtol=1e-12, atol=1e-12)
 
 
+def tridiag_lu(sub, diag, sup):
+    """The solve of _tridiag_lu, the kernel of tridiag_solve and of
+    assembly.March, on the bands sub, diag, sup (lengths n-1, n, n-1)."""
+    bands = np.array([[0.0, *sub], diag, [*sup, 0.0]])
+    return linalg._tridiag_lu(bands, *linalg._pivot_scale(bands), 0)
+
+
 @pytest.mark.parametrize("sub, diag, sup", [
     (0.0, 2.5, 0.0),   # diagonal: a plain division
     (-1.0, 4.0, 1.5),  # no exchange
@@ -574,7 +581,7 @@ def test_tridiag_matches_dense_solve():
 ])
 def test_tridiag_solve_of_columns_is_bit_identical_to_vector_solves(sub, diag, sup):
     n, k = 10, 7
-    solve = linalg.tridiag_factor(np.full(n - 1, sub), np.full(n, diag), np.full(n - 1, sup))
+    solve = tridiag_lu(np.full(n - 1, sub), np.full(n, diag), np.full(n - 1, sup))
     rhs = rng(31).uniform(-1, 1, (n, k))
     x = solve(rhs)
     assert x.shape == (n, k)
@@ -585,7 +592,7 @@ def test_tridiag_solve_of_columns_is_bit_identical_to_vector_solves(sub, diag, s
 def test_tridiag_solve_of_columns_overflows_as_the_vector_solve_does():
     """Both eliminations overflow silently under the caller's errstate,
     and the finiteness check names the failure."""
-    solve = linalg.tridiag_factor(np.zeros(3), np.full(4, 1e-300), np.full(3, 1e-300))
+    solve = tridiag_lu(np.zeros(3), np.full(4, 1e-300), np.full(3, 1e-300))
     rhs = np.full((4, 2), 1e10)
     with np.errstate(over="raise", invalid="raise"):
         for r in (rhs[:, 0], rhs):

@@ -1,7 +1,9 @@
 """Sylvester-equation solver and error-equation tests."""
 
+import decimal
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -254,17 +256,14 @@ def test_bartels_stewart_refuses_singular():
 
 
 def test_bartels_stewart_block_pivot_failure_is_numerical_failure():
-    """A report that wrongly claims uniqueness lets the Hessenberg-Schur
-    block factorization (A is not normal, so no closed form) meet the zero
-    pivot of 1 + (-1); that is a numerical failure (exit 2)."""
+    """Built on a pair its callers would refuse, the Hessenberg-Schur block
+    factorization (A is not normal, so no closed form) meets the zero pivot
+    of 1 + (-1); that is a numerical failure (exit 2)."""
     a, b = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[-1.0]])
-    report = sylvester.SolvabilityReport(
-        spectrum_a=[1.0, 1.0], spectrum_neg_b=[1.0], min_separation=1.0,
-        unique=True, sep_tol=1e-10)
     with pytest.raises(NumericalFailureError,
                        match=r"^pivot failure in the block system of column 0: "
                              r"pivot 0\.000e\+00 below 2\.000e-13 at column 0$"):
-        sylvester._BartelsStewart(a, b, report)
+        sylvester._BartelsStewart(a, b)
 
 
 def test_bartels_stewart_block_systems_have_three_subdiagonals():
@@ -503,6 +502,42 @@ def test_error_equation_bartels_stewart_rejects_non_unique():
     with pytest.raises(SingularSystemError):
         sylvester.ErrorEquationSolver(builtin_scheme("lax", d), d,
                                       variant="paper", method="bartels-stewart")
+
+
+@pytest.mark.parametrize("name, nx, nt", [("lax", 6, 6), ("leapfrog", 4, 3)])
+def test_bartels_stewart_refuses_before_it_builds_anything(monkeypatch, name, nx, nt):
+    """A pair that is not uniquely solvable is refused on the verdict alone,
+    before _BartelsStewart is built: the paper closures of a two-level
+    stencil (Lax) and of a three-level one (leapfrog, both spectra holding
+    0), and a one-shot problem."""
+    def unbuilt(*args):
+        raise AssertionError("_BartelsStewart must not be built")
+    monkeypatch.setattr(sylvester, "_BartelsStewart", unbuilt)
+    refusal = r"^A and -B share eigenvalues \(min separation 0\.000e\+00\); use min-norm$"
+    d = disc(nx=nx, nt=nt)
+    with pytest.raises(SingularSystemError, match=refusal):
+        sylvester.ErrorEquationSolver(builtin_scheme(name, d), d,
+                                      variant="paper", method="bartels-stewart")
+    p = sylvester.SylvesterProblem(np.eye(2), -np.eye(2), np.ones((2, 2)))
+    with pytest.raises(SingularSystemError, match=refusal):
+        sylvester.solve_bartels_stewart(p)
+
+
+@pytest.mark.parametrize("k", [0, 1000, 1060, 1070])
+def test_pivot_message_scales_with_the_stencil_below_the_normal_floats(k):
+    """The singular-pivot verdict does not depend on the stencil's scale,
+    and neither does its message: the threshold of alpha = 2**-k prints as
+    the one of alpha = 1 times 2**-k, to its 4 digits, also where that
+    product is subnormal or below every float."""
+    def threshold(alpha):
+        d = disc(nx=5, nt=4)
+        with pytest.raises(SingularSystemError) as info:
+            sylvester.ErrorEquationSolver(schemes.custom_scheme([alpha, 0, 0, 0, 0, 0, 0, 0, 0]),
+                                          d, variant="paper", method="kron")
+        return decimal.Decimal(re.search(r"below (\S+) at column 0$", str(info.value))[1])
+    scaled = threshold(2.0 ** -k)
+    assert scaled != 0
+    assert abs(scaled / (threshold(1.0) * decimal.Decimal(2) ** -k) - 1) < 1e-3
 
 
 def test_error_equation_three_methods_agree_when_unique():
