@@ -18,15 +18,15 @@ causal startup level) is folded, negated, into the right-hand side M0.
 
 Every stencil term is a scaled shift of the node field, and one helper,
 ``_shifted_terms``, is all that knows a closure's geometry: laid over a
-zero-padded (nx+1) x (nt+2) node array, the stencil is at most nine shifted
-views, one per nonzero term.  The operator's action sums them over U, M0
-over the known nodes, and ``stencil_table`` reads the operator's entries
-off them over an array of vec indices; the dense global operator scatters
-those entries and linalg's band storage reads them.  ``March`` solves a
-closure that is block triangular in time on the same views: the simulator
-and the causal and two-level paper eliminations of kron and
-Bartels-Stewart.  M1 and M2 remain as matrices for Bartels-Stewart and the
-spectral diagnosis.
+zero-padded (nx+1) x (nt+2) node array, the stencil is at most nine
+shifted views, one per nonzero term.  ``StencilSums`` sums them over U for
+the operator's action and over the known nodes for M0, laid out once for
+many calls.  ``stencil_table`` reads the operator's entries off them over
+an array of vec indices; the dense global operator scatters those entries
+and linalg's band storage reads them.  ``March`` solves a closure that is
+block triangular in time on the same views: the simulator and the causal
+and two-level paper eliminations of kron and Bartels-Stewart.  M1 and M2
+remain as matrices for Bartels-Stewart and the spectral diagnosis.
 
 Known data is one node array ``known[i, m]``, i = 0..nx, m = 0..nt (the
 shape ``advect.sample_nodes`` returns); only the nodes the variant folds
@@ -84,12 +84,15 @@ def _shifted_terms(s, disc, variant, padded):
 
 
 def _add_terms(out, terms):
-    """out += c * view over the terms, in order.  Only the products answer to
-    the caller's errstate; a sum that overflows is the caller's to judge."""
-    for c, _, view in terms:
-        product = c * view
-        with np.errstate(over="ignore", invalid="ignore"):
-            out += product
+    """out += c * view over the terms, in order, under one errstate switch; a
+    result that is not finite recomputes the products, so that one that
+    overflows answers to the caller's errstate, and a sum is the caller's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, _, view in terms:
+            out += c * view
+    if not np.isfinite(out).all():
+        for c, _, view in terms:
+            c * view  # an overflow raises or warns as the caller's errstate asks
 
 
 class March:
@@ -184,49 +187,72 @@ def stencil_table(s, disc, variant):
             np.concatenate([np.ones(cold.size), coef[unknown]]))
 
 
+class StencilSums:
+    """The stencil sums of one (scheme, grid, variant), the operator's action
+    and M0 (see apply_operator and build_m0), each over the views of its own
+    zero-padded node array, laid out once (M0's for the last trailing shape
+    of a stack), so a solver's signals reuse them.  Results are fresh."""
+
+    def __init__(self, s, disc, variant):
+        self._geometry, self._disc = (s, disc, variant), disc
+        self._action, self._m0 = self._layout((), 1.0), self._layout((), -1.0)
+
+    def _layout(self, shape, sign):
+        padded = np.zeros((self._disc.nx + 1, self._disc.nt + 2) + shape)
+        first, terms = _shifted_terms(*self._geometry, padded)
+        return shape, padded, first, [(sign * c, m, view) for c, m, view in terms]
+
+    def m0(self, known):
+        nx, nt = self._disc.nx, self._disc.nt
+        known = linalg.as_matrix(known, "known", stack=True)
+        if known.shape[-2:] != (nx + 1, nt + 1):
+            raise UsageError(f"known node array shape {known.shape} does not match "
+                             f"grid nodes {(nx + 1, nt + 1)}")
+        nodes = np.moveaxis(known, 0, -1) if known.ndim == 3 else known
+        if self._m0[0] != nodes.shape[2:]:
+            self._m0 = self._layout(nodes.shape[2:], -1.0)
+        _, padded, first, terms = self._m0
+        padded[:, :-1] = nodes
+        padded[1:-1, 1:-1] = 0.0
+        # fresh zeros: M0 row-major (np.sum follows memory order), no -0.0
+        m0 = np.zeros((nx - 1, nt) + nodes.shape[2:])
+        m0[:, :first] += nodes[1:-1, 1:first + 1]  # the cold start's level 1
+        _add_terms(m0[:, first:], terms)
+        return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
+
+    def action(self, u):
+        u = linalg.as_matrix(u, "u")
+        _, padded, first, terms = self._action
+        if u.shape != padded[1:-1, 1:-1].shape:
+            raise UsageError(f"field shape {u.shape} does not match {padded[1:-1, 1:-1].shape}")
+        padded[1:-1, 1:-1] = u
+        # fresh zeros: the result in U's memory order, any -0.0 made +0.0
+        out = np.zeros_like(u)
+        out[:, :first] += u[:, :first]  # the cold start's U[:, 0]
+        _add_terms(out[:, first:], terms)
+        return out
+
+    def residual(self, known, u):
+        return self.action(u) - self.m0(known)
+
+
 def build_m0(s, disc, known, variant="paper"):
     """Right-hand-side matrix carrying initial and boundary data: minus the
     stencil sums over the node array with its unknowns zeroed.  A stack of
     k node arrays gives the stack of their k M0s, each bit-identical to its
     own, summed with the arrays on a trailing axis."""
-    known = linalg.as_matrix(known, "known", stack=True)
-    if known.shape[-2:] != (disc.nx + 1, disc.nt + 1):
-        raise UsageError(f"known node array shape {known.shape} does not match "
-                         f"grid nodes {(disc.nx + 1, disc.nt + 1)}")
-    nodes = np.moveaxis(known, 0, -1) if known.ndim == 3 else known
-    padded = np.zeros((disc.nx + 1, disc.nt + 2) + nodes.shape[2:])
-    padded[:, :-1] = nodes
-    padded[1:-1, 1:-1] = 0.0
-    first, terms = _shifted_terms(s, disc, variant, padded)
-    # subtracting from fresh zeros makes M0 row-major (np.sum in the residual
-    # follows memory order) and keeps -0.0 out of it
-    m0 = np.zeros((disc.nx - 1, disc.nt) + nodes.shape[2:])
-    m0[:, :first] += nodes[1:-1, 1:first + 1]  # the cold start's level 1
-    _add_terms(m0[:, first:], [(-c, m, view) for c, m, view in terms])
-    return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
+    return StencilSums(s, disc, variant).m0(known)
 
 
 def apply_operator(s, disc, u, variant="paper"):
     """Action of the variant's interior operator on a field U: the stencil
     sums over U, zero-padded."""
-    u = linalg.as_matrix(u, "u")
-    shape = (disc.nx - 1, disc.nt)
-    if u.shape != shape:
-        raise UsageError(f"field shape {u.shape} does not match {shape}")
-    padded = np.zeros((disc.nx + 1, disc.nt + 2))
-    padded[1:-1, 1:-1] = u
-    first, terms = _shifted_terms(s, disc, variant, padded)
-    # adding into fresh zeros gives the result U's memory order and turns
-    # any -0.0 into +0.0
-    out = np.zeros_like(u)
-    out[:, :first] += u[:, :first]  # the cold start's U[:, 0]
-    _add_terms(out[:, first:], terms)
-    return out
+    return StencilSums(s, disc, variant).action(u)
 
 
 def residual(s, disc, known, u, variant="paper"):
     """operator(U) - M0; zero exactly when U solves the variant's system."""
-    return apply_operator(s, disc, u, variant) - build_m0(s, disc, known, variant)
+    return StencilSums(s, disc, variant).residual(known, u)
 
 
 def operator_entries(s, disc, variant):

@@ -560,7 +560,7 @@ def tridiag_solve(sub, diag, sup, rhs):
     bands[0, 1:], bands[1], bands[2, :-1] = sub, diag, sup
     solve = _tridiag_lu(bands, *_pivot_scale(bands), 0)
     if rhs.size != n:
-        raise UsageError("tridiagonal band lengths do not match")
+        raise UsageError(f"rhs length {rhs.size} does not match {(n, n)}")
     with np.errstate(over="ignore"):
         return solve(rhs)
 

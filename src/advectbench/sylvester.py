@@ -245,34 +245,35 @@ class ErrorEquationSolver:
     """Reusable solver for the scheme error equation on a fixed scheme, grid
     and closure variant.
 
-    The factorization is computed once, so sweeping many signals is cheap.
-    Bartels-Stewart is only legal for the paper variant with L = 0 (no
-    corner coefficients), and only when diagnose finds A and -B disjoint:
-    set-up refuses any other request before it builds a factorization.
-    The kernel is then read from the method and K's structure.  min-norm
-    factors the dense operator by complete orthogonal decomposition
-    (``factorization.rank`` is then the numerical rank), which forms its
-    minimum-norm solution operator once, so a solve is one dense product.
-    The causal operator is block lower triangular in time, and the paper
-    operator of a two-level stencil block upper bidiagonal, so kron and
+    Set-up factors K once and lays out the closure's assembly.StencilSums,
+    which sum each solve's right-hand side and residual check, so sweeping
+    many signals is cheap.  Bartels-Stewart is only legal for the paper
+    variant with L = 0 (no corner coefficients), and only when diagnose finds
+    A and -B disjoint: set-up refuses any other request before it builds a
+    factorization.  The kernel is then read from the method and K's
+    structure.  min-norm factors the dense operator by complete orthogonal
+    decomposition (``factorization.rank`` is then the numerical rank), which
+    forms its minimum-norm solution operator once, so a solve is one dense
+    product.  The causal operator is block lower triangular in time, and the
+    paper operator of a two-level stencil block upper bidiagonal, so kron and
     Bartels-Stewart solve them by the march (assembly.March), which factors
     one level matrix (tridiag(theta, alpha, zeta) or M1) and builds neither
     the stencil table, nor band storage, nor a Schur form.  On the other
     (three-level) paper operators kron takes band LU (at most nx diagonals
     below and nx-1 above), and Bartels-Stewart, when |alpha| = |gamma| and
-    |delta| = |epsilon| as for leapfrog, diagonalizes the normal
-    tridiagonal Toeplitz M1 and M2 in closed form: set-up forms two DST-I
-    matrices and the divisors lam_i + mu_j, and a solve is four dense
-    products and one division per entry.  Otherwise M1, tridiagonal and
-    hence already Hessenberg, is kept, and it computes one real Schur form,
-    of M2, and factors one band system of nx-1 or 2(nx-1) unknowns per
-    1x1/2x2 diagonal block of it, with at most 3 diagonals below and above.
+    |delta| = |epsilon| as for leapfrog, diagonalizes the normal tridiagonal
+    Toeplitz M1 and M2 in closed form: set-up forms two DST-I matrices and
+    the divisors lam_i + mu_j, and a solve is four dense products and one
+    division per entry.  Otherwise M1, tridiagonal and hence already
+    Hessenberg, is kept, and it computes one real Schur form, of M2, and
+    factors one band system of nx-1 or 2(nx-1) unknowns per 1x1/2x2 diagonal
+    block of it, with at most 3 diagonals below and above.
     """
 
     def __init__(self, scheme, disc, variant="paper", method="min-norm"):
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
-        assembly._check_variant(variant)
+        self._sums = assembly.StencilSums(scheme, disc, variant)  # checks the variant
         self.sylvester_form = (variant == "paper") and not scheme.has_corner_terms
         if method == "bartels-stewart" and not self.sylvester_form:
             raise UsageError(
@@ -317,23 +318,21 @@ class ErrorEquationSolver:
         Raises NumericalFailureError when the arithmetic overflows or the
         residual is not finite.
         """
-        s, disc, variant = self.scheme, self.disc, self.variant
-        known = advect.sample_nodes(disc, signal)
+        known = advect.sample_nodes(self.disc, signal)
         # U_exact is the interior of the node array; the truncation residual
         # F = operator(U_exact) - M0, so operator(U - U_exact) = -F
         try:
             with np.errstate(over="raise", invalid="raise"):
-                rhs = -assembly.residual(s, disc, known, known[1:-1, 1:], variant)
+                rhs = -self._sums.residual(known, known[1:-1, 1:])
                 e = self.factorization.solve(rhs)
-                op_e = assembly.apply_operator(s, disc, e, variant)
-                residual_norm = linalg.frobenius_norm(op_e - rhs)
+                residual_norm = linalg.frobenius_norm(self._sums.action(e) - rhs)
         except FloatingPointError as exc:
             raise NumericalFailureError(
                 f"the solve leaves the floating-point range ({exc})") from exc
         if not math.isfinite(residual_norm):
             raise NumericalFailureError(
                 f"the operator residual of the solution is {residual_norm}")
-        return advect.FieldMatrix(values=e, disc=disc), self.report, residual_norm
+        return advect.FieldMatrix(values=e, disc=self.disc), self.report, residual_norm
 
 
 def solve_error_equation(scheme, disc, signal, variant="paper",

@@ -2,6 +2,7 @@
 residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -569,3 +570,76 @@ def test_apply_operator_shape_check():
     with pytest.raises(UsageError):
         assembly.apply_operator(builtin_scheme("lax", LAX_SMALL), LAX_SMALL,
                                 np.zeros((2, 2)), "paper")
+
+
+# ------------------------------------------------ the sums' overflow contract
+
+# beta = 4 and alpha = 1 in the paper closure's action; the node arrays hold
+# 1e308, so 4 * 1e308 overflows as a product and 1e308 + 1e308 as a sum
+BIG = Discretization.from_cfl(nx=6, nt=5, h=1.0, sigma=0.8, c=1.0)
+
+
+def big_field(value=1e308):
+    return np.full((BIG.nx - 1, BIG.nt), value)
+
+
+def big_nodes(value=1e308):
+    return np.full((BIG.nx + 1, BIG.nt + 1), value)
+
+
+def test_an_overflowing_product_raises_under_the_callers_errstate():
+    s = custom_scheme((1.0, 4.0, 0, 0, 0, 0, 0, 0, 0))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            assembly.apply_operator(s, BIG, big_field(), "paper")
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            assembly.build_m0(s, BIG, big_nodes(), "causal")
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            assembly.residual(s, BIG, big_nodes(1.0), big_field(), "paper")
+
+
+def test_an_overflowing_product_warns_under_the_default_errstate():
+    s = custom_scheme((1.0, 4.0, 0, 0, 0, 0, 0, 0, 0))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        action = assembly.apply_operator(s, BIG, big_field(), "paper")
+    assert np.isinf(action).all()
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        m0 = assembly.build_m0(s, BIG, big_nodes(), "causal")
+    assert np.isneginf(m0[:, 0]).all()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_finite_products_whose_sum_overflows_give_inf_silently(sign):
+    """alpha = beta = delta = 1 on nodes of 1e308: every product is finite,
+    their sums are not.  A sum is the caller's to judge (the solver's
+    residual check), so it neither raises nor warns, whatever the caller's
+    errstate."""
+    s = custom_scheme((1.0, 1.0, 0, 1.0, 0, 0, 0, 0, 0))
+    for state in ({"over": "raise", "invalid": "raise"}, {}):
+        with np.errstate(**state), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            action = assembly.apply_operator(s, BIG, big_field(sign * 1e308), "paper")
+            m0 = assembly.build_m0(s, BIG, big_nodes(sign * 1e308), "causal")
+        # the horizon column drops alpha, the last row's delta reads a
+        # boundary node, which the action takes as zero
+        assert np.array_equal(action[:, :-1], np.full((5, 4), sign * np.inf))
+        assert np.array_equal(action[:-1, -1], np.full(4, sign * np.inf))
+        assert action[-1, -1] == sign * 1e308
+        # M0's first column sums beta and delta over level 0
+        assert np.array_equal(m0[:, 0], np.full(5, -sign * np.inf))
+
+
+@pytest.mark.parametrize("variant", assembly.VARIANTS)
+@pytest.mark.parametrize("scheme", STENCILS)
+def test_the_sums_hold_no_negative_zero(scheme, variant):
+    """Products of negative coefficients and zeros are -0.0, and so are sums
+    of them; the action and M0 add them into fresh zeros, which gives +0.0."""
+    d = Discretization.from_cfl(nx=7, nt=6, h=1.0, sigma=0.8, c=1.0)
+    s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
+         else custom_scheme(scheme))
+    known = np.zeros((d.nx + 1, d.nt + 1))
+    known[::2, ::3] = -1.0
+    for nodes_ in (known, -known, np.zeros_like(known)):
+        for got in (assembly.apply_operator(s, d, nodes_[1:-1, 1:], variant),
+                    assembly.build_m0(s, d, nodes_, variant)):
+            assert not np.any(np.signbit(got) & (got == 0.0)), (scheme, variant)

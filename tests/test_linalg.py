@@ -601,6 +601,17 @@ def test_tridiag_solve_of_columns_overflows_as_the_vector_solve_does():
                 solve(r)
 
 
+def test_tridiag_solve_names_a_wrong_length_rhs_as_gauss_solve_does():
+    """Bands that match and an rhs that does not: the message names the rhs.
+    Validation runs rhs, then bands, then the rhs length."""
+    with pytest.raises(UsageError, match=r"^rhs length 3 does not match \(2, 2\)$"):
+        linalg.tridiag_solve([0.0], [1.0, 1.0], [0.0], [1.0, 2.0, 3.0])
+    with pytest.raises(UsageError, match="^rhs contains non-finite entries$"):
+        linalg.tridiag_solve([0.0, 0.0], [1.0, 1.0], [0.0], [np.inf])
+    with pytest.raises(UsageError, match="^tridiagonal band lengths do not match$"):
+        linalg.tridiag_solve([0.0, 0.0], [1.0, 1.0], [0.0], [1.0, 2.0, 3.0])
+
+
 def test_tridiag_zero_pivot():
     with pytest.raises(SingularSystemError):
         linalg.tridiag_solve(np.array([0.0]), np.array([0.0, 1.0]),

@@ -890,3 +890,128 @@ def test_error_equation_bartels_stewart_real_m2_spectrum_matches_kron():
                                              method="kron")
     assert (np.linalg.norm(e.values - want.values)
             <= 1e-10 * np.linalg.norm(want.values))
+
+
+# ------------------------------------------- the solver's kept stencil sums
+
+
+def parent_add_terms(out, terms):
+    """The stencil sums as they were summed before the solver kept its views:
+    each product under the caller's errstate, each sum under ignore."""
+    for c, _, view in terms:
+        product = c * view
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += product
+
+
+def parent_m0(s, d, known, variant):
+    """build_m0's arithmetic on a fresh padded array: a stack of node arrays
+    on a trailing axis, -c * view added to fresh zeros."""
+    nodes = np.moveaxis(known, 0, -1) if known.ndim == 3 else known
+    padded = np.zeros((d.nx + 1, d.nt + 2) + nodes.shape[2:])
+    padded[:, :-1] = nodes
+    padded[1:-1, 1:-1] = 0.0
+    first, terms = assembly._shifted_terms(s, d, variant, padded)
+    m0 = np.zeros((d.nx - 1, d.nt) + nodes.shape[2:])
+    m0[:, :first] += nodes[1:-1, 1:first + 1]
+    parent_add_terms(m0[:, first:], [(-c, m, view) for c, m, view in terms])
+    return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
+
+
+def parent_action(s, d, u, variant):
+    """apply_operator's arithmetic on a fresh padded array."""
+    padded = np.zeros((d.nx + 1, d.nt + 2))
+    padded[1:-1, 1:-1] = u
+    first, terms = assembly._shifted_terms(s, d, variant, padded)
+    out = np.zeros_like(u)
+    out[:, :first] += u[:, :first]
+    parent_add_terms(out[:, first:], terms)
+    return out
+
+
+def legal_solvers(n):
+    """(scheme, grid, solver) for the four catalogue schemes and the corner
+    stencil, both closures and every method that set-up accepts, at n^2."""
+    d = disc(nx=n, nt=n)
+    for name in (*ALL_SCHEMES, "corner"):
+        s = schemes.custom_scheme(CORNER) if name == "corner" else builtin_scheme(name, d)
+        for variant in assembly.VARIANTS:
+            for method in sylvester.METHODS:
+                try:
+                    solver = sylvester.ErrorEquationSolver(s, d, variant=variant,
+                                                           method=method)
+                except (SingularSystemError, UsageError):
+                    continue
+                yield s, d, solver
+
+
+@pytest.mark.parametrize("n", [6, 11, 20])
+def test_solve_is_bit_identical_to_fresh_stencil_sums(n):
+    """A solve's right-hand side and residual check sum the views its solver
+    laid out once; its field and residual equal those of the sums on fresh
+    padded arrays, term by term, byte for byte."""
+    signal = SignalSpec.from_cells_per_wavelength(9.8, disc(nx=n, nt=n))
+    count = 0
+    for s, d, solver in legal_solvers(n):
+        e, _, residual = solver.solve(signal)
+        known = advect.sample_nodes(d, signal)
+        with np.errstate(over="raise", invalid="raise"):
+            rhs = -(parent_action(s, d, known[1:-1, 1:], solver.variant)
+                    - parent_m0(s, d, known, solver.variant))
+            want = solver.factorization.solve(rhs)
+            want_residual = linalg.frobenius_norm(
+                parent_action(s, d, want, solver.variant) - rhs)
+        case = (n, s, solver.variant, solver.method)
+        assert e.values.tobytes() == want.tobytes(), case
+        assert residual == want_residual, case
+        count += 1
+    assert count >= 20
+
+
+@pytest.mark.parametrize("variant", assembly.VARIANTS)
+@pytest.mark.parametrize("name", [*ALL_SCHEMES, "corner"])
+def test_stacked_build_m0_is_bit_identical_to_fresh_stencil_sums(name, variant):
+    """One StencilSums lays M0's views out again when the stack's trailing
+    shape changes; each M0 equals the fresh sums byte for byte."""
+    d = disc(nx=11, nt=9)
+    s = schemes.custom_scheme(CORNER) if name == "corner" else builtin_scheme(name, d)
+    signals = [SignalSpec.from_cells_per_wavelength(nl, d) for nl in (5.0, 9.8, 14.0)]
+    stack = advect.sample_nodes(d, signals)
+    sums = assembly.StencilSums(s, d, variant)
+    for known in (stack, stack[0], stack[1:], stack):
+        assert sums.m0(known).tobytes() == parent_m0(s, d, known, variant).tobytes()
+
+
+def test_a_solved_field_is_not_changed_by_the_next_solve():
+    d = disc(nx=11, nt=11)
+    one, two = (SignalSpec.from_cells_per_wavelength(nl, d) for nl in (6.0, 13.0))
+    for _, _, solver in legal_solvers(11):
+        e, _, _ = solver.solve(one)
+        kept = e.values.copy()
+        solver.solve(two)
+        assert np.array_equal(e.values, kept), (solver.variant, solver.method)
+
+
+@pytest.mark.parametrize("variant, method", [
+    ("paper", "min-norm"), ("paper", "kron"), ("causal", "kron"),
+    ("paper", "bartels-stewart")])
+def test_solves_lay_out_no_stencil_views_after_set_up(monkeypatch, variant, method):
+    """161 solves, a sweep's count, call _shifted_terms only for the march's
+    steps, which it lays out at its first solve; the stencil sums reuse the
+    views set-up laid out."""
+    d = disc(nx=20, nt=20)
+    s = builtin_scheme("leapfrog", d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method=method)
+    calls = []
+    shifted_terms = assembly._shifted_terms
+
+    def counted(*args):
+        calls.append(args)
+        return shifted_terms(*args)
+
+    monkeypatch.setattr(assembly, "_shifted_terms", counted)
+    signals = [SignalSpec.from_cells_per_wavelength(nl, d)
+               for nl in np.linspace(5.0, 21.0, 161)]
+    for signal in signals:
+        solver.solve(signal)
+    assert len(calls) == int(isinstance(solver.factorization, assembly.March))

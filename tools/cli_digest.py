@@ -155,6 +155,16 @@ def matrix():
                                       ("bartels-stewart",)))
              for method in methods]
     runs.append(["diagnose", "--scheme", "crank-nicolson", "--nx", "150", "--nt", "150"])
+    # the stencil sums near the float limit, as tests/test_cli.py runs them:
+    # a min-norm residual that overflows, in one solve and in a 3-signal
+    # sweep; products and sums that overflow in the right-hand side
+    huge_pair = ["--coeffs", "1,0,0,1e308,-1e308,0,0,0,0", "--nx", "6", "--nt", "6"]
+    runs += [["solve-error", *huge_pair, "--method", "min-norm"],
+             ["sweep", *huge_pair, "--nl-min", "5", "--nl-max", "9", "--nl-step", "2"]]
+    runs += [["solve-error", "--coeffs", coeffs, "--nx", "6", "--nt", "6", "--method", method]
+             for coeffs, methods in (("1e307,1.7e308,1e307,0,0,0,0,0,0", METHODS),
+                                     ("1,1.7e308,0,1.7e308,0,0,0,0,0", ("kron",)))
+             for method in methods]
     # config files: the study file's --scheme and --tau drop its coeffs and
     # sigma, and sweep ignores its n_lambda and lambda
     runs += [["sweep", "--config", "study.cfg", "--scheme", "leapfrog", "--tau", "0.25"],
