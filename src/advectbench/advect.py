@@ -54,19 +54,18 @@ def sample_nodes(disc, signal):
     whose node arrays are each bit-identical to one signal's.  Raises
     UsageError when a phase overflows, naming the first such signal."""
     single = isinstance(signal, SignalSpec)
-    signals = [signal] if single else list(signal)
+    signals = None if single else list(signal)
     x = np.arange(disc.nx + 1)[:, None] * disc.h
     t = np.arange(disc.nt + 1)[None, :] * disc.tau
     with np.errstate(over="ignore", invalid="ignore"):
-        wavenumbers = np.array([2.0 * np.pi / sig.wavelength for sig in signals])
-        phase = wavenumbers[:, None, None] * (x - disc.c * t)
-    finite = np.isfinite(phase).all(axis=(1, 2))
-    if not finite.all():
-        bad = signals[int(np.argmin(finite))]
+        wavenumber = (2.0 * np.pi / signal.wavelength if single else
+                      np.array([2.0 * np.pi / sig.wavelength for sig in signals])[:, None, None])
+        phase = wavenumber * (x - disc.c * t)
+    if not np.isfinite(phase).all():
+        bad = signal if single else signals[np.isfinite(phase).all(axis=(1, 2)).argmin()]
         raise UsageError(f"the phase 2*pi/wavelength*(x - c*t) of wavelength "
                          f"{bad.wavelength:g} exceeds the floating-point range")
-    nodes = np.cos(phase, out=phase)
-    return nodes[0] if single else nodes
+    return np.cos(phase, out=phase)
 
 
 def sample_exact(disc, signal):
@@ -84,7 +83,8 @@ def time_step_simulate(s, disc, known):
     level 1 are read from it.  A singular level matrix raises
     SingularSystemError, and a level that overflows in any array
     NumericalFailureError naming it.  Returns a FieldMatrix, or for a stack
-    the list of the k fields in stack order.
+    the list of the k fields in stack order, whose values are the layers of
+    one k x (nx-1) x nt array, their base.
     """
     m0 = assembly.build_m0(s, disc, known, "causal")
     u = assembly.March(s, disc, "causal").solve(m0)
@@ -100,13 +100,15 @@ def error_matrix(u, u_exact):
 
 
 def error_summary(e):
-    """All four error statistics of an error field."""
+    """All four error statistics of an error field, which its FieldMatrix checked."""
     if not isinstance(e, FieldMatrix):
         raise UsageError("error_summary needs a FieldMatrix (grid weights)")
     values = e.values
-    frob = linalg.frobenius_norm(values)
-    grid_l2 = math.sqrt(e.disc.h * e.disc.tau) * frob
-    return ErrorSummary(frob=frob,
-                        grid_l2=grid_l2,
-                        grid_l2_squared=grid_l2 * grid_l2,
+    return ErrorSummary(*_grid_norms(linalg._frobenius(values), e.disc),
                         max_abs=float(np.max(np.abs(values))) if values.size else 0.0)
+
+
+def _grid_norms(frob, disc):
+    """(frob, grid_l2, grid_l2_squared) of a field of Frobenius norm frob."""
+    grid_l2 = math.sqrt(disc.h * disc.tau) * frob
+    return frob, grid_l2, grid_l2 * grid_l2

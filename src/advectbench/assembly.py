@@ -191,11 +191,12 @@ class StencilSums:
     """The stencil sums of one (scheme, grid, variant), the operator's action
     and M0 (see apply_operator and build_m0), each over the views of its own
     zero-padded node array, laid out once (M0's for the last trailing shape
-    of a stack), so a solver's signals reuse them.  Results are fresh."""
+    of a stack), so a solver's signals reuse them.  Results are fresh.
+    action, m0 and residual check their arrays; a solver calls _action and _m0."""
 
     def __init__(self, s, disc, variant):
         self._geometry, self._disc = (s, disc, variant), disc
-        self._action, self._m0 = self._layout((), 1.0), self._layout((), -1.0)
+        self._action_views, self._m0_views = self._layout((), 1.0), self._layout((), -1.0)
 
     def _layout(self, shape, sign):
         padded = np.zeros((self._disc.nx + 1, self._disc.nt + 2) + shape)
@@ -208,23 +209,30 @@ class StencilSums:
         if known.shape[-2:] != (nx + 1, nt + 1):
             raise UsageError(f"known node array shape {known.shape} does not match "
                              f"grid nodes {(nx + 1, nt + 1)}")
+        return self._m0(known)
+
+    def _m0(self, known):
         nodes = np.moveaxis(known, 0, -1) if known.ndim == 3 else known
-        if self._m0[0] != nodes.shape[2:]:
-            self._m0 = self._layout(nodes.shape[2:], -1.0)
-        _, padded, first, terms = self._m0
+        if self._m0_views[0] != nodes.shape[2:]:
+            self._m0_views = self._layout(nodes.shape[2:], -1.0)
+        _, padded, first, terms = self._m0_views
         padded[:, :-1] = nodes
         padded[1:-1, 1:-1] = 0.0
         # fresh zeros: M0 row-major (np.sum follows memory order), no -0.0
-        m0 = np.zeros((nx - 1, nt) + nodes.shape[2:])
+        m0 = np.zeros((self._disc.nx - 1, self._disc.nt) + nodes.shape[2:])
         m0[:, :first] += nodes[1:-1, 1:first + 1]  # the cold start's level 1
         _add_terms(m0[:, first:], terms)
         return np.moveaxis(m0, -1, 0) if known.ndim == 3 else m0
 
     def action(self, u):
         u = linalg.as_matrix(u, "u")
-        _, padded, first, terms = self._action
-        if u.shape != padded[1:-1, 1:-1].shape:
-            raise UsageError(f"field shape {u.shape} does not match {padded[1:-1, 1:-1].shape}")
+        shape = (self._disc.nx - 1, self._disc.nt)
+        if u.shape != shape:
+            raise UsageError(f"field shape {u.shape} does not match {shape}")
+        return self._action(u)
+
+    def _action(self, u):
+        _, padded, first, terms = self._action_views
         padded[1:-1, 1:-1] = u
         # fresh zeros: the result in U's memory order, any -0.0 made +0.0
         out = np.zeros_like(u)

@@ -248,10 +248,6 @@ class SweepRecord:
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
-def _sweep_norms(summary):
-    return summary.frob, summary.grid_l2, summary.grid_l2_squared
-
-
 def sweep_values(nl_min, nl_max, nl_step):
     for flag, value in (("min", nl_min), ("max", nl_max), ("step", nl_step)):
         if not np.isfinite(value):
@@ -275,7 +271,8 @@ def run_sweep(cfg):
     """Evaluate both error paths over the n_lambda grid, ordered ascending:
     the solver's set-up, then one sampling and one march of all the
     signals, then one error-equation solve per signal, in n_lambda order;
-    the first failure of these steps ends the sweep.
+    the first failure of these steps ends the sweep.  The simulation errors
+    are one subtraction in place of the march's stack, normed over it at once.
 
     Returns (records, iso) where iso maps each n_lambda to the per-time-column
     Euclidean norms of the simulation error (the isovalue grid) if cfg.iso.
@@ -285,23 +282,29 @@ def run_sweep(cfg):
                                            variant=cfg.variant, method=cfg.method)
     signals = [SignalSpec.from_cells_per_wavelength(nl, cfg.disc) for nl in n_lambdas]
     known = advect.sample_nodes(cfg.disc, signals)
-    sims = advect.time_step_simulate(cfg.scheme, cfg.disc, known)
+    errors = advect.time_step_simulate(cfg.scheme, cfg.disc, known)[0].values.base
+    errors -= known[:, 1:-1, 1:]  # U - U_exact, in the fields' one stack
+    # the roots of each field's sum of squares, or frobenius_norm's rescaled
+    # path where a sum leaves the normal floats; so for each time column
+    with np.errstate(over="ignore"):
+        totals = np.sum(errors * errors, axis=(1, 2))
+    sim_frobs = np.sqrt(totals)
+    for k in np.flatnonzero(np.isinf(totals) | (totals < linalg._TINY)):
+        sim_frobs[k] = linalg._frobenius(errors[k])
     records, iso = [], []
-    for nl, signal, nodes, u in zip(n_lambdas, signals, known, sims):
-        error = u.values - nodes[1:-1, 1:]  # U - U_exact
-        e_sim = advect.error_summary(advect.FieldMatrix(error, cfg.disc))
-        if cfg.iso:
-            with np.errstate(over="ignore"):
-                squares = np.sum(error ** 2, axis=0)
-            norms = np.sqrt(squares)
-            # squares that overflow, or underflow in a nonzero column: rescale
-            for j in np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
-                                                         & error.any(axis=0))):
-                norms[j] = linalg.frobenius_norm(error[:, j:j + 1])
-            iso.append((nl, norms))
+    if cfg.iso:
+        with np.errstate(over="ignore"):
+            sums = np.sum(errors * errors, axis=1)
+        columns = np.sqrt(sums)
+        for k, j in zip(*np.nonzero(np.isinf(sums) | ((sums < linalg._TINY)
+                                                      & errors.any(axis=1)))):
+            columns[k, j] = linalg._frobenius(errors[k, :, j:j + 1])
+        iso = list(zip(n_lambdas, columns))
+    for nl, signal, sim_frob in zip(n_lambdas, signals, sim_frobs.tolist()):
         e_field, report, _ = solver.solve(signal)
         e_mtx = advect.error_summary(e_field)
-        records.append(SweepRecord(nl, *_sweep_norms(e_sim), *_sweep_norms(e_mtx),
+        records.append(SweepRecord(nl, *advect._grid_norms(sim_frob, cfg.disc),
+                                   e_mtx.frob, e_mtx.grid_l2, e_mtx.grid_l2_squared,
                                    report.unique, report.min_separation))
     return records, iso
 

@@ -95,13 +95,18 @@ def as_vector(v, name="vector"):
 
 
 def frobenius_norm(a):
-    a = as_matrix(a)
+    """Frobenius norm of a finite matrix, without overflow or underflow."""
+    return _frobenius(as_matrix(a))
+
+
+def _frobenius(a):
+    """frobenius_norm's body, unchecked: an infinite entry gives inf."""
     with np.errstate(over="ignore"):
         total = float(np.sum(a * a))
     # squares that overflow, or underflow to a subnormal or zero sum: rescale
     if math.isinf(total) or total < _TINY:
         scale = float(np.max(np.abs(a), initial=0.0))
-        if scale > 0.0:
+        if 0.0 < scale < math.inf:
             return scale * math.sqrt(float(np.sum((a / scale) ** 2)))
     return math.sqrt(total)
 
@@ -133,13 +138,21 @@ def _scaled_back(x, e, message, pivots=None):
 
 def vec(x):
     """Column-stacking vectorization."""
-    return as_matrix(x).reshape(-1, order="F")
+    return _vec(as_matrix(x))
+
+
+def _vec(x):
+    return x.reshape(-1, order="F")
 
 
 def unvec(v, rows, cols):
     v = as_vector(v)
     if v.size != rows * cols:
         raise UsageError(f"cannot reshape length {v.size} into {rows}x{cols}")
+    return _unvec(v, rows, cols)
+
+
+def _unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
@@ -594,12 +607,15 @@ class CODFactorization:
         floating-point range.  Known limit: an entry of pinv overflows when
         T's inverse exceeds that range (a Kahan-type T of order about 1000
         or more), and every solve on that factorization then raises it.
+        b is checked here; _solve, the body, takes a finite b of length m.
         """
         b = as_vector(b, "b")
-        m, n = self.shape
-        if b.size != m:
+        if b.size != self.shape[0]:
             raise UsageError(f"rhs length {b.size} does not match {self.shape}")
-        x = np.zeros(n)
+        return self._solve(b)
+
+    def _solve(self, b):
+        x = np.zeros(self.shape[1])
         # an overflow is caught by the check of x below
         with np.errstate(over="ignore", invalid="ignore"):
             x[self.perm] = self.pinv @ np.ldexp(b, -self.e)

@@ -191,8 +191,8 @@ class _KronLU:
         self._lu = linalg._lu_factor(ab, kl)
 
     def solve(self, c):
-        x = linalg._lu_solve(*self._lu, linalg.vec(c))
-        return linalg.unvec(x, *c.shape)
+        x = linalg._lu_solve(*self._lu, linalg._vec(c))
+        return linalg._unvec(x, *c.shape)
 
 
 class _MinNormCOD:
@@ -207,8 +207,8 @@ class _MinNormCOD:
         self.size = self._cod.shape[0]
 
     def solve(self, c):
-        x = self._cod.solve_min_norm(linalg.vec(c))
-        return linalg.unvec(x, *c.shape)
+        x = self._cod._solve(linalg._vec(c))
+        return linalg._unvec(x, *c.shape)
 
 
 def solve_bartels_stewart(p):
@@ -314,18 +314,23 @@ class ErrorEquationSolver:
         """Solve for the error field of one signal.
 
         Returns (e, report, residual_norm) with e = U - U_exact as a
-        FieldMatrix and residual_norm the achieved operator residual.
-        Raises NumericalFailureError when the arithmetic overflows or the
-        residual is not finite.
+        FieldMatrix and residual_norm the achieved operator residual.  Only the
+        signal's data is checked: its phase (sample_nodes) and right-hand side;
+        the sums, kernel and norm take the solve's own arrays unchecked.  Raises
+        NumericalFailureError when the right-hand side, the arithmetic or the
+        residual leaves the floating-point range.
         """
         known = advect.sample_nodes(self.disc, signal)
         # U_exact is the interior of the node array; the truncation residual
         # F = operator(U_exact) - M0, so operator(U - U_exact) = -F
         try:
             with np.errstate(over="raise", invalid="raise"):
-                rhs = -self._sums.residual(known, known[1:-1, 1:])
+                rhs = -(self._sums._action(known[1:-1, 1:]) - self._sums._m0(known))
+                if not np.isfinite(rhs).all():  # a sum that overflows
+                    raise NumericalFailureError(
+                        "the right-hand side exceeds the floating-point range")
                 e = self.factorization.solve(rhs)
-                residual_norm = linalg.frobenius_norm(self._sums.action(e) - rhs)
+                residual_norm = linalg._frobenius(self._sums._action(e) - rhs)
         except FloatingPointError as exc:
             raise NumericalFailureError(
                 f"the solve leaves the floating-point range ({exc})") from exc

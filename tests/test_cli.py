@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from advectbench import advect, assembly, cli, linalg, sylvester
+from advectbench.errors import SingularSystemError
 from advectbench.schemes import Discretization, SignalSpec, builtin_scheme, custom_scheme
 
 
@@ -386,6 +387,23 @@ def test_near_float_limit_solve_fails_with_only_its_message(capsys, coeffs, meth
     assert err == f"numerical failure: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--coeffs=2,2,1e308,0,2,1e-300,1,1e-300,1e308",),
+     "the right-hand side exceeds the floating-point range"),
+    (("--coeffs=-1e308,1e-300,1e308,0,0,0,-1e308,-1,-1",),
+     "the operator residual of the solution is inf"),
+    (("--coeffs=-1e308,0,1,-1e308,0,1,0,-1,1e308", "--variant", "causal", "--method", "kron"),
+     "the operator residual of the solution is inf")])
+def test_a_stencil_sum_that_overflows_is_numerical_failure(capsys, argv, message):
+    """Finite products whose sum overflows, in the right-hand side or in the
+    residual check, are a numerical failure that names what overflowed, not
+    a usage error about a non-finite matrix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", *argv, "--nx", "5", "--nt", "4")
+    assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
+
+
 def test_band_lu_pivot_threshold_stays_finite(capsys):
     """|A|_F overflows, but the elimination runs on A scaled to unit
     magnitude, so the singular verdict rests on a finite threshold."""
@@ -737,6 +755,62 @@ def test_sweep_computes_isovalue_norms_only_for_iso(tmp_path):
     records_iso, iso = cli.run_sweep(config("--iso", str(tmp_path / "iso.csv")))
     assert records_iso == records
     assert [nl for nl, _ in iso] == [r.n_lambda for r in records]
+
+
+def per_signal_sweep_norms(cfg):
+    """The simulator's norms as the sweep took them one signal at a time:
+    err_sim_* from error_summary of each error's FieldMatrix, and each
+    isovalue the root of its column's sum of squares, or frobenius_norm of
+    the column where that sum overflows or underflows in a nonzero column."""
+    signals = [SignalSpec.from_cells_per_wavelength(nl, cfg.disc)
+               for nl in cli.sweep_values(cfg.nl_min, cfg.nl_max, cfg.nl_step)]
+    stack = advect.sample_nodes(cfg.disc, signals)
+    rows = []
+    for nodes, u in zip(stack, advect.time_step_simulate(cfg.scheme, cfg.disc, stack)):
+        error = u.values - nodes[1:-1, 1:]
+        e_sim = advect.error_summary(advect.FieldMatrix(error, cfg.disc))
+        assert e_sim.frob == linalg.frobenius_norm(error)
+        with np.errstate(over="ignore"):
+            squares = np.sum(error ** 2, axis=0)
+        norms = np.sqrt(squares)
+        for j in np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
+                                                     & error.any(axis=0))):
+            norms[j] = linalg.frobenius_norm(error[:, j:j + 1])
+        rows.append(((e_sim.frob, e_sim.grid_l2, e_sim.grid_l2_squared), norms))
+    return rows
+
+
+@pytest.mark.parametrize("scale", [0, -600])
+@pytest.mark.parametrize("stencil", [
+    *[("--scheme", name, "--nx", str(nx), "--nt", str(nt))
+      for name in ("leapfrog", "lax", "lax-wendroff", "crank-nicolson")
+      for nx, nt in ((6, 6), (11, 11), (20, 20), (7, 13))],
+    GROWING_SWEEP[1:11], HUGE_PAIR])
+def test_sweep_norms_the_stack_as_each_signal_alone(monkeypatch, tmp_path, stencil, scale):
+    """Every err_sim_* column and every isovalue of run_sweep, which norms
+    the simulator's errors over their stack, equals the per-signal norms
+    byte for byte.  The growing causal march's squares overflow, and node
+    arrays scaled by 2**-600 give sums that underflow: both take the
+    rescaled path.  HUGE_PAIR's causal level matrix is singular to the
+    pivot rule, so its sweep fails at the march, before any norm, as the
+    per-signal march does."""
+    sample = advect.sample_nodes
+    monkeypatch.setattr(advect, "sample_nodes", lambda *args: np.ldexp(sample(*args), scale))
+    cfg = cli._resolve(cli.build_parser().parse_args(
+        ["sweep", *stencil, "--nl-min", "4", "--nl-max", "20", "--nl-step", "0.4",
+         "--iso", str(tmp_path / "iso.csv")]))
+    if stencil == HUGE_PAIR:
+        with pytest.raises(SingularSystemError) as want:
+            per_signal_sweep_norms(cfg)
+        with pytest.raises(SingularSystemError, match=re.escape(str(want.value))):
+            cli.run_sweep(cfg)
+        return
+    records, iso = cli.run_sweep(cfg)
+    want = per_signal_sweep_norms(cfg)
+    for record, (nl, norms), (sim, want_norms) in zip(records, iso, want, strict=True):
+        got = (record.err_sim_frob, record.err_sim_grid_l2, record.err_sim_grid_l2_squared)
+        assert np.array(got).tobytes() == np.array(sim).tobytes(), nl
+        assert norms.tobytes() == want_norms.tobytes(), nl
 
 
 def test_error_csv_path_keeps_directory_dots(tmp_path, capsys):

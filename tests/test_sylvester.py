@@ -1015,3 +1015,26 @@ def test_solves_lay_out_no_stencil_views_after_set_up(monkeypatch, variant, meth
     for signal in signals:
         solver.solve(signal)
     assert len(calls) == int(isinstance(solver.factorization, assembly.March))
+
+
+def test_solves_check_only_the_field_they_return(monkeypatch):
+    """After set-up, 161 solves, a sweep's count, validate arrays through
+    linalg.as_matrix or as_vector once each: the FieldMatrix it returns.
+    The sums, the kernels and the residual norm take the arrays the solve
+    made; every legal (scheme, closure, method) at 11^2."""
+    solvers = [solver for _, _, solver in legal_solvers(11)]
+    calls = []
+    for name in ("as_matrix", "as_vector"):
+        def counted(*args, _check=getattr(linalg, name), **kwargs):
+            calls.append(args[1:2])
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    signals = [SignalSpec.from_cells_per_wavelength(nl, solvers[0].disc)
+               for nl in np.linspace(5.0, 21.0, 161)]
+    assert len(solvers) >= 20
+    for solver in solvers:
+        calls.clear()
+        for signal in signals:
+            solver.solve(signal)
+        assert calls == [("field",)] * len(signals), (solver.scheme, solver.variant,
+                                                       solver.method)

@@ -157,7 +157,9 @@ def matrix():
     runs.append(["diagnose", "--scheme", "crank-nicolson", "--nx", "150", "--nt", "150"])
     # the stencil sums near the float limit, as tests/test_cli.py runs them:
     # a min-norm residual that overflows, in one solve and in a 3-signal
-    # sweep; products and sums that overflow in the right-hand side
+    # sweep; products and sums that overflow in the right-hand side; finite
+    # products whose sum overflows, in the right-hand side (min-norm) and in
+    # the residual check (min-norm, causal kron)
     huge_pair = ["--coeffs", "1,0,0,1e308,-1e308,0,0,0,0", "--nx", "6", "--nt", "6"]
     runs += [["solve-error", *huge_pair, "--method", "min-norm"],
              ["sweep", *huge_pair, "--nl-min", "5", "--nl-max", "9", "--nl-step", "2"]]
@@ -165,6 +167,13 @@ def matrix():
              for coeffs, methods in (("1e307,1.7e308,1e307,0,0,0,0,0,0", METHODS),
                                      ("1,1.7e308,0,1.7e308,0,0,0,0,0", ("kron",)))
              for method in methods]
+    # (a coefficient list that starts with a minus sign needs the --coeffs=
+    # form; it comes last, so that the flags before it pair up in group())
+    runs += [["solve-error", "--nx", "5", "--nt", "4", *flags, f"--coeffs={coeffs}"]
+             for coeffs, flags in (("2,2,1e308,0,2,1e-300,1,1e-300,1e308", ()),
+                                   ("-1e308,1e-300,1e308,0,0,0,-1e308,-1,-1", ()),
+                                   ("-1e308,0,1,-1e308,0,1,0,-1,1e308",
+                                    ("--variant", "causal", "--method", "kron")))]
     # config files: the study file's --scheme and --tau drop its coeffs and
     # sigma, and sweep ignores its n_lambda and lambda
     runs += [["sweep", "--config", "study.cfg", "--scheme", "leapfrog", "--tau", "0.25"],
