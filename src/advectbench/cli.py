@@ -5,7 +5,7 @@ Subcommands:
 * ``simulate``    -- time-step a scheme, report error norms, optionally dump
   the field and error matrices as CSV.
 * ``solve-error`` -- solve the matricial error equation and report norms,
-  solvability diagnostics and the achieved residual.
+  the uniqueness verdict (sylvester.SolvabilityReport) and the residual.
 * ``sweep``       -- sweep cells-per-wavelength, writing one CSV row per
   point (simulation and matrix-equation error norms side by side) and an
   optional SVG line chart.
@@ -200,11 +200,10 @@ def cmd_simulate(args):
 
 
 def _print_report(report):
-    uniq = "true" if report.unique else "false"
-    print(f"unique={uniq} min_separation={_fmt(report.min_separation)} "
-          f"sep_tol={_fmt(report.sep_tol)}")
-    if report.notes:
-        print(f"notes: {report.notes}")
+    """The verdict line: a kernel's names it and prints no spectral number."""
+    why = (f"min_separation={_fmt(report.min_separation)} sep_tol={_fmt(report.sep_tol)}"
+           if report.verdict == "spectral" else f"verdict={report.verdict}")
+    print(f"unique={'true' if report.unique else 'false'} {why}")
 
 
 def cmd_solve_error(args):
@@ -237,12 +236,12 @@ class SweepRecord:
     err_mtx_grid_l2: float
     err_mtx_grid_l2_squared: float
     unique: bool
-    min_separation: float
+    min_separation: float  # None, an empty cell, for a kernel's verdict
 
     def csv_row(self):
         values = (getattr(self, name) for name in SWEEP_COLUMNS)
-        return ",".join(("true" if v else "false") if isinstance(v, (bool, np.bool_))
-                        else _fmt(v) for v in values)
+        return ",".join("" if v is None else ("true" if v else "false")
+                        if isinstance(v, (bool, np.bool_)) else _fmt(v) for v in values)
 
 
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))

@@ -31,7 +31,7 @@ Like the linalg thresholds, SEP_TOL is a module constant, not an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,14 +64,17 @@ class SylvesterProblem:
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Spectral uniqueness verdict for A X + X B = C."""
+    """Uniqueness verdict for A X + X B = C by diagnose ("spectral"), which
+    alone carries spectra, min_separation and sep_tol; or by the kernel of
+    an error equation off that form: "march" or "band-lu" (unique, as
+    set-up refuses a pivot below the rule), or "cod" (iff K has full rank)."""
 
-    spectrum_a: list
-    spectrum_neg_b: list
-    min_separation: float
     unique: bool
-    sep_tol: float
-    notes: str = ""
+    verdict: str = "spectral"
+    spectrum_a: list = None
+    spectrum_neg_b: list = None
+    min_separation: float = None
+    sep_tol: float = None
 
 
 def diagnose(p):
@@ -247,11 +250,13 @@ class ErrorEquationSolver:
 
     Set-up factors K once and lays out the closure's assembly.StencilSums,
     which sum each solve's right-hand side and residual check, so sweeping
-    many signals is cheap.  Bartels-Stewart is only legal for the paper
-    variant with L = 0 (no corner coefficients), and only when diagnose finds
-    A and -B disjoint: set-up refuses any other request before it builds a
-    factorization.  The kernel is then read from the method and K's
-    structure.  min-norm factors the dense operator by complete orthogonal
+    many signals is cheap.  Only the paper variant with L = 0 (no corner
+    coefficients) is of Sylvester form, so only it builds ``m1`` and ``m2``
+    (else None) for diagnose's ``report``; the others report their kernel's.
+    Bartels-Stewart is only legal for that form, and only when diagnose
+    finds A and -B disjoint: set-up refuses any other request before it
+    builds a factorization.  The kernel is then read from the method and
+    K's structure.  min-norm factors the dense operator by complete orthogonal
     decomposition (``factorization.rank`` is then the numerical rank), which
     forms its minimum-norm solution operator once, so a solve is one dense
     product.  The causal operator is block lower triangular in time, and the
@@ -283,22 +288,13 @@ class ErrorEquationSolver:
         self.disc = disc
         self.variant = variant
         self.method = method
-        self.m1 = assembly.build_m1(scheme, disc)
-        self.m2 = assembly.build_m2(scheme, disc)
-
-        notes = []
-        if not self.sylvester_form:
-            if variant != "paper":
-                notes.append("causal variant: operator is the time-marching "
-                             "recurrence, not of Sylvester form")
-            else:
-                notes.append("L != 0 (corner coefficients present): solve is "
-                             "routed through the vectorized global operator")
-        probe = SylvesterProblem(self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt)))
-        self.report = replace(diagnose(probe), notes="; ".join(notes))
-
-        if method == "bartels-stewart":
-            _require_unique(self.report)
+        self.m1 = self.m2 = None
+        if self.sylvester_form:  # the only K whose verdict is the spectral one
+            self.m1, self.m2 = assembly.build_m1(scheme, disc), assembly.build_m2(scheme, disc)
+            self.report = diagnose(SylvesterProblem(
+                self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt))))
+            if method == "bartels-stewart":
+                _require_unique(self.report)
         if method == "min-norm":
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))
@@ -309,6 +305,10 @@ class ErrorEquationSolver:
         else:
             self.factorization = _KronLU(*linalg.band_from_entries(
                 *assembly.operator_entries(scheme, disc, variant)))
+        if not self.sylvester_form:  # the kernel's verdict: see SolvabilityReport
+            fac = self.factorization
+            kernel = {_MinNormCOD: "cod", _KronLU: "band-lu"}.get(type(fac), "march")
+            self.report = SolvabilityReport(kernel != "cod" or fac.rank == fac.size, kernel)
 
     def solve(self, signal):
         """Solve for the error field of one signal.

@@ -509,6 +509,40 @@ def test_solve_error_min_norm_prints_rank_and_residual(capsys):
     assert "residual=" in out and "rank=" in out
 
 
+@pytest.mark.parametrize("method, verdict", [("kron", "march"), ("min-norm", "cod")])
+def test_causal_solve_prints_its_kernels_verdict(capsys, method, verdict):
+    """Lax's causal K at 20^2 is nonsingular: the march solves it and the COD
+    finds full rank, though M1 and -M2 share the eigenvalue 0.  The verdict
+    line names the kernel and prints no spectral number, and no notes."""
+    code, out, err = run(capsys, "solve-error", "--scheme", "lax", "--variant", "causal",
+                         "--method", method)
+    assert (code, err) == (0, "")
+    assert f"\nunique=true verdict={verdict}\n" in out
+    assert "min_separation" not in out and "sep_tol" not in out and "notes:" not in out
+
+
+def test_crank_nicolson_paper_min_norm_prints_the_cod_verdict(capsys):
+    code, out, _ = run(capsys, "solve-error", "--scheme", "crank-nicolson",
+                       "--method", "min-norm")
+    assert code == 0
+    assert out.splitlines()[1] == "unique=true verdict=cod"
+    assert "rank=380 of 380" in out
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--scheme", "leapfrog", "--method", "bartels-stewart"),
+     "unique=true min_separation=0.0026857807184469396 sep_tol=1e-10"),
+    (("--scheme", "lax", "--method", "kron", "--nx", "11", "--nt", "11"),
+     "unique=true min_separation=0.10673612870496385 sep_tol=1e-10")])
+def test_paper_sylvester_form_keeps_its_spectral_verdict_line(capsys, argv, line):
+    """L = 0 paper requests print the spectral verdict, byte for byte as
+    before the kernels' verdicts: one line, no notes."""
+    code, out, _ = run(capsys, "solve-error", *argv)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[1] == line and lines[2].startswith("residual=")
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -842,6 +876,16 @@ def test_sweep_stdout_when_no_out(capsys):
     assert code == 0
     assert out.splitlines()[0] == ",".join(cli.SWEEP_COLUMNS)
     assert len(out.splitlines()) == 3
+
+
+def test_causal_sweep_keeps_its_header_and_leaves_min_separation_empty(capsys):
+    code, out, _ = run(capsys, "sweep", "--scheme", "lax", "--variant", "causal",
+                       "--method", "kron", "--nl-min", "8", "--nl-max", "10", "--nl-step", "1")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == ",".join(cli.SWEEP_COLUMNS)
+    assert len(rows) == 3
+    assert all(row.endswith(",true,") and row.count(",") == 8 for row in rows)
 
 
 # ------------------------------------------------------------------ diagnose

@@ -4,6 +4,7 @@ import decimal
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1038,3 +1039,84 @@ def test_solves_check_only_the_field_they_return(monkeypatch):
             solver.solve(signal)
         assert calls == [("field",)] * len(signals), (solver.scheme, solver.variant,
                                                        solver.method)
+
+
+# ------------------------------------------------ the verdict is K's own
+
+
+def spectral_operands_forbidden(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the spectral verdict is not this K's")
+    for module, name in ((sylvester, "diagnose"), (assembly, "build_m1"),
+                         (assembly, "build_m2")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("name, variant", [*((n, "causal") for n in (*ALL_SCHEMES, "corner")),
+                                           ("crank-nicolson", "paper"), ("corner", "paper")])
+@pytest.mark.parametrize("method", ["kron", "min-norm"])
+def test_kernel_verdicts_build_no_spectral_operands(monkeypatch, name, variant, method):
+    """Causal and L != 0 requests report the verdict of the kernel that
+    solves them, with no spectral number, and never build M1, M2 or the
+    zero C, nor call diagnose."""
+    spectral_operands_forbidden(monkeypatch)
+    d = disc(nx=11, nt=11)
+    s = schemes.custom_scheme(CORNER) if name == "corner" else builtin_scheme(name, d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method=method)
+    fac, report = solver.factorization, solver.report
+    if method == "min-norm":
+        assert (report.verdict, report.unique) == ("cod", fac.rank == fac.size)
+    else:
+        elimination = "march" if variant == "causal" or not s.is_three_level else "band-lu"
+        assert (report.verdict, report.unique) == (elimination, True)
+    assert (report.spectrum_a, report.spectrum_neg_b, report.min_separation,
+            report.sep_tol) == (None,) * 4
+    assert solver.m1 is None and solver.m2 is None
+    assert solver.solve(SignalSpec.from_cells_per_wavelength(9.8, d))[1] is report
+
+
+@pytest.mark.parametrize("name", ["leapfrog", "lax", "lax-wendroff", "two-level"])
+@pytest.mark.parametrize("method", sylvester.METHODS)
+def test_paper_sylvester_form_keeps_the_spectral_verdict(monkeypatch, name, method):
+    """The paper closure with L = 0 builds M1 and M2 and calls diagnose once
+    each, and reports diagnose's verdict on (M1, M2, 0)."""
+    calls = []
+    for module, fn in ((sylvester, "diagnose"), (assembly, "build_m1"),
+                       (assembly, "build_m2")):
+        def counted(*args, _fn=getattr(module, fn), _name=fn):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, fn, counted)
+    d = disc(nx=11, nt=11)
+    s = schemes.custom_scheme(CUSTOM[name]) if name in CUSTOM else builtin_scheme(name, d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant="paper", method=method)
+    assert sorted(calls) == ["build_m1", "build_m2", "diagnose"]
+    monkeypatch.undo()
+    want = sylvester.diagnose(sylvester.SylvesterProblem(
+        assembly.build_m1(s, d), assembly.build_m2(s, d), np.zeros((10, 11))))
+    assert solver.report == want and solver.report.verdict == "spectral"
+
+
+def test_bartels_stewart_still_refuses_lax_at_even_nx_on_the_spectral_verdict():
+    d = disc(nx=20, nt=20)
+    refusal = r"^A and -B share eigenvalues \(min separation 0\.000e\+00\); use min-norm$"
+    with pytest.raises(SingularSystemError, match=refusal):
+        sylvester.ErrorEquationSolver(builtin_scheme("lax", d), d,
+                                      variant="paper", method="bartels-stewart")
+
+
+def test_causal_set_up_allocates_no_spectral_operands():
+    """Lax-Wendroff causal kron set-up at 400^2 keeps two padded node arrays
+    (its stencil sums) and its march makes one more in passing: the
+    tracemalloc peak stays below five node arrays of (nx+1)(nt+2) doubles,
+    6.45 MB.  M1, M2, the zero C and diagnose's pairwise distances alone
+    would take 6.4 MB more."""
+    d = disc(nx=400, nt=400)
+    s = builtin_scheme("lax-wendroff", d)
+    tracemalloc.start()
+    try:
+        sylvester.ErrorEquationSolver(s, d, variant="causal", method="kron")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (d.nx + 1) * (d.nt + 2) * 8

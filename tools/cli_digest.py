@@ -1,6 +1,6 @@
 """One digest of the command line's observable behaviour.
 
-    python3 tools/cli_digest.py [SRC]
+    python3 tools/cli_digest.py [--list] [SRC]
 
 Runs a fixed matrix of invocations in-process through
 ``advectbench.cli.main``, with the package imported from SRC (default: this
@@ -15,8 +15,11 @@ the same numpy/BLAS build, and compare.  The path of SRC is replaced by
 names its source file, hashes alike in any checkout directory.  After the
 total come one sha256 per (command, variant, method) group, a dash standing
 for a flag the command was not given, so a change that moves some outputs
-shows which groups it leaves byte-identical.  Every invocation but one
-usage error passes only flags that its command reads.
+shows which groups it leaves byte-identical.  With --list, one line per
+invocation follows: the first 12 hex digits of its record's sha256, its exit
+code and its argv, so that two checkouts' listings, diffed, name the records
+a change moves.  Every invocation but one usage error passes only flags that
+its command reads.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 import warnings
@@ -231,6 +235,8 @@ def group(argv):
 
 
 def main(argv):
+    listing = "--list" in argv
+    argv = [arg for arg in argv if arg != "--list"]
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src")
     if not (src / "advectbench" / "__init__.py").is_file():
         print(f"error: no advectbench sources under {src}", file=sys.stderr)
@@ -239,7 +245,7 @@ def main(argv):
     sys.path.insert(0, root)
     from advectbench import cli
 
-    total, codes, groups = hashlib.sha256(), Counter(), {}
+    total, codes, groups, lines = hashlib.sha256(), Counter(), {}, []
     runs = matrix()
     for args in runs:
         code, out, err, files = run(cli, args)
@@ -248,12 +254,15 @@ def main(argv):
         record = (json.dumps([args, code, out, err, files]) + "\n").encode()
         total.update(record)
         groups.setdefault(group(args), hashlib.sha256()).update(record)
+        lines.append(f"{hashlib.sha256(record).hexdigest()[:12]} {code} {shlex.join(args)}")
     print(f"invocations: {len(runs)}")
     print("exit codes: " + " / ".join(f"{n}x{code}" for code, n in
                                       sorted(codes.items(), key=lambda kv: str(kv[0]))))
     print(f"sha256: {total.hexdigest()}")
     for key, digest in sorted(groups.items()):
         print(f"  {' '.join(key)}: {digest.hexdigest()}")
+    if listing:
+        print("\n".join(lines))
     return 0
 
 
