@@ -84,12 +84,18 @@ def time_step_simulate(s, disc, known):
     SingularSystemError, and a level that overflows in any array
     NumericalFailureError naming it.  Returns a FieldMatrix, or for a stack
     the list of the k fields in stack order, whose values are the layers of
-    one k x (nx-1) x nt array, their base.
+    one k x (nx-1) x nt array.
     """
-    m0 = assembly.build_m0(s, disc, known, "causal")
-    u = assembly.March(s, disc, "causal").solve(m0)
+    u = _simulate(s, disc, known)
     fields = [FieldMatrix(values=v, disc=disc) for v in u.reshape(-1, *u.shape[-2:])]
-    return fields if m0.ndim == 3 else fields[0]
+    return fields if u.ndim == 3 else fields[0]
+
+
+def _simulate(s, disc, known):
+    """time_step_simulate's march, its fields unwrapped: the (nx-1) x nt
+    array, or for a stack the one k x (nx-1) x nt array of the k fields."""
+    m0 = assembly.build_m0(s, disc, known, "causal")
+    return assembly.March(s, disc, "causal").solve(m0)
 
 
 def error_matrix(u, u_exact):

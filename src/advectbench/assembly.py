@@ -17,11 +17,11 @@ Everything known (boundaries i = 0 and i = nx, initial level m = 0, and the
 causal startup level) is folded, negated, into the right-hand side M0.
 
 Every stencil term is a scaled shift of the node field, and one helper,
-``_shifted_terms``, is all that knows a closure's geometry: laid over a
-zero-padded (nx+1) x (nt+2) node array, the stencil is at most nine
-shifted views, one per nonzero term.  ``StencilSums`` sums them over U for
-the operator's action and over the known nodes for M0, laid out once for
-many calls.  ``stencil_table`` reads the operator's entries off them over
+``_term_origins``, is all that knows a closure's geometry: through
+``_shifted_terms``, laid over a zero-padded (nx+1) x (nt+2) node array,
+the stencil is at most nine shifted views, one per nonzero term.
+``StencilSums`` sums them over U for the operator's action and over the
+known nodes for M0, laid out once for many calls.  ``stencil_table`` reads the operator's entries off them over
 an array of vec indices; the dense global operator scatters those entries
 and linalg's band storage reads them.  ``March`` solves a closure that is
 block triangular in time on the same views: the simulator and the causal
@@ -67,6 +67,17 @@ def build_m2(s, disc):
             + np.diag(np.full(n - 1, s.alpha), -1))
 
 
+def _term_origins(s, variant):
+    """(first, origins): the (c, m, i, j) of each nonzero stencil term in
+    stencil order, m its time offset (-1, 0 or 1) from the stencil's center
+    and [i, j] the corner of its view (see _shifted_terms)."""
+    _check_variant(variant)
+    first = int(variant == "causal" and s.is_three_level)
+    # equation column n is centered at level n + 1 (paper) or n (causal)
+    a = first + (variant == "paper")
+    return first, [(c, m, i, a + m) for c, i, m in stencil_nodes(s, 1, 0) if c != 0.0]
+
+
 def _shifted_terms(s, disc, variant, padded):
     """The closure's geometry over ``padded``: node (i, m) at [i, m] of a
     zero-padded (nx+1) x (nt+2) array, level nt+1 the paper horizon (a
@@ -75,12 +86,25 @@ def _shifted_terms(s, disc, variant, padded):
     its time offset (-1, 0 or 1) from the stencil's center: equation column
     n >= first sums c * view[:, n - first]; first = 1 leaves column 0 to
     the causal three-level cold start."""
-    _check_variant(variant)
-    first = int(variant == "causal" and s.is_three_level)
-    # equation column n is centered at level n + 1 (paper) or n (causal)
-    a = first + (variant == "paper")
-    return first, [(c, m, padded[i:i + disc.nx - 1, a + m:a + m + disc.nt - first])
-                   for c, i, m in stencil_nodes(s, 1, 0) if c != 0.0]
+    first, origins = _term_origins(s, variant)
+    return first, [(c, m, padded[i:i + disc.nx - 1, j:j + disc.nt - first])
+                   for c, m, i, j in origins]
+
+
+def _overlap(start, length, last):
+    """How many of start .. start + length - 1 lie in 1 .. last."""
+    return max(0, min(start + length, last + 1) - max(start, 1))
+
+
+def _unknown_counts(s, disc, variant):
+    """(first, counts): the (c, count) of each nonzero stencil term in
+    stencil order, count the unknown nodes its view (see _shifted_terms)
+    reads, its rows in 1..nx-1 times its columns in 1..nt, counted without
+    an array."""
+    first, origins = _term_origins(s, variant)
+    rows, cols = disc.nx - 1, disc.nt - first
+    return first, [(c, _overlap(i, rows, rows) * _overlap(j, cols, disc.nt))
+                   for c, _, i, j in origins]
 
 
 def _add_terms(out, terms):
@@ -108,19 +132,17 @@ class March:
     linalg._tridiag_lu under band LU's rule on the stencil's rows of K: a
     pivot is at most PIVOT_RTOL * |K|_F, on K scaled to unit magnitude.
     |K|_F comes from the coefficients and the unknown nodes each term reads
-    (its view of ones at the unknowns), so no entry of K is built.  The cold
-    start's unit rows take no part: they are copied, not eliminated, and
-    without them the rule does not change when the stencil is scaled.  A
-    failure names K's column first*(nx-1) + k."""
+    (its view's overlap with the interior, counted), so no entry of K and no
+    grid-sized array is built.  The cold start's unit rows take no part:
+    they are copied, not eliminated, and without them the rule does not
+    change when the stencil is scaled.  A failure names K's column
+    first*(nx-1) + k."""
 
     def __init__(self, s, disc, variant):
         self._geometry = (s, disc, variant)
         self._lead = int(variant == "causal")  # the level matrix's time offset
         rows = disc.nx - 1
-        ones = np.zeros((disc.nx + 1, disc.nt + 2))
-        ones[1:-1, 1:-1] = 1.0
-        first, terms = _shifted_terms(s, disc, variant, ones)
-        counts = [(c, float(view.sum())) for c, _, view in terms]
+        first, counts = _unknown_counts(s, disc, variant)
         e = math.frexp(max(abs(c) for c, count in counts if count))[1]
         thresh = linalg.PIVOT_RTOL * math.sqrt(
             sum(count * math.ldexp(c, -e) ** 2 for c, count in counts))

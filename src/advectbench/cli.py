@@ -281,8 +281,8 @@ def run_sweep(cfg):
                                            variant=cfg.variant, method=cfg.method)
     signals = [SignalSpec.from_cells_per_wavelength(nl, cfg.disc) for nl in n_lambdas]
     known = advect.sample_nodes(cfg.disc, signals)
-    errors = advect.time_step_simulate(cfg.scheme, cfg.disc, known)[0].values.base
-    errors -= known[:, 1:-1, 1:]  # U - U_exact, in the fields' one stack
+    errors = advect._simulate(cfg.scheme, cfg.disc, known)
+    errors -= known[:, 1:-1, 1:]  # U - U_exact, in the march's stack
     # the roots of each field's sum of squares, or frobenius_norm's rescaled
     # path where a sum leaves the normal floats; so for each time column
     with np.errstate(over="ignore"):

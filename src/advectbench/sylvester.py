@@ -9,23 +9,26 @@ Hessenberg-Schur form, one real Schur form of B, with A its own Hessenberg
 factor as the tridiagonal M1 is, or reduced by solve_bartels_stewart),
 Gaussian elimination on the vectorized operator (the oracle), and
 minimum-norm least squares through a complete orthogonal decomposition for
-singular or inconsistent systems.  Only min-norm and kron on a three-level
-paper closure build the global operator.  The causal closure and the
-paper closure of a two-level stencil are block triangular in time, and
-kron and Bartels-Stewart alike solve them by assembly.March, the march the
-simulator also runs: one factored tridiagonal level matrix per time
-column, the other stencil terms subtracted as shifted slices, no entries
-of the operator built.  That is Bartels-Stewart exactly: a two-level M2
-is strictly lower triangular, its Schur form T = J M2 J (J the reversal),
-and the block systems M1 y_j = r_j - sum_i t_ij y_i, last column first,
-are the backward march.  The other closures take band LU on the operator
-in band storage, read from the stencil table.  The one-shot oracle for
-A X + X B = C eliminates on the Kronecker operator, and it and the
-one-shot Bartels-Stewart solve on C scaled to unit magnitude; its
-minimum-norm solution is linalg.cod_factor of that operator.  Unique
-solvability is diagnosed from the spectra of A and -B: the equation has
-one solution iff they are disjoint, to the relative distance SEP_TOL.
-Like the linalg thresholds, SEP_TOL is a module constant, not an argument.
+singular or inconsistent systems.  Where the closed form applies and the
+equation is uniquely solvable, min-norm takes it too: K is then normal and
+of full rank, so its one solution is the minimum-norm one.  Only min-norm
+off that case and kron on a three-level paper closure build the global
+operator.  The causal closure and the paper closure of a two-level stencil
+are block triangular in time, and kron and Bartels-Stewart alike solve
+them by assembly.March, the march the simulator also runs: one factored
+tridiagonal level matrix per time column, the other stencil terms
+subtracted as shifted slices, no entries of the operator built.  That is
+Bartels-Stewart exactly: a two-level M2 is strictly lower triangular, its
+Schur form T = J M2 J (J the reversal), and the block systems
+M1 y_j = r_j - sum_i t_ij y_i, last column first, are the backward march.
+The other closures take band LU on the operator in band storage, read from
+the stencil table.  The one-shot oracle for A X + X B = C eliminates on
+the Kronecker operator, and it and the one-shot Bartels-Stewart solve on C
+scaled to unit magnitude; its minimum-norm solution is linalg.cod_factor
+of that operator.  Unique solvability is diagnosed from the spectra of A
+and -B: the equation has one solution iff they are disjoint, to the
+relative distance SEP_TOL.  Like the linalg thresholds, SEP_TOL is a
+module constant, not an argument.
 """
 
 from __future__ import annotations
@@ -107,38 +110,59 @@ def diagnose(p):
     )
 
 
+class _ClosedForm:
+    """Fast diagonalization (Lynch, Rice and Thomas) of A X + X B = C for
+    A and B both normal tridiagonal Toeplitz matrices (|sub| = |super|; a
+    diagonal or 1x1 matrix is one), built only on a pair its callers found
+    uniquely solvable; _closed_form builds it where it applies.
+
+    Their Schur forms are diagonal and known in closed form: A = V1
+    diag(lam) V1^H and B = V2 diag(mu) V2^H, V = diag(phase) U with U the
+    orthogonal DST-I matrix (linalg.tridiagonal_toeplitz_eig).  The
+    factorization is V1, V2 and the divisors lam_i + mu_j, the eigenvalues
+    of the vectorized operator K, on A and B scaled by one power of two to
+    unit magnitude; a solve is X = Re(V1 ((V1^H C V2) / (lam_i + mu_j))
+    V2^H), scaled back.  The callers' verdict bounds every divisor below by
+    SEP_TOL (|A|_F + |B|_F), over PIVOT_RTOL times their Frobenius norm for
+    normal factors below order 5e5, so the closed form divides without a
+    test.  K is normal, so that bound is its least singular value, and its
+    condition number is below 1/SEP_TOL: K has full rank, ``rank`` = ``size``
+    = its order, and the solution is also its minimum-norm one."""
+
+    def __init__(self, fa, fb, e):
+        (lam, self._phase_a, self._ua), (mu, self._phase_b, self._ub) = fa, fb
+        self._divisors, self._e = np.add.outer(lam, mu), e
+        self.rank = self.size = self._divisors.size
+
+    def solve(self, c):
+        ua, phase_a, ub, phase_b = self._ua, self._phase_a, self._ub, self._phase_b
+        # an overflow is caught by _scaled_back's check of the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _dst_both_sides(ua, phase_a.conj()[:, None] * c * phase_b, ub) / self._divisors
+            y = (phase_a[:, None] * _dst_both_sides(ua, f, ub) * phase_b.conj()).real
+        return linalg._scaled_back(np.ascontiguousarray(y), -self._e,
+                                   "the solution exceeds the floating-point range")
+
+
+def _closed_form(a, b):
+    """The _ClosedForm of A X + X B = C, or None unless A and B are both
+    normal tridiagonal Toeplitz matrices: the one normality test."""
+    a_unit, b_unit, e = linalg._unit_scaled(a, b)
+    fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True) for m in (a_unit, b_unit))
+    return None if fa is None or fb is None else _ClosedForm(fa, fb, e)
+
+
 class _BartelsStewart:
-    """Bartels-Stewart factorization of A X + X B = C for an upper
-    Hessenberg A, built only on a pair its callers found uniquely solvable.
-
-    When A and B are both normal tridiagonal Toeplitz matrices (|sub| =
-    |super|; a diagonal or 1x1 matrix is one), their Schur forms are
-    diagonal and known in closed form: A = V1 diag(lam) V1^H and
-    B = V2 diag(mu) V2^H, V = diag(phase) U with U the orthogonal DST-I
-    matrix (linalg.tridiagonal_toeplitz_eig).  This is the fast
-    diagonalization of Lynch, Rice and Thomas.  The factorization is V1,
-    V2 and the divisors lam_i + mu_j, the eigenvalues of the vectorized
-    operator K, on A and B scaled by one power of two to unit magnitude; a
-    solve is X = Re(V1 ((V1^H C V2) / (lam_i + mu_j)) V2^H), scaled back.
-    The callers' verdict bounds every divisor below by SEP_TOL (|A|_F +
-    |B|_F), over PIVOT_RTOL times their Frobenius norm for normal factors
-    below order 5e5, so the closed form divides without a test.
-
-    Otherwise Hessenberg-Schur: one real Schur form B = QB T QB^T.  For each
-    1x1/2x2 diagonal block S of T the system A Y + Y S = R is factored once
-    by band LU, in the row-interleaved order S^T Y^T + Y^T A^T = R^T, which
-    has at most 3 subdiagonals.  A solve transforms C by QB, takes one band
-    solve per column block of T, left to right, and transforms back."""
+    """Hessenberg-Schur factorization of A X + X B = C for an upper
+    Hessenberg A, built only on a pair its callers found uniquely solvable
+    and _closed_form does not diagonalize: one real Schur form
+    B = QB T QB^T.  For each 1x1/2x2 diagonal block S of T the system
+    A Y + Y S = R is factored once by band LU, in the row-interleaved order
+    S^T Y^T + Y^T A^T = R^T, which has at most 3 subdiagonals.  A solve
+    transforms C by QB, takes one band solve per column block of T, left to
+    right, and transforms back."""
 
     def __init__(self, a, b):
-        a_unit, b_unit, e = linalg._unit_scaled(a, b)
-        fa, fb = (linalg.tridiagonal_toeplitz_eig(m, vectors=True)
-                  for m in (a_unit, b_unit))
-        self._diagonal = None
-        if fa is not None and fb is not None:
-            (lam, phase_a, ua), (mu, phase_b, ub) = fa, fb
-            self._diagonal = (ua, phase_a, ub, phase_b, np.add.outer(lam, mu), e)
-            return
         fb = linalg.schur_decompose(b)
         self._qb, self._t = fb.q, fb.t
         self._blocks = []
@@ -153,23 +177,12 @@ class _BartelsStewart:
                 ) from exc
 
     def solve(self, c):
-        if self._diagonal is not None:
-            return self._solve_diagonal(c)
         d = c @ self._qb
         y = np.zeros_like(d)
         for js, block in self._blocks:
             r = d[:, js] - y[:, :js.start] @ self._t[:js.start, js]
             y[:, js] = block.solve(r.T).T
         return y @ self._qb.T
-
-    def _solve_diagonal(self, c):
-        ua, phase_a, ub, phase_b, d, e = self._diagonal
-        # an overflow is caught by _scaled_back's check of the result
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = _dst_both_sides(ua, phase_a.conj()[:, None] * c * phase_b, ub) / d
-            y = (phase_a[:, None] * _dst_both_sides(ua, f, ub) * phase_b.conj()).real
-        return linalg._scaled_back(np.ascontiguousarray(y), -e,
-                                   "the solution exceeds the floating-point range")
 
 
 def _require_unique(report):
@@ -223,7 +236,7 @@ def solve_bartels_stewart(p):
     NumericalFailureError."""
     _require_unique(diagnose(p))
     q, h = linalg.hessenberg(p.a)
-    factorization = _BartelsStewart(h, p.b)
+    factorization = _closed_form(h, p.b) or _BartelsStewart(h, p.b)
     c, e = linalg._unit_scaled(p.c)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -256,7 +269,13 @@ class ErrorEquationSolver:
     Bartels-Stewart is only legal for that form, and only when diagnose
     finds A and -B disjoint: set-up refuses any other request before it
     builds a factorization.  The kernel is then read from the method and
-    K's structure.  min-norm factors the dense operator by complete orthogonal
+    K's structure.  min-norm on that form, when diagnose finds it unique and
+    M1 and M2 are both normal (leapfrog's are), takes Bartels-Stewart's
+    closed form below: K is then normal, its singular values |lam_i + mu_j|,
+    so the verdict bounds its condition number below 1/SEP_TOL, the COD's
+    rank cut RANK_RTOL would find full rank, and the minimum-norm solution
+    is K's one solution; ``factorization.rank`` = ``size`` = N.  Every
+    other min-norm request factors the dense operator by complete orthogonal
     decomposition (``factorization.rank`` is then the numerical rank), which
     forms its minimum-norm solution operator once, so a solve is one dense
     product.  The causal operator is block lower triangular in time, and the
@@ -295,7 +314,13 @@ class ErrorEquationSolver:
                 self.m1, self.m2, np.zeros((disc.nx - 1, disc.nt))))
             if method == "bartels-stewart":
                 _require_unique(self.report)
-        if method == "min-norm":
+        closed = None
+        if (method == "min-norm" and self.sylvester_form and self.report.unique
+                or method == "bartels-stewart" and scheme.is_three_level):
+            closed = _closed_form(self.m1, self.m2)
+        if closed is not None:
+            self.factorization = closed
+        elif method == "min-norm":
             self.factorization = _MinNormCOD(
                 assembly.global_operator(scheme, disc, variant))
         elif variant == "causal" or not scheme.is_three_level:

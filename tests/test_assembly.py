@@ -643,3 +643,20 @@ def test_the_sums_hold_no_negative_zero(scheme, variant):
         for got in (assembly.apply_operator(s, d, nodes_[1:-1, 1:], variant),
                     assembly.build_m0(s, d, nodes_, variant)):
             assert not np.any(np.signbit(got) & (got == 0.0)), (scheme, variant)
+
+
+@pytest.mark.parametrize("variant", assembly.VARIANTS)
+@pytest.mark.parametrize("scheme", STENCILS)
+def test_unknown_counts_are_the_views_sums_of_ones(scheme, variant):
+    """The march's pivot threshold counts the unknown nodes each term
+    reads by arithmetic: each count is the sum of its view over an array of
+    ones at the unknowns, down to the smallest grid, 3x2."""
+    for nx, nt in ((3, 2), (4, 2), (3, 3), (3, 4), (7, 5), (5, 9)):
+        d = Discretization.from_cfl(nx=nx, nt=nt, h=1.0, sigma=0.8, c=1.0)
+        s = (builtin_scheme(scheme, d) if isinstance(scheme, str)
+             else custom_scheme(scheme))
+        ones = np.zeros((nx + 1, nt + 2))
+        ones[1:-1, 1:-1] = 1.0
+        first, terms = assembly._shifted_terms(s, d, variant, ones)
+        want = [(c, float(view.sum())) for c, _, view in terms]
+        assert assembly._unknown_counts(s, d, variant) == (first, want)

@@ -181,10 +181,11 @@ def test_scaled_three_level_stencil_marches_in_simulate_and_causal_kron(capsys, 
 
 def test_sweep_fails_in_order_set_up_march_solves(capsys, monkeypatch):
     """A sweep sets up its solver, marches all of its signals at once, then
-    solves them one by one; the first failing step ends it."""
+    solves them one by one; the first failing step ends it.  The sweep takes
+    the march's stack from advect._simulate, time_step_simulate's body."""
     calls = []
-    march, solve = advect.time_step_simulate, sylvester.ErrorEquationSolver.solve
-    monkeypatch.setattr(advect, "time_step_simulate",
+    march, solve = advect._simulate, sylvester.ErrorEquationSolver.solve
+    monkeypatch.setattr(advect, "_simulate",
                         lambda *args: calls.append("march") or march(*args))
     monkeypatch.setattr(sylvester.ErrorEquationSolver, "solve",
                         lambda self, signal: calls.append("solve") or solve(self, signal))
@@ -541,6 +542,46 @@ def test_paper_sylvester_form_keeps_its_spectral_verdict_line(capsys, argv, line
     lines = out.splitlines()
     assert code == 0
     assert lines[1] == line and lines[2].startswith("residual=")
+
+
+@pytest.mark.parametrize("argv, verdict, rank", [
+    # normal but not unique: M1 and -M2 share eigenvalues, so the COD runs
+    (("--scheme", "leapfrog", "--nx", "8", "--nt", "7", "--sigma", "1"),
+     "unique=false min_separation=0.0 sep_tol=1e-10", "rank=42 of 49"),
+    # unique but not normal: the COD runs and finds K rank deficient
+    (("--scheme", "lax-wendroff"),
+     "unique=true min_separation=0.44999999999999996 sep_tol=1e-10", "rank=375 of 380"),
+    # normal and unique: the closed form, of full rank
+    (("--scheme", "leapfrog"),
+     "unique=true min_separation=0.0026857807184469396 sep_tol=1e-10", "rank=380 of 380")])
+def test_min_norm_prints_the_rank_of_its_route(capsys, argv, verdict, rank):
+    """The COD prints its numerical rank; the closed form, on a normal and
+    unique K, prints full rank."""
+    code, out, err = run(capsys, "solve-error", *argv, "--method", "min-norm")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert (lines[1], lines[3]) == (verdict, rank)
+
+
+def test_min_norm_closed_form_runs_past_the_operator_size_guard(capsys, tmp_path):
+    """Leapfrog's paper K at 160^2 (N = 25440 > MAX_VEC_SIZE) is normal and
+    unique, so min-norm takes the closed form, as bartels-stewart does, and
+    writes its field byte for byte; at sigma = 1 and 160x159 K is normal
+    but not unique, and the COD's size guard still stops the request."""
+    stencil = ("--scheme", "leapfrog", "--nx", "160", "--nt", "160")
+    written = []
+    for method in ("min-norm", "bartels-stewart"):
+        path = tmp_path / f"{method}.csv"
+        code, out, err = run(capsys, "solve-error", *stencil, "--method", method,
+                             "--out", str(path))
+        assert (code, err) == (0, "")
+        assert ("rank=25440 of 25440" in out.splitlines()) == (method == "min-norm")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    code, out, err = run(capsys, "solve-error", "--scheme", "leapfrog", "--nx", "160",
+                         "--nt", "159", "--sigma", "1", "--method", "min-norm")
+    assert (code, out) == (1, "")
+    assert err == "error: vectorized operator of size 25281 exceeds limit 20000\n"
 
 
 # --------------------------------------------------------------------- sweep

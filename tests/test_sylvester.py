@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advectbench import advect, assembly, cli, linalg, schemes, sylvester
 from advectbench.errors import (NumericalFailureError, SingularSystemError,
@@ -508,12 +510,13 @@ def test_error_equation_bartels_stewart_rejects_non_unique():
 @pytest.mark.parametrize("name, nx, nt", [("lax", 6, 6), ("leapfrog", 4, 3)])
 def test_bartels_stewart_refuses_before_it_builds_anything(monkeypatch, name, nx, nt):
     """A pair that is not uniquely solvable is refused on the verdict alone,
-    before _BartelsStewart is built: the paper closures of a two-level
-    stencil (Lax) and of a three-level one (leapfrog, both spectra holding
-    0), and a one-shot problem."""
+    before the closed form or _BartelsStewart is built: the paper closures
+    of a two-level stencil (Lax) and of a three-level one (leapfrog, both
+    spectra holding 0), and a one-shot problem."""
     def unbuilt(*args):
-        raise AssertionError("_BartelsStewart must not be built")
+        raise AssertionError("no factorization may be built")
     monkeypatch.setattr(sylvester, "_BartelsStewart", unbuilt)
+    monkeypatch.setattr(sylvester, "_closed_form", unbuilt)
     refusal = r"^A and -B share eigenvalues \(min separation 0\.000e\+00\); use min-norm$"
     d = disc(nx=nx, nt=nt)
     with pytest.raises(SingularSystemError, match=refusal):
@@ -732,7 +735,7 @@ def test_error_equation_bartels_stewart_closed_form_matches_kron(name, n):
          else builtin_scheme(name, d))
     solver = sylvester.ErrorEquationSolver(s, d, variant="paper",
                                            method="bartels-stewart")
-    _, phase_a, _, phase_b, _, _ = solver.factorization._diagonal
+    phase_a, phase_b = solver.factorization._phase_a, solver.factorization._phase_b
     real = name == "normal-real"
     assert all(np.isreal(p).all() == real for p in (phase_a, phase_b))
     e, report, _ = solver.solve(signal)
@@ -1107,10 +1110,11 @@ def test_bartels_stewart_still_refuses_lax_at_even_nx_on_the_spectral_verdict():
 
 def test_causal_set_up_allocates_no_spectral_operands():
     """Lax-Wendroff causal kron set-up at 400^2 keeps two padded node arrays
-    (its stencil sums) and its march makes one more in passing: the
-    tracemalloc peak stays below five node arrays of (nx+1)(nt+2) doubles,
-    6.45 MB.  M1, M2, the zero C and diagnose's pairwise distances alone
-    would take 6.4 MB more."""
+    (its stencil sums), and its march counts K's unknown nodes without a
+    third: the tracemalloc peak stays below three node arrays of
+    (nx+1)(nt+2) doubles, 3.87 MB (a march that sums views of an array of
+    ones peaks at 3.06 arrays).  M1, M2, the zero C and diagnose's pairwise
+    distances alone would take 6.4 MB more."""
     d = disc(nx=400, nt=400)
     s = builtin_scheme("lax-wendroff", d)
     tracemalloc.start()
@@ -1119,4 +1123,68 @@ def test_causal_set_up_allocates_no_spectral_operands():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * (d.nx + 1) * (d.nt + 2) * 8
+    assert peak < 3 * (d.nx + 1) * (d.nt + 2) * 8
+
+
+# ------------------------------------------- min-norm's closed-form route
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-2, 2), st.floats(0.125, 2), st.floats(0, 2), st.booleans(),
+       st.booleans(), st.integers(-30, 30), st.integers(3, 12), st.integers(3, 12))
+def test_min_norm_closed_form_is_the_cod_answer_where_diagnose_says_unique(
+        beta, a, d, a_sign, d_sign, k, nx, nt):
+    """For L = 0 and normal M1, M2 (|alpha| = |gamma|, |delta| = |epsilon|),
+    K is normal with singular values |lam_i + mu_j|, so diagnose's unique
+    verdict bounds cond(K) below 1/SEP_TOL: wherever it says unique, the
+    COD finds full rank, and the closed form min-norm takes gives the COD's
+    field to 1e-9 relative.  Elsewhere min-norm keeps the COD."""
+    c = math.ldexp(1.0, k)
+    s = schemes.custom_scheme([c * a, c * beta, c * a * (-1) ** a_sign, c * d,
+                               c * d * (-1) ** d_sign, 0, 0, 0, 0])
+    g = Discretization(nx=nx, nt=nt, h=1.0, tau=0.5, c=1.0)
+    solver = sylvester.ErrorEquationSolver(s, g, variant="paper", method="min-norm")
+    n = (nx - 1) * nt
+    if not solver.report.unique:
+        assert isinstance(solver.factorization, sylvester._MinNormCOD)
+        return
+    fac = solver.factorization
+    assert isinstance(fac, sylvester._ClosedForm)
+    assert (fac.rank, fac.size) == (n, n)
+    op = assembly.global_operator(s, g, "paper")
+    assert linalg.cod_factor(op).rank == n
+    rhs = rng(nx * 13 + nt).standard_normal((nx - 1, nt))
+    want = sylvester._MinNormCOD(op).solve(rhs)
+    got = fac.solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_min_norm_closed_form_builds_no_operator_and_no_cod(monkeypatch):
+    """Leapfrog's paper min-norm at 20^2 is normal and unique: set-up
+    builds neither the global operator, nor a COD, nor a Schur form."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operator, COD or Schur form built")
+    for owner, name in ((assembly, "global_operator"), (linalg, "cod_factor"),
+                        (linalg, "schur_decompose")):
+        monkeypatch.setattr(owner, name, forbidden)
+    d = disc()
+    solver = sylvester.ErrorEquationSolver(builtin_scheme("leapfrog", d), d,
+                                           variant="paper", method="min-norm")
+    assert isinstance(solver.factorization, sylvester._ClosedForm)
+    assert (solver.factorization.rank, solver.factorization.size) == (380, 380)
+
+
+@pytest.mark.parametrize("name, variant, sigma, nx, nt", [
+    ("leapfrog", "paper", 1.0, 8, 7),        # normal, not unique
+    ("lax", "paper", 0.8, 20, 20),           # not normal, not unique
+    ("lax-wendroff", "paper", 0.8, 20, 20),  # not normal, unique
+    ("crank-nicolson", "paper", 0.8, 20, 20),  # L != 0
+    ("leapfrog", "causal", 0.8, 20, 20),     # causal
+])
+def test_min_norm_keeps_the_cod_off_the_closed_form(name, variant, sigma, nx, nt):
+    """Every min-norm request but a normal, unique Sylvester form factors
+    the dense operator by COD, as before the closed form took leapfrog."""
+    d = disc(nx=nx, nt=nt, sigma=sigma)
+    solver = sylvester.ErrorEquationSolver(builtin_scheme(name, d), d,
+                                           variant=variant, method="min-norm")
+    assert isinstance(solver.factorization, sylvester._MinNormCOD)

@@ -147,6 +147,14 @@ def matrix():
     # causal kron past MAX_VEC_SIZE, which guards only band and dense storage
     runs.append(["solve-error", "--scheme", "leapfrog", "--nx", "150", "--nt", "150",
                  "--variant", "causal", "--method", "kron"])
+    # leapfrog min-norm on both of its routes: at sigma = 1 and 8x7 M1 and -M2
+    # share eigenvalues, so the COD runs; at 160^2 the pair is normal and
+    # unique, so the closed form runs past MAX_VEC_SIZE; at sigma = 1 and
+    # 160x159 it is normal but not unique, so the COD's size guard stops it
+    runs += [["solve-error", "--scheme", "leapfrog", "--nx", nx, "--nt", nt, *sigma,
+              "--method", "min-norm"]
+             for nx, nt, sigma in (("8", "7", ("--sigma", "1")), ("160", "160", ()),
+                                   ("160", "159", ("--sigma", "1")))]
     # a subnormal operator whose COD pivot underflows when scaled back;
     # spectra and Hessenberg reductions near 1e308; diagnose's size guard on
     # a corner stencil, which comes before the report
