@@ -292,9 +292,7 @@ def operator_entries(s, disc, variant):
     diagnosis's smallest singular value factors them without a dense G."""
     _check_variant(variant)
     size = (disc.nx - 1) * disc.nt
-    if size > linalg.MAX_VEC_SIZE:
-        raise UsageError(
-            f"vectorized operator of size {size} exceeds limit {linalg.MAX_VEC_SIZE}")
+    linalg.check_vec_size(size)
     return (size, *stencil_table(s, disc, variant))
 
 

@@ -65,6 +65,13 @@ _PANEL = 32
 _TOL3Z = math.sqrt(np.finfo(float).eps)  # cod_factor: lost digits of a downdated norm squared
 
 
+def check_vec_size(size):
+    """MAX_VEC_SIZE's guard on a vectorized operator of order size, and on
+    any N x N array formed from it: UsageError beyond the limit."""
+    if size > MAX_VEC_SIZE:
+        raise UsageError(f"vectorized operator of size {size} exceeds limit {MAX_VEC_SIZE}")
+
+
 def _as_float_array(a, name):
     try:
         return np.asarray(a, dtype=float)
@@ -452,21 +459,27 @@ def _lu_factor(ab, kl):
 
 
 def _lu_solve(lu, kl, piv, b):
-    """Solve A x = b for the vector b from the band factors of _lu_factor;
-    raises NumericalFailureError when x leaves the floating-point range."""
+    """Solve A x = b from the band factors of _lu_factor, for the vector b or
+    the k columns of an n x k b together, as LAPACK's xGBTRS takes NRHS
+    columns: each step updates a block of k columns by the floating-point
+    operations of a vector solve, so each column is bit-identical to its
+    own.  Raises NumericalFailureError when x leaves the floating-point
+    range."""
     n, width = lu.shape
     w = width - 1 - kl  # superdiagonals of U; lu[k, w] is U's diagonal
-    # x sits between w leading and kl trailing scratch entries, so every
-    # step updates a full column of L or U
-    xp = np.zeros(w + n + kl)
+    # x sits between w leading and kl trailing scratch rows, so every step
+    # updates a full column of L or U
+    xp = np.zeros((w + n + kl,) + b.shape[1:])
     x = xp[w:w + n]
     x[:] = b
     lower, upper = lu[:, w + 1:], lu[:, :w]
+    if b.ndim == 2:  # a column of L or U times a row of x: an outer product
+        lower, upper = lower[..., None], upper[..., None]
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k, p in enumerate(piv.tolist()):
                 if p != k:
-                    x[k], x[p] = x[p], x[k]
+                    x[k], x[p] = x[p], x[k].copy()
                 xp[w + k + 1:w + k + kl + 1] -= lower[k] * x[k]
             for k, u_kk in reversed(list(enumerate(lu[:, w].tolist()))):
                 x[k] /= u_kk
@@ -828,9 +841,7 @@ def kron_vec_operator(a, b):
     a = as_matrix(a, "a", square=True)
     b = as_matrix(b, "b", square=True)
     m, n = a.shape[0], b.shape[0]
-    if m * n > MAX_VEC_SIZE:
-        raise UsageError(
-            f"vectorized operator of size {m * n} exceeds limit {MAX_VEC_SIZE}")
+    check_vec_size(m * n)
     return np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
 
 

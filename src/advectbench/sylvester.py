@@ -8,16 +8,23 @@ closed-form unitary diagonalizations, a division per entry; otherwise in
 Hessenberg-Schur form, one real Schur form of B, with A its own Hessenberg
 factor as the tridiagonal M1 is, or reduced by solve_bartels_stewart),
 Gaussian elimination on the vectorized operator (the oracle), and
-minimum-norm least squares through a complete orthogonal decomposition for
-singular or inconsistent systems.  Where the closed form applies and the
-equation is uniquely solvable, min-norm takes it too: K is then normal and
-of full rank, so its one solution is the minimum-norm one.  Only min-norm
-off that case and kron on a three-level paper closure build the global
-operator.  The causal closure and the paper closure of a two-level stencil
-are block triangular in time, and kron and Bartels-Stewart alike solve
-them by assembly.March, the march the simulator also runs: one factored
-tridiagonal level matrix per time column, the other stencil terms
-subtracted as shifted slices, no entries of the operator built.  That is
+minimum-norm least squares, by one of three routes.  Where the closed form
+applies and the equation is uniquely solvable, min-norm takes it: K is
+then normal and of full rank, so its one solution is the minimum-norm one.
+Elsewhere, where kron's elimination passes the pivot rule (and diagnose
+says unique, on the Sylvester form), min-norm forms K^-1 from it once: K
+is nonsingular to PIVOT_RTOL, so again its one solution is the minimum-norm
+one.  Only where that elimination refuses K, or diagnose says not unique,
+does min-norm factor the dense global operator by a complete orthogonal
+decomposition, for singular or inconsistent systems; on an ill-conditioned
+K the answer of its rank cut can be unrelated to the solution.  Only the
+COD builds the global operator, and only band LU (on a three-level paper
+closure) its band storage.  The causal closure and the paper closure of a
+two-level stencil are block triangular in time, and kron and
+Bartels-Stewart alike solve them by assembly.March, the march the
+simulator also runs: one factored tridiagonal level matrix per time
+column, the other stencil terms subtracted as shifted slices, no entries of
+the operator built.  That is
 Bartels-Stewart exactly: a two-level M2 is strictly lower triangular, its
 Schur form T = J M2 J (J the reversal), and the block systems
 M1 y_j = r_j - sum_i t_ij y_i, last column first, are the backward march.
@@ -43,6 +50,7 @@ from .errors import NumericalFailureError, SingularSystemError, UsageError
 
 METHODS = ("bartels-stewart", "kron", "min-norm")
 SEP_TOL = 1e-10  # diagnose: least spectral distance of a unique solution
+_INVERSE_PANEL = 192  # identity columns per stacked solve that forms K^-1 (_Inverse)
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ class SylvesterProblem:
 class SolvabilityReport:
     """Uniqueness verdict for A X + X B = C by diagnose ("spectral"), which
     alone carries spectra, min_separation and sep_tol; or by the kernel of
-    an error equation off that form: "march" or "band-lu" (unique, as
-    set-up refuses a pivot below the rule), or "cod" (iff K has full rank)."""
+    an error equation off that form: "march" or "band-lu" (unique: on a
+    pivot below the rule kron's set-up refuses and min-norm takes the COD),
+    or "cod" (iff K has full rank)."""
 
     unique: bool
     verdict: str = "spectral"
@@ -203,11 +212,60 @@ class _KronLU:
     """Band LU with partial pivoting of a vectorized operator K given in band
     storage (ab, kl); solve(C) is the X with K vec(X) = vec(C)."""
 
+    verdict = "band-lu"
+
     def __init__(self, ab, kl):
         self._lu = linalg._lu_factor(ab, kl)
 
     def solve(self, c):
-        x = linalg._lu_solve(*self._lu, linalg._vec(c))
+        """X for one m x n C, or the stack of the k solutions of a k x m x n
+        stack of them, solved as the k columns of one right-hand side
+        (linalg._lu_solve), each layer bit-identical to its own solve."""
+        if c.ndim == 2:
+            return linalg._unvec(linalg._lu_solve(*self._lu, linalg._vec(c)), *c.shape)
+        k, m, n = c.shape
+        # column j of the right-hand side is vec(C_j), and column j of x vec(X_j)
+        x = linalg._lu_solve(*self._lu, c.transpose(2, 1, 0).reshape(m * n, k))
+        return x.reshape(n, m, k).transpose(2, 1, 0)
+
+
+class _Inverse:
+    """K^-1 of an elimination of K that passed the pivot rule, kron's
+    (assembly.March or _KronLU), formed once; solve(C), one product with
+    it, is the X with K vec(X) = vec(C).  Every pivot of the elimination is
+    above PIVOT_RTOL * |K|_F, so K is nonsingular to that rule and its one
+    solution is its minimum-norm one: rank = size = N.  The array is
+    2**e K^-1, the caller's e <= 0, and a solve scales C by 2**-e before the
+    product; both scalings are exact.  For a stencil whose coefficients are
+    all below 1, 2**e is at most the largest, so the array's entries do not
+    overflow as those of a tiny K's inverse would; a larger one keeps
+    e = 0, as the elimination's products, K times the array, would overflow
+    first.  The array is filled in panels of _INVERSE_PANEL columns of
+    2**e I, each one stacked solve of the elimination, so no other array of
+    its size is made.  verdict is the elimination's."""
+
+    def __init__(self, elimination, rows, cols, e):
+        n = rows * cols
+        self.verdict = getattr(elimination, "verdict", "march")
+        self.rank = self.size = n
+        self._e = e
+        self._inv = np.empty((n, n))
+        # fields[m, i, k] = 2**e K^-1[i + m rows, k]: column k as a field
+        fields = self._inv.reshape(cols, rows, n)
+        for k0 in range(0, n, _INVERSE_PANEL):
+            b = min(_INVERSE_PANEL, n - k0)
+            unit = np.zeros((n, b))
+            unit[np.arange(k0, k0 + b), np.arange(b)] = math.ldexp(1.0, e)
+            # layer j of the stack is the field of column k0 + j of 2**e I
+            x = elimination.solve(unit.reshape(cols, rows, b).transpose(2, 1, 0))
+            fields[:, :, k0:k0 + b] = x.transpose(2, 1, 0)
+
+    def solve(self, c):
+        # an overflow is caught by the check of x below
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self._inv @ np.ldexp(linalg._vec(c), -self._e)
+        if not np.isfinite(x).all():
+            raise NumericalFailureError("the solution exceeds the floating-point range")
         return linalg._unvec(x, *c.shape)
 
 
@@ -217,6 +275,8 @@ class _MinNormCOD:
     it, is the minimum-norm least-squares X of K vec(X) ~ vec(C).  rank is
     the numerical rank of K, size its number of rows."""
 
+    verdict = "cod"
+
     def __init__(self, op):
         self._cod = linalg.cod_factor(op)
         self.rank = self._cod.rank
@@ -225,6 +285,33 @@ class _MinNormCOD:
     def solve(self, c):
         x = self._cod._solve(linalg._vec(c))
         return linalg._unvec(x, *c.shape)
+
+
+def _elimination(scheme, disc, variant):
+    """kron's elimination of K: assembly.March for the causal closure and a
+    two-level stencil's paper closure, else band LU on K's band storage.
+    Raises SingularSystemError when a pivot is at most the rule's."""
+    if variant == "causal" or not scheme.is_three_level:
+        return assembly.March(scheme, disc, variant)
+    return _KronLU(*linalg.band_from_entries(*assembly.operator_entries(scheme, disc, variant)))
+
+
+def _min_norm(scheme, disc, variant, unique):
+    """min-norm's kernel off the closed form: K^-1 of kron's elimination
+    (_Inverse) when the caller's verdict is unique and the elimination
+    passes the pivot rule, else the COD of the dense K.  Either is an N x N
+    array, so MAX_VEC_SIZE refuses both first, with the one message."""
+    rows, cols = disc.nx - 1, disc.nt
+    linalg.check_vec_size(rows * cols)
+    # 2**e: 1, or the largest coefficient rounded down to a power of two
+    # where that is below 1
+    e = min(0, math.frexp(max(abs(c) for c in scheme.as_tuple()))[1] - 1)
+    try:
+        if unique:
+            return _Inverse(_elimination(scheme, disc, variant), rows, cols, e)
+    except SingularSystemError:  # K is singular to the pivot rule
+        pass
+    return _MinNormCOD(assembly.global_operator(scheme, disc, variant))
 
 
 def solve_bartels_stewart(p):
@@ -269,16 +356,24 @@ class ErrorEquationSolver:
     Bartels-Stewart is only legal for that form, and only when diagnose
     finds A and -B disjoint: set-up refuses any other request before it
     builds a factorization.  The kernel is then read from the method and
-    K's structure.  min-norm on that form, when diagnose finds it unique and
-    M1 and M2 are both normal (leapfrog's are), takes Bartels-Stewart's
-    closed form below: K is then normal, its singular values |lam_i + mu_j|,
-    so the verdict bounds its condition number below 1/SEP_TOL, the COD's
-    rank cut RANK_RTOL would find full rank, and the minimum-norm solution
-    is K's one solution; ``factorization.rank`` = ``size`` = N.  Every
-    other min-norm request factors the dense operator by complete orthogonal
-    decomposition (``factorization.rank`` is then the numerical rank), which
-    forms its minimum-norm solution operator once, so a solve is one dense
-    product.  The causal operator is block lower triangular in time, and the
+    K's structure, in one flat chain.  min-norm has three routes.  On that
+    form, when diagnose finds it unique and M1 and M2 are both normal
+    (leapfrog's are), it takes Bartels-Stewart's closed form below: K is
+    then normal, its singular values |lam_i + mu_j|, so the verdict bounds
+    its condition number below 1/SEP_TOL, the COD's rank cut RANK_RTOL
+    would find full rank, and the minimum-norm solution is K's one
+    solution.  Otherwise, unless diagnose says not unique, it takes kron's
+    elimination (the march or band LU, below) and, when that passes the
+    pivot rule, forms K^-1 from it once (_Inverse): K is nonsingular to
+    PIVOT_RTOL, so K^-1 r is the minimum-norm solution, and a solve is one
+    dense product.  Both report ``factorization.rank`` = ``size`` = N.  Only
+    where the elimination refuses K, or diagnose says not unique, does it
+    factor the dense operator by complete orthogonal decomposition
+    (``factorization.rank`` is then the numerical rank), which forms its
+    minimum-norm solution operator once; on an ill-conditioned K the COD's
+    rank cut can return an answer unrelated to the solution.  K^-1 and the
+    COD are N x N arrays, so MAX_VEC_SIZE refuses both with one message.
+    The causal operator is block lower triangular in time, and the
     paper operator of a two-level stencil block upper bidiagonal, so kron and
     Bartels-Stewart solve them by the march (assembly.March), which factors
     one level matrix (tridiag(theta, alpha, zeta) or M1) and builds neither
@@ -321,18 +416,15 @@ class ErrorEquationSolver:
         if closed is not None:
             self.factorization = closed
         elif method == "min-norm":
-            self.factorization = _MinNormCOD(
-                assembly.global_operator(scheme, disc, variant))
-        elif variant == "causal" or not scheme.is_three_level:
-            self.factorization = assembly.March(scheme, disc, variant)
-        elif method == "bartels-stewart":
+            self.factorization = _min_norm(scheme, disc, variant,
+                                           not self.sylvester_form or self.report.unique)
+        elif method == "bartels-stewart" and scheme.is_three_level:
             self.factorization = _BartelsStewart(self.m1, self.m2)
         else:
-            self.factorization = _KronLU(*linalg.band_from_entries(
-                *assembly.operator_entries(scheme, disc, variant)))
+            self.factorization = _elimination(scheme, disc, variant)
         if not self.sylvester_form:  # the kernel's verdict: see SolvabilityReport
             fac = self.factorization
-            kernel = {_MinNormCOD: "cod", _KronLU: "band-lu"}.get(type(fac), "march")
+            kernel = getattr(fac, "verdict", "march")
             self.report = SolvabilityReport(kernel != "cod" or fac.rank == fac.size, kernel)
 
     def solve(self, signal):

@@ -360,14 +360,32 @@ def test_overflowing_solve_is_numerical_failure(capsys):
 
 
 def test_min_norm_pivot_that_underflows_is_numerical_failure(capsys):
-    """Subnormal coefficients: a diagonal entry of the COD's T underflows to
-    0 when scaled back, which the factorization reports before any solve."""
+    """Subnormal coefficients of a Lax-like stencil at even nx (M1 of odd
+    order with a zero diagonal shares the eigenvalue 0 with the nilpotent
+    M2, so min-norm takes the COD): a diagonal entry of the COD's T
+    underflows to 0 when scaled back, which the factorization reports
+    before any solve."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "solve-error", "--coeffs",
-                             "1.5e-323,5e-324,0,5e-324,0,0,0,0,0", "--nx", "5", "--nt", "5")
+                             "1.5e-323,0,0,5e-324,5e-324,0,0,0,0", "--nx", "6", "--nt", "5")
     assert (code, out) == (2, "")
     assert err == "numerical failure: the COD exceeds the floating-point range\n"
+
+
+def test_min_norm_on_a_subnormal_operator_is_krons_answer(capsys):
+    """Subnormal coefficients whose paper K is unique and passes the march's
+    pivot rule: min-norm forms 2**e K^-1, 2**e at most K's largest entry,
+    whose entries stay in range where K^-1's would overflow, and prints
+    kron's field and residual."""
+    stencil = ("--coeffs", "1.5e-323,5e-324,0,5e-324,0,0,0,0,0", "--nx", "5", "--nt", "5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve-error", *stencil)
+        assert (code, err) == (0, "")
+        kron = run(capsys, "solve-error", *stencil, "--method", "kron")
+    assert kron[0] == 0 and out == kron[1] + "rank=20 of 20\n"
+    assert "\nresidual=0.0\n" in out
 
 
 @pytest.mark.parametrize("coeffs, method, message", [
@@ -510,23 +528,46 @@ def test_solve_error_min_norm_prints_rank_and_residual(capsys):
     assert "residual=" in out and "rank=" in out
 
 
-@pytest.mark.parametrize("method, verdict", [("kron", "march"), ("min-norm", "cod")])
+# a causal level matrix tridiag(theta, alpha, zeta) = tridiag(1, 0, 1) of odd
+# order 19, which is singular: the march refuses it
+SINGULAR_LEVEL = ("--coeffs", "0,1,0,0,0,1,0,1,0", "--nx", "20", "--nt", "10")
+
+
+@pytest.mark.parametrize("method, verdict", [("kron", "march"), ("min-norm", "march"),
+                                             ("min-norm", "cod")])
 def test_causal_solve_prints_its_kernels_verdict(capsys, method, verdict):
-    """Lax's causal K at 20^2 is nonsingular: the march solves it and the COD
-    finds full rank, though M1 and -M2 share the eigenvalue 0.  The verdict
-    line names the kernel and prints no spectral number, and no notes."""
-    code, out, err = run(capsys, "solve-error", "--scheme", "lax", "--variant", "causal",
+    """Lax's causal K at 20^2 is nonsingular, though M1 and -M2 share the
+    eigenvalue 0: kron marches, and min-norm forms K^-1 by the march.  On
+    SINGULAR_LEVEL the march refuses, so min-norm's COD solves and finds K
+    rank deficient.  The verdict line names the kernel and prints no
+    spectral number, and no notes."""
+    argv = SINGULAR_LEVEL if verdict == "cod" else ("--scheme", "lax")
+    code, out, err = run(capsys, "solve-error", *argv, "--variant", "causal",
                          "--method", method)
     assert (code, err) == (0, "")
-    assert f"\nunique=true verdict={verdict}\n" in out
+    unique, rank = (("false", "rank=189 of 190") if verdict == "cod"
+                    else ("true", "rank=380 of 380"))
+    assert f"\nunique={unique} verdict={verdict}\n" in out
+    assert (rank in out.splitlines()) == (method == "min-norm")
     assert "min_separation" not in out and "sep_tol" not in out and "notes:" not in out
 
 
 def test_crank_nicolson_paper_min_norm_prints_the_cod_verdict(capsys):
+    """Crank-Nicolson's paper K at sigma = 1 and 3x2 fails band LU's pivot
+    rule, so min-norm's COD solves it."""
+    code, out, _ = run(capsys, "solve-error", "--scheme", "crank-nicolson", "--nx", "3",
+                       "--nt", "2", "--sigma", "1", "--method", "min-norm")
+    assert code == 0
+    assert out.splitlines()[1] == "unique=false verdict=cod"
+    assert "rank=3 of 4" in out
+
+
+def test_crank_nicolson_paper_min_norm_prints_the_band_lu_verdict(capsys):
+    """At 20^2 band LU passes the pivot rule: min-norm forms K^-1 from it."""
     code, out, _ = run(capsys, "solve-error", "--scheme", "crank-nicolson",
                        "--method", "min-norm")
     assert code == 0
-    assert out.splitlines()[1] == "unique=true verdict=cod"
+    assert out.splitlines()[1] == "unique=true verdict=band-lu"
     assert "rank=380 of 380" in out
 
 
@@ -548,15 +589,18 @@ def test_paper_sylvester_form_keeps_its_spectral_verdict_line(capsys, argv, line
     # normal but not unique: M1 and -M2 share eigenvalues, so the COD runs
     (("--scheme", "leapfrog", "--nx", "8", "--nt", "7", "--sigma", "1"),
      "unique=false min_separation=0.0 sep_tol=1e-10", "rank=42 of 49"),
-    # unique but not normal: the COD runs and finds K rank deficient
+    # unique but not normal: kron's march passes the pivot rule, K^-1 of full rank
     (("--scheme", "lax-wendroff"),
-     "unique=true min_separation=0.44999999999999996 sep_tol=1e-10", "rank=375 of 380"),
+     "unique=true min_separation=0.44999999999999996 sep_tol=1e-10", "rank=380 of 380"),
     # normal and unique: the closed form, of full rank
     (("--scheme", "leapfrog"),
-     "unique=true min_separation=0.0026857807184469396 sep_tol=1e-10", "rank=380 of 380")])
+     "unique=true min_separation=0.0026857807184469396 sep_tol=1e-10", "rank=380 of 380"),
+    # neither normal nor unique (Lax at even nx): the COD runs
+    (("--scheme", "lax"), "unique=false min_separation=0.0 sep_tol=1e-10", "rank=373 of 380")])
 def test_min_norm_prints_the_rank_of_its_route(capsys, argv, verdict, rank):
     """The COD prints its numerical rank; the closed form, on a normal and
-    unique K, prints full rank."""
+    unique K, and K^-1 of an elimination that passed the pivot rule print
+    full rank."""
     code, out, err = run(capsys, "solve-error", *argv, "--method", "min-norm")
     lines = out.splitlines()
     assert (code, err) == (0, "")
@@ -582,6 +626,19 @@ def test_min_norm_closed_form_runs_past_the_operator_size_guard(capsys, tmp_path
                          "--nt", "159", "--sigma", "1", "--method", "min-norm")
     assert (code, out) == (1, "")
     assert err == "error: vectorized operator of size 25281 exceeds limit 20000\n"
+
+
+@pytest.mark.parametrize("variant", ["causal", "paper"])
+def test_min_norm_inverse_keeps_the_operator_size_guard(capsys, variant):
+    """Lax-Wendroff's causal and paper K at 150^2 (N = 22350) pass the
+    march's pivot rule, but K^-1 is an N x N array: MAX_VEC_SIZE refuses it
+    before set-up, with the COD's message, while kron marches."""
+    stencil = ("--scheme", "lax-wendroff", "--nx", "150", "--nt", "150", "--variant", variant)
+    code, out, err = run(capsys, "solve-error", *stencil)
+    assert (code, out) == (1, "")
+    assert err == "error: vectorized operator of size 22350 exceeds limit 20000\n"
+    assert run(capsys, "solve-error", *stencil, "--method", "kron")[0] == (
+        0 if variant == "causal" else 3)
 
 
 # --------------------------------------------------------------------- sweep

@@ -501,6 +501,30 @@ def test_band_lu_keeps_bandwidth_and_pivot_message():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("case", ["random band", "crank-nicolson paper"])
+def test_band_lu_solves_k_columns_each_bit_identical_to_its_vector_solve(case):
+    """_lu_solve on an n x k right-hand side steps the k columns together,
+    as LAPACK's xGBTRS takes NRHS columns: every column equals the vector
+    solve of that column bit for bit, on a random band matrix with row
+    exchanges and on Crank-Nicolson's paper K at 20^2."""
+    if case == "random band":
+        n = 40
+        offsets = np.subtract.outer(np.arange(n), np.arange(n))
+        ab, kl = linalg.to_band(np.where((offsets <= 3) & (-offsets <= 2),
+                                         rng(23).uniform(-1, 1, (n, n)), 0.0))
+    else:
+        d = schemes.Discretization.from_cfl(nx=20, nt=20, h=1.0, sigma=0.8, c=1.0)
+        ab, kl = linalg.band_from_entries(*assembly.operator_entries(
+            schemes.builtin_scheme("crank-nicolson", d), d, "paper"))
+    factors = linalg._lu_factor(ab, kl)
+    assert (factors[2] != np.arange(ab.shape[0])).any()  # rows are exchanged
+    b = rng(24).uniform(-1, 1, (ab.shape[0], 7))
+    x = linalg._lu_solve(*factors, b)
+    assert x.shape == b.shape
+    for j in range(b.shape[1]):
+        assert x[:, j].tobytes() == linalg._lu_solve(*factors, b[:, j].copy()).tobytes()
+
+
 def test_band_lu_of_power_of_two_multiple_is_the_exact_multiple():
     """Band LU eliminates on its input scaled to unit magnitude, so 2**k A
     has the same pivots and multipliers and exactly 2**k U, also where

@@ -364,11 +364,28 @@ def test_min_norm_matches_bartels_stewart_when_unique():
 @pytest.mark.parametrize("name, rank", [("leapfrog", 380), ("lax", 373),
                                         ("lax-wendroff", 375), ("crank-nicolson", 380)])
 def test_min_norm_ranks_of_the_paper_closures_at_20(name, rank):
-    """The numerical ranks the COD reveals, pinned, so a change to the factor
-    that moves a pivot or the rank cut shows."""
+    """The numerical ranks the COD reveals on the paper operators, pinned,
+    so a change to the factor that moves a pivot or the rank cut shows.
+    Lax's K (even nx) is the one of the four that min-norm's COD still
+    factors; see the test below."""
+    d = disc()
+    fac = sylvester._MinNormCOD(assembly.global_operator(builtin_scheme(name, d), d))
+    assert (fac.rank, fac.size) == (rank, 380)
+
+
+@pytest.mark.parametrize("name, route, rank", [
+    ("leapfrog", sylvester._ClosedForm, 380), ("lax", sylvester._MinNormCOD, 373),
+    ("lax-wendroff", sylvester._Inverse, 380), ("crank-nicolson", sylvester._Inverse, 380)])
+def test_min_norm_routes_of_the_paper_closures_at_20(name, route, rank):
+    """min-norm's route and printed rank on the sweep's four operators: the
+    closed form (normal and unique), K^-1 of kron's elimination (the march
+    for Lax-Wendroff, band LU for Crank-Nicolson, both passing the pivot
+    rule) and the COD for Lax, whose M1 and -M2 share the eigenvalue 0."""
     d = disc()
     solver = sylvester.ErrorEquationSolver(builtin_scheme(name, d), d, method="min-norm")
-    assert (solver.factorization.rank, solver.factorization.size) == (rank, 380)
+    fac = solver.factorization
+    assert type(fac) is route
+    assert (fac.rank, fac.size) == (rank, 380)
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -1067,15 +1084,42 @@ def test_kernel_verdicts_build_no_spectral_operands(monkeypatch, name, variant, 
     s = schemes.custom_scheme(CORNER) if name == "corner" else builtin_scheme(name, d)
     solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method=method)
     fac, report = solver.factorization, solver.report
-    if method == "min-norm":
-        assert (report.verdict, report.unique) == ("cod", fac.rank == fac.size)
-    else:
-        elimination = "march" if variant == "causal" or not s.is_three_level else "band-lu"
-        assert (report.verdict, report.unique) == (elimination, True)
+    elimination = "march" if variant == "causal" or not s.is_three_level else "band-lu"
+    assert (report.verdict, report.unique) == (elimination, True)
+    if method == "min-norm":  # K^-1 of the elimination, which passed the pivot rule
+        assert isinstance(fac, sylvester._Inverse) and fac.rank == fac.size
     assert (report.spectrum_a, report.spectrum_neg_b, report.min_separation,
             report.sep_tol) == (None,) * 4
     assert solver.m1 is None and solver.m2 is None
     assert solver.solve(SignalSpec.from_cells_per_wavelength(9.8, d))[1] is report
+
+
+# a causal level matrix tridiag(theta, alpha, zeta) = tridiag(1, 0, 1) of odd
+# order, which is singular: the march refuses it
+SINGULAR_LEVEL = (0, 1, 0, 0, 0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("name, variant, nx, nt, sigma, rank", [
+    ("singular-level", "causal", 20, 10, 0.8, 189), ("crank-nicolson", "paper", 3, 2, 1.0, 3)])
+def test_cod_verdict_builds_no_spectral_operands(monkeypatch, name, variant, nx, nt, sigma,
+                                                 rank):
+    """Where kron's elimination refuses a causal or L != 0 K (the march on
+    a singular level matrix, band LU on Crank-Nicolson's paper K at
+    sigma = 1 and 3x2), min-norm's COD solves it and reports its verdict,
+    unique iff K has full rank, with no spectral operands."""
+    spectral_operands_forbidden(monkeypatch)
+    d = disc(nx=nx, nt=nt, sigma=sigma)
+    s = (schemes.custom_scheme(SINGULAR_LEVEL) if name == "singular-level"
+         else builtin_scheme(name, d))
+    with pytest.raises(SingularSystemError):
+        sylvester.ErrorEquationSolver(s, d, variant=variant, method="kron")
+    solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method="min-norm")
+    fac, report = solver.factorization, solver.report
+    assert isinstance(fac, sylvester._MinNormCOD)
+    assert (fac.rank, fac.size) == (rank, (nx - 1) * nt)
+    assert (report.verdict, report.unique) == ("cod", False)
+    assert (report.spectrum_a, report.spectrum_neg_b, report.min_separation,
+            report.sep_tol) == (None,) * 4
 
 
 @pytest.mark.parametrize("name", ["leapfrog", "lax", "lax-wendroff", "two-level"])
@@ -1182,9 +1226,152 @@ def test_min_norm_closed_form_builds_no_operator_and_no_cod(monkeypatch):
     ("leapfrog", "causal", 0.8, 20, 20),     # causal
 ])
 def test_min_norm_keeps_the_cod_off_the_closed_form(name, variant, sigma, nx, nt):
-    """Every min-norm request but a normal, unique Sylvester form factors
-    the dense operator by COD, as before the closed form took leapfrog."""
+    """Off the closed form, min-norm factors the dense operator by COD
+    exactly where diagnose says not unique (Sylvester form) or kron's
+    elimination refuses K; elsewhere it takes K^-1 of that elimination."""
     d = disc(nx=nx, nt=nt, sigma=sigma)
-    solver = sylvester.ErrorEquationSolver(builtin_scheme(name, d), d,
-                                           variant=variant, method="min-norm")
-    assert isinstance(solver.factorization, sylvester._MinNormCOD)
+    s = builtin_scheme(name, d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method="min-norm")
+    try:
+        sylvester.ErrorEquationSolver(s, d, variant=variant, method="kron")
+        refused = solver.sylvester_form and not solver.report.unique
+    except SingularSystemError:
+        refused = True
+    want = sylvester._MinNormCOD if refused else sylvester._Inverse
+    assert type(solver.factorization) is want
+    # the COD's two requests: Lax at even nx and leapfrog at sigma = 1 and 8x7
+    assert refused == (sigma == 1.0 or name == "lax")
+
+
+# --------------------------------------------- min-norm's elimination route
+
+
+def test_band_lu_solves_a_stack_each_layer_bit_identical_to_its_own_solve():
+    """_KronLU.solve on a k x m x n stack: one k-column band LU solve, each
+    layer equal to the solve of that layer alone."""
+    d = disc(nx=11, nt=11)
+    fac = sylvester.ErrorEquationSolver(builtin_scheme("crank-nicolson", d), d,
+                                        method="kron").factorization
+    assert isinstance(fac, sylvester._KronLU)
+    cs = rng(7).uniform(-1, 1, (5, 10, 11))
+    stacked = fac.solve(cs)
+    assert stacked.shape == cs.shape
+    for c, x in zip(cs, stacked):
+        assert x.tobytes() == fac.solve(c).tobytes()
+
+
+@pytest.mark.parametrize("name, variant", [("lax-wendroff", "paper"),
+                                           ("crank-nicolson", "paper"),
+                                           ("crank-nicolson", "causal")])
+def test_inverse_columns_are_the_eliminations_solves(name, variant):
+    """2**e K^-1, formed in panels of columns of 2**e I, holds in column k
+    the elimination's own solve of the k-th such field, bit for bit, on
+    both sides of each panel boundary; a solve is its product with
+    2**-e vec(C)."""
+    d = disc()
+    s = builtin_scheme(name, d)
+    elimination = sylvester._elimination(s, d, variant)
+    fac = sylvester._Inverse(elimination, 19, 20, -3)
+    assert (fac.rank, fac.size) == (380, 380)
+    assert fac.verdict == ("band-lu" if name == "crank-nicolson" and variant == "paper"
+                           else "march")
+    panel = sylvester._INVERSE_PANEL
+    for k in (0, panel - 1, panel, 379):
+        unit = np.zeros(380)
+        unit[k] = 0.125
+        want = elimination.solve(linalg.unvec(unit, 19, 20))
+        assert fac._inv[:, k].tobytes() == linalg.vec(want).tobytes()
+    c = rng(8).uniform(-1, 1, (19, 20))
+    assert np.array_equal(fac.solve(c), linalg.unvec(fac._inv @ linalg.vec(8.0 * c), 19, 20))
+
+
+@pytest.mark.parametrize("name, variant", [("lax-wendroff", "paper"),
+                                           ("crank-nicolson", "paper"), ("leapfrog", "causal")])
+def test_min_norm_inverse_field_is_invariant_under_power_of_two_scaling(name, variant):
+    """2**k times a stencil gives min-norm's field bit for bit, down to
+    k = -1000, where the entries of K^-1 itself would overflow: the inverse
+    is formed at K's scale, as the COD factors K at unit magnitude."""
+    d = disc(nx=11, nt=11)
+    base = builtin_scheme(name, d)
+    signal = SignalSpec.from_cells_per_wavelength(9.8, d)
+    want = sylvester.ErrorEquationSolver(base, d, variant=variant).solve(signal)[0].values
+    for k in (-1000, -600, -3):
+        s = schemes.custom_scheme([math.ldexp(c, k) for c in base.as_tuple()])
+        solver = sylvester.ErrorEquationSolver(s, d, variant=variant)
+        assert isinstance(solver.factorization, sylvester._Inverse)
+        assert solver.solve(signal)[0].values.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("name, variant, n, rtol", [
+    ("lax-wendroff", "paper", 10, 1e-10), ("lax-wendroff", "paper", 20, 1e-10),
+    ("crank-nicolson", "paper", 20, 1e-10),
+    *[(name, "causal", 20, 1e-10) for name in ALL_SCHEMES],
+    ("corner", "paper", 11, 1e-10), ("corner", "causal", 11, 1e-10),
+    ("lax", "paper", 11, 1e-12), ("lax", "paper", 21, 1e-12), ("lax", "paper", 23, 1e-12)])
+def test_min_norm_is_krons_field_where_the_elimination_passes(name, variant, n, rtol):
+    """Where kron's elimination passes the pivot rule (and, on the Sylvester
+    form, diagnose says unique), min-norm's field is kron's to rtol: the
+    COD's rank cut threw these answers away (Lax-Wendroff paper 20^2 had
+    rank 375 of 380; Lax paper 21^2, whose |e| is 9.2e35, printed 2.4e7)."""
+    d = disc(nx=n, nt=n)
+    s = schemes.custom_scheme(CORNER) if name == "corner" else builtin_scheme(name, d)
+    signal = SignalSpec.from_cells_per_wavelength(9.8, d)
+    solver = sylvester.ErrorEquationSolver(s, d, variant=variant, method="min-norm")
+    assert isinstance(solver.factorization, sylvester._Inverse)
+    got = solver.solve(signal)[0].values
+    kron = sylvester.ErrorEquationSolver(s, d, variant=variant, method="kron")
+    want = kron.solve(signal)[0].values
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def test_lax_at_even_nx_keeps_the_cod_field_bit_for_bit():
+    """Lax's paper K at 20^2 is not unique: min-norm's field is the COD's
+    solve of the right-hand side, byte for byte."""
+    d = disc()
+    s = builtin_scheme("lax", d)
+    signal = SignalSpec.from_cells_per_wavelength(9.8, d)
+    got = sylvester.ErrorEquationSolver(s, d, method="min-norm").solve(signal)[0].values
+    known = advect.sample_nodes(d, signal)
+    rhs = -assembly.residual(s, d, known, known[1:-1, 1:], "paper")
+    want = sylvester._MinNormCOD(assembly.global_operator(s, d)).solve(rhs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, variant", [("lax-wendroff", "paper"),
+                                           ("crank-nicolson", "paper"), ("lax", "causal")])
+def test_min_norm_elimination_builds_no_dense_operator_and_no_cod(monkeypatch, name, variant):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operator or COD built")
+    for owner, attr in ((assembly, "global_operator"), (linalg, "cod_factor")):
+        monkeypatch.setattr(owner, attr, forbidden)
+    d = disc()
+    solver = sylvester.ErrorEquationSolver(builtin_scheme(name, d), d, variant=variant,
+                                           method="min-norm")
+    assert isinstance(solver.factorization, sylvester._Inverse)
+
+
+def _set_up_peak(s, d):
+    tracemalloc.start()
+    try:
+        sylvester.ErrorEquationSolver(s, d, method="min-norm")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["lax-wendroff", "crank-nicolson"])
+def test_min_norm_inverse_set_up_peaks_below_the_cods(monkeypatch, name):
+    """K^-1 is formed in its final array from panels of identity columns, so
+    min-norm's set-up at 20^2 peaks at most where the COD's set-up on the
+    same K does (the route it took before elimination), under tracemalloc."""
+    d = disc()
+    s = builtin_scheme(name, d)
+    sylvester.ErrorEquationSolver(s, d, method="min-norm")  # first-call allocations
+    peak = _set_up_peak(s, d)
+
+    def refuse(*args):
+        raise SingularSystemError("forced: the COD's route")
+    monkeypatch.setattr(sylvester, "_elimination", refuse)
+    assert isinstance(sylvester.ErrorEquationSolver(s, d, method="min-norm").factorization,
+                      sylvester._MinNormCOD)
+    assert peak <= _set_up_peak(s, d)

@@ -155,11 +155,18 @@ def matrix():
               "--method", "min-norm"]
              for nx, nt, sigma in (("8", "7", ("--sigma", "1")), ("160", "160", ()),
                                    ("160", "159", ("--sigma", "1")))]
-    # a subnormal operator whose COD pivot underflows when scaled back;
-    # spectra and Hessenberg reductions near 1e308; diagnose's size guard on
-    # a corner stencil, which comes before the report
+    # min-norm on Lax at odd nx: unique and passing the march's pivot rule,
+    # so K^-1 of the march solves it, where |e| is 1.8e36
+    runs.append(["solve-error", "--scheme", "lax", "--nx", "21", "--nt", "21"])
+    # subnormal operators: a unique one whose K^-1, formed by the march,
+    # overflows, and a Lax-like one at even nx (not unique) whose COD pivot
+    # underflows when scaled back; spectra and Hessenberg reductions near
+    # 1e308; diagnose's size guard on a corner stencil, which comes before
+    # the report
     runs.append(["solve-error", "--coeffs", "1.5e-323,5e-324,0,5e-324,0,0,0,0,0",
                  "--nx", "5", "--nt", "5", "--method", "min-norm", "--out", "error.csv"])
+    runs.append(["solve-error", "--coeffs", "1.5e-323,0,0,5e-324,5e-324,0,0,0,0",
+                 "--nx", "6", "--nt", "5"])
     runs += [["solve-error", "--coeffs", coeffs, "--nx", "6", "--nt", "6",
               "--method", method, "--out", "error.csv"]
              for coeffs, methods in (("1e307,1.7e308,1e307,0,0,0,0,0,0", METHODS),
